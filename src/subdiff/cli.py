@@ -160,8 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated step counts, e.g. 10,20,40")
     caputo.add_argument("--formula", choices=(L21SIGMA, L1), default=L21SIGMA,
                         help="discrete derivative family (default: %(default)s)")
-    caputo.add_argument("--function", choices=("monomial",), default="monomial",
-                        help="test function (default: %(default)s)")
     caputo.set_defaults(handler=_cmd_caputo)
 
     solve = subparsers.add_parser(

@@ -60,69 +60,42 @@ class GridLayer:
         object.__setattr__(self, "values", values)
 
 
+@dataclass(frozen=True, eq=False)
 class SolutionHistory:
-    """All computed time layers of a run.
+    """All time layers of a finished run: ``values[j]`` holds the ``n+1``
+    nodal values of layer ``j``, computed at ``times[j]``.
 
-    The nonlocal time operator consumes every previous layer each step, so the
-    history keeps the full matrix of values.  Layers are immutable; storage
-    grows by appending.
+    The record keeps read-only views of the arrays it is given and does not
+    copy them.
     """
 
-    def __init__(self, grid: SpaceGrid, first_layer: GridLayer, reserve: int = 0):
-        if first_layer.values.size != grid.n + 1:
+    grid: SpaceGrid
+    values: np.ndarray
+    times: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float).view()
+        times = np.asarray(self.times, dtype=float).view()
+        if values.ndim != 2 or values.shape[1] != self.grid.n + 1:
             raise ValueError(
-                f"layer has {first_layer.values.size} values, grid expects {grid.n + 1}"
+                f"values must have shape (layers, {self.grid.n + 1}), got {values.shape}"
             )
-        self.grid = grid
-        capacity = max(1, reserve + 1)
-        self._values = np.empty((capacity, grid.n + 1))
-        self._times = np.empty(capacity)
-        self._count = 0
-        self.append(first_layer)
+        if times.shape != values.shape[:1]:
+            raise ValueError(
+                f"expected {values.shape[0]} layer times, got shape {times.shape}"
+            )
+        values.flags.writeable = False
+        times.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
-        return self._count
-
-    def append(self, layer: GridLayer) -> None:
-        if layer.values.size != self.grid.n + 1:
-            raise ValueError(
-                f"layer has {layer.values.size} values, grid expects {self.grid.n + 1}"
-            )
-        if self._count == self._values.shape[0]:
-            new_capacity = 2 * self._count
-            values = np.empty((new_capacity, self.grid.n + 1))
-            values[: self._count] = self._values[: self._count]
-            times = np.empty(new_capacity)
-            times[: self._count] = self._times[: self._count]
-            self._values = values
-            self._times = times
-        self._values[self._count] = layer.values
-        self._times[self._count] = layer.layer_time
-        self._count += 1
+        return self.values.shape[0]
 
     def layer(self, j: int) -> GridLayer:
-        if not 0 <= j < self._count:
-            raise IndexError(f"layer {j} out of range (have {self._count})")
-        return GridLayer(values=self._values[j], layer_time=float(self._times[j]))
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only ``(layers, nodes)`` view of all stored values."""
-        view = self._values[: self._count]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def times(self) -> np.ndarray:
-        view = self._times[: self._count]
-        view.flags.writeable = False
-        return view
-
-    def interior_diffs(self) -> np.ndarray:
-        """Backward differences ``y^{s+1} - y^s`` at interior nodes,
-        shape ``(layers-1, n-1)``."""
-        vals = self._values[: self._count, 1:-1]
-        return vals[1:] - vals[:-1]
+        if not 0 <= j < len(self):
+            raise IndexError(f"layer {j} out of range (have {len(self)})")
+        return GridLayer(values=self.values[j], layer_time=float(self.times[j]))
 
 
 def l2_norm(layer: GridLayer, grid: SpaceGrid) -> float:

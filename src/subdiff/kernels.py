@@ -165,6 +165,19 @@ def _b_series_coefficients(p: float) -> np.ndarray:
     return coeffs
 
 
+def _b_series(alpha: float, lo):
+    """Series form of ``b_l``, accurate for ``lo >= _B_SERIES_CUTOFF`` (works
+    on scalars and arrays)."""
+    coeffs = _b_series_coefficients(1.0 - alpha)
+    u = 1.0 / lo
+    total = 0.0
+    u_pow = u * u
+    for m in range(2, _B_SERIES_TERMS + 1):
+        total = total + coeffs[m] * u_pow
+        u_pow = u_pow * u
+    return lo ** (1.0 - alpha) * total
+
+
 def _b_direct(alpha: float, lo):
     """Closed form of ``b_l``; accurate only while ``lo`` is small."""
     hi = lo + 1.0
@@ -198,14 +211,7 @@ def coeff_b(order: FractionalOrder, l: int) -> float:
     lo = l - 1 + sigma
     if lo < _B_SERIES_CUTOFF:
         return float(_b_direct(alpha, lo))
-    coeffs = _b_series_coefficients(1.0 - alpha)
-    u = 1.0 / lo
-    total = 0.0
-    u_pow = u * u
-    for m in range(2, _B_SERIES_TERMS + 1):
-        total += coeffs[m] * u_pow
-        u_pow *= u
-    return float(lo ** (1.0 - alpha) * total)
+    return float(_b_series(alpha, lo))
 
 
 def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
@@ -234,15 +240,7 @@ def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
         if np.any(small):
             values[small] = _b_direct(alpha, lo[small])
         if not np.all(small):
-            coeffs = _b_series_coefficients(1.0 - alpha)
-            lo_tail = lo[~small]
-            u = 1.0 / lo_tail
-            total = np.zeros_like(lo_tail)
-            u_pow = u * u
-            for m in range(2, _B_SERIES_TERMS + 1):
-                total += coeffs[m] * u_pow
-                u_pow = u_pow * u
-            values[~small] = lo_tail ** (1.0 - alpha) * total
+            values[~small] = _b_series(alpha, lo[~small])
         out[1:] = values
     return out
 
@@ -284,6 +282,14 @@ def weights(order: FractionalOrder, j: int, tau: float) -> WeightVector:
     )
 
 
+def _l1_coefficients(order: FractionalOrder, j: int) -> np.ndarray:
+    """Lag-ordered piecewise-linear weights ``c_0 .. c_j``: ``c_0 = 1`` and
+    ``c_m = (m+1)^(1-alpha) - m^(1-alpha)``, evaluated without cancellation."""
+    c = np.ones(j + 1)
+    c[1:] = _power_difference(1.0 - order.alpha, np.arange(1, j + 1, dtype=float))
+    return c
+
+
 def weights_l1(order: FractionalOrder, j: int, tau: float) -> WeightVector:
     """Piecewise-linear weights for target index ``j`` (collocation at
     ``t_{j+1}``): lag ``m`` carries ``(m+1)^(1-alpha) - m^(1-alpha)``."""
@@ -291,14 +297,12 @@ def weights_l1(order: FractionalOrder, j: int, tau: float) -> WeightVector:
         raise ValueError(f"target index must be nonnegative, got {j}")
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
-    m = np.arange(j + 1, dtype=float)
-    c = (m + 1.0) ** (1.0 - order.alpha) - m ** (1.0 - order.alpha)
     return WeightVector(
         kind=L1,
         order=order,
         target_index=j,
         tau=tau,
-        coefficients=c,
+        coefficients=_l1_coefficients(order, j),
         scale=_derivative_scale(order, tau),
     )
 
@@ -472,8 +476,7 @@ def audit_weight_family(
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
     if kind == L1:
-        m = np.arange(j_max + 1, dtype=float)
-        c = (m + 1.0) ** (1.0 - order.alpha) - m ** (1.0 - order.alpha)
+        c = _l1_coefficients(order, j_max)
         return WeightAudit(
             checks=(
                 _finish_check("positivity", c),

@@ -6,16 +6,17 @@ equation
 
 where ``D_t^alpha`` is the Caputo derivative of order ``alpha`` in (0, 1).
 
-Two steppers are provided: a second-order scheme (``O(h^2 + tau^2)``) for
+Two schemes are provided: a second-order scheme (``O(h^2 + tau^2)``) for
 space-and-time-dependent coefficients, and a compact fourth-order scheme
 (``O(h^4 + tau^2)``) for time-only coefficients.  Both collocate the time
 operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
-``sigma*y^{j+1} + (1-sigma)*y^j``.
+``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and differ
+only in the spatial assembler it calls each step.
 
 The module also exposes the generic stability machinery: weight providers for
-the discrete time operator, the condition checker (weight monotonicity, a
-positive floor, and the admissible blend range), energy-inequality probes, and
-the a priori solution bound implied by them.
+the discrete time operator, energy-inequality probes, and the a priori
+solution bound.  The weight inequalities themselves are audited by
+:func:`subdiff.kernels.audit_weight_family`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .grids import GridLayer, SolutionHistory, SpaceGrid
+from .grids import SolutionHistory, SpaceGrid
 from .kernels import (
     FractionalOrder,
     _assemble_l21sigma,
     _derivative_scale,
+    _l1_coefficients,
     coeff_a_array,
     coeff_b_array,
 )
@@ -42,19 +44,18 @@ __all__ = [
     "L21SigmaProvider",
     "ProblemSpec",
     "SchemeCompatibilityError",
-    "StabilityReport",
     "WeightProvider",
     "a_priori_bound",
-    "check_stability_conditions",
     "energy_inequality_probe",
     "run_compact",
     "run_second_order",
-    "step_compact",
-    "step_second_order",
 ]
 
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 TimeFn = Callable[[float], float]
+#: ``(sub, diag, sup, rhs)`` rows of one step's interior system, as plain lists
+#: for the scalar Thomas loop.
+TridiagonalRows = tuple[list[float], list[float], list[float], list[float]]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -150,66 +151,7 @@ class L1Provider:
     def weights_for(self, j: int) -> tuple[np.ndarray, float]:
         if j < 0:
             raise ValueError(f"target index must be nonnegative, got {j}")
-        lag = np.arange(j, -1, -1, dtype=float)
-        g = self.scale * ((lag + 1.0) ** (1.0 - self.order.alpha) - lag ** (1.0 - self.order.alpha))
-        return g, 1.0
-
-
-@dataclass
-class StabilityReport:
-    """Outcome of the per-step stability conditions.
-
-    For each target index ``j``: the weights must increase strictly toward the
-    newest difference and stay positive (``monotone_ok``), and the blend must
-    satisfy ``g_j/(2 g_j - g_{j-1}) <= sigma <= 1`` with ``g_{-1} = 0``
-    (``sigma_ok``).  Across all steps the oldest weight must stay above a
-    positive floor, witnessed by ``c2``.  ``kappa`` carries the coercivity
-    constant ``4*c1/l**2`` when problem context is supplied.
-    """
-
-    j_max: int
-    monotone_ok: np.ndarray
-    sigma_ok: np.ndarray
-    floor_ok: bool
-    c2: float
-    kappa: Optional[float] = None
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.floor_ok and self.monotone_ok.all() and self.sigma_ok.all())
-
-
-def check_stability_conditions(
-    provider: WeightProvider,
-    j_max: int,
-    problem: Optional[ProblemSpec] = None,
-) -> StabilityReport:
-    """Evaluate the stability conditions for every step up to ``j_max``."""
-    if j_max < 0:
-        raise ValueError(f"j_max must be nonnegative, got {j_max}")
-    monotone_ok = np.zeros(j_max + 1, dtype=bool)
-    sigma_ok = np.zeros(j_max + 1, dtype=bool)
-    c2 = math.inf
-    for j in range(j_max + 1):
-        g, sigma = provider.weights_for(j)
-        g = np.asarray(g, dtype=float)
-        monotone_ok[j] = bool(g[0] > 0.0 and (np.diff(g) > 0.0).all())
-        c2 = min(c2, float(g[0]))
-        newest = float(g[-1])
-        previous = float(g[-2]) if j >= 1 else 0.0
-        denom = 2.0 * newest - previous
-        sigma_ok[j] = bool(denom > 0.0 and newest / denom <= sigma <= 1.0)
-    kappa = None
-    if problem is not None:
-        kappa = 4.0 * problem.c1 / problem.length**2
-    return StabilityReport(
-        j_max=j_max,
-        monotone_ok=monotone_ok,
-        sigma_ok=sigma_ok,
-        floor_ok=bool(c2 > 0.0),
-        c2=c2,
-        kappa=kappa,
-    )
+        return self.scale * _l1_coefficients(self.order, j)[::-1], 1.0
 
 
 @dataclass(frozen=True)
@@ -277,43 +219,50 @@ def _dominance_guard(margin: float, context: str) -> None:
         )
 
 
+def _diffusivity_guard(problem: ProblemSpec, k_min: float, t: float) -> None:
+    if not k_min >= problem.c1:
+        raise ValueError(
+            f"diffusivity sampled at t={t!r} has minimum {k_min!r}, "
+            f"below the declared floor c1={problem.c1!r}"
+        )
+
+
 def _second_order_core(
-    h: float,
+    problem: ProblemSpec,
+    grid: SpaceGrid,
+    x: np.ndarray,
+    t: float,
     sigma: float,
     scale: float,
-    c: np.ndarray,
-    a_half: np.ndarray,
-    d_int: np.ndarray,
-    phi_int: np.ndarray,
+    c0: float,
     y_full: np.ndarray,
-    diffs: np.ndarray,
-) -> np.ndarray:
-    """Assemble and solve one step of the second-order scheme.
+    conv: np.ndarray,
+) -> TridiagonalRows:
+    """Assemble one step of the second-order scheme at ``t = t_{j+sigma}``.
 
-    ``a_half[i-1] = k(x_{i-1/2})`` for ``i = 1..n``; ``diffs`` holds the
-    interior backward differences of all previous layers (one row per past
-    step).  Returns the new interior values.
+    The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``;
+    ``conv`` is the history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at the
+    interior nodes.  Returns the ``(sub, diag, sup, rhs)`` rows of the
+    interior system.
     """
-    j = c.size - 1
-    m = scale * c[0]
+    x_int = x[1:-1]
+    a_half = np.asarray(problem.k(grid.midpoints(), t), dtype=float)
+    d_int = np.asarray(problem.q(x_int, t), dtype=float)
+    phi_int = np.asarray(problem.f(x_int, t), dtype=float)
+    _diffusivity_guard(problem, float(a_half.min()), t)
+    m = scale * c0
     y_int = y_full[1:-1]
-    h_sq = h * h
+    h_sq = grid.h * grid.h
 
-    if j >= 1:
-        conv = np.dot(c[j:0:-1], diffs[:j])
-    else:
-        conv = 0.0
     flux = a_half * np.diff(y_full)
     spatial = (flux[1:] - flux[:-1]) / h_sq - d_int * y_int
-    rhs = scale * (c[0] * y_int - conv) + (1.0 - sigma) * spatial + phi_int
+    rhs = scale * (c0 * y_int - conv) + (1.0 - sigma) * spatial + phi_int
 
     diag = m + sigma * (a_half[:-1] + a_half[1:]) / h_sq + sigma * d_int
     sub = -sigma * a_half[:-1] / h_sq
     sup = -sigma * a_half[1:] / h_sq
     _dominance_guard(float(m + sigma * d_int.min()), "second-order step")
-
-    solution = _solve_core(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-    return np.asarray(solution)
+    return sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -323,36 +272,37 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
 
 
 def _compact_core(
-    h: float,
+    problem: ProblemSpec,
+    grid: SpaceGrid,
+    x: np.ndarray,
+    t: float,
     sigma: float,
     scale: float,
-    c: np.ndarray,
-    a: float,
-    d: float,
-    phi_full: np.ndarray,
+    c0: float,
     y_full: np.ndarray,
-    diffs: np.ndarray,
-) -> np.ndarray:
-    """Assemble and solve one step of the compact scheme (time-only
-    coefficients ``a = k(t_eval)``, ``d = q(t_eval)``)."""
-    j = c.size - 1
-    m = scale * c[0]
+    conv: np.ndarray,
+) -> TridiagonalRows:
+    """Assemble one step of the compact scheme from the time-only
+    coefficients ``k_time(t)``, ``q_time(t)``.  The source and the history
+    term enter under the mass operator, which reads ``f`` at the boundary
+    nodes as well."""
+    a = float(problem.k_time(t))
+    d = float(problem.q_time(t))
+    phi_full = np.asarray(problem.f(x, t), dtype=float)
+    _diffusivity_guard(problem, a, t)
+    m = scale * c0
     n_interior = y_full.size - 2
-    h_sq = h * h
+    h_sq = grid.h * grid.h
 
     mass_phi = _mass_average(phi_full)
     mass_y = _mass_average(y_full)
     laplace_y = y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:]
-    if j >= 1:
-        conv = np.dot(c[j:0:-1], diffs[:j])
-        conv_full = np.zeros(y_full.size)
-        conv_full[1:-1] = conv
-        mass_conv = _mass_average(conv_full)
-    else:
-        mass_conv = np.zeros(n_interior)
+    conv_full = np.zeros(y_full.size)
+    conv_full[1:-1] = conv
+    mass_conv = _mass_average(conv_full)
 
     spatial_old = a * laplace_y / h_sq - d * mass_y
-    rhs = scale * (c[0] * mass_y - mass_conv) + (1.0 - sigma) * spatial_old + mass_phi
+    rhs = scale * (c0 * mass_y - mass_conv) + (1.0 - sigma) * spatial_old + mass_phi
 
     reaction = m + sigma * d
     diag_value = reaction * (10.0 / 12.0) + 2.0 * sigma * a / h_sq
@@ -361,11 +311,8 @@ def _compact_core(
         min(reaction, (2.0 / 3.0) * reaction + 4.0 * sigma * a / h_sq),
         "compact step",
     )
-
-    diag = [diag_value] * n_interior
     off = [off_value] * n_interior
-    solution = _solve_core(off, diag, off, rhs.tolist())
-    return np.asarray(solution)
+    return off, [diag_value] * n_interior, off, rhs.tolist()
 
 
 def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndarray:
@@ -381,175 +328,71 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
     return pinned
 
 
-def step_second_order(
+def _march(
     problem: ProblemSpec,
     order: FractionalOrder,
-    grid: SpaceGrid,
-    tau: float,
-    history: SolutionHistory,
-) -> GridLayer:
-    """Advance the second-order scheme one step.
+    nx: int,
+    nt: int,
+    step: Callable[..., TridiagonalRows],
+) -> SolutionHistory:
+    """March the L2-1sigma scheme over ``nx`` space subintervals and ``nt``
+    time steps covering ``[0, horizon]``; ``step`` is the spatial assembler.
 
-    The history holds layers ``0..j``; the return value is layer ``j+1``.
-    Coefficients and source are evaluated at ``t_{j+sigma} = (j+sigma)*tau``;
-    the diffusivity at the half-integer nodes ``x_{i-1/2}``.
+    Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Cost
+    ``O(nt^2 * nx)`` because the history convolution is recomputed in full
+    each step.
     """
-    j = len(history) - 1
-    t_eval = (j + order.sigma) * tau
-    a_table = coeff_a_array(order, max(j, 0))
-    b_table = coeff_b_array(order, max(j, 0))
-    c = _assemble_l21sigma(a_table, b_table, j)
-    x_int = grid.nodes()[1:-1]
-    interior = _second_order_core(
-        h=grid.h,
-        sigma=order.sigma,
-        scale=_derivative_scale(order, tau),
-        c=c,
-        a_half=np.asarray(problem.k(grid.midpoints(), t_eval), dtype=float),
-        d_int=np.asarray(problem.q(x_int, t_eval), dtype=float),
-        phi_int=np.asarray(problem.f(x_int, t_eval), dtype=float),
-        y_full=history.values[-1],
-        diffs=history.interior_diffs(),
+    if nt < 1:
+        raise ValueError(f"need at least one time step, got {nt}")
+    grid = SpaceGrid(n=nx, length=problem.length)
+    tau = problem.horizon / nt
+    sigma = order.sigma
+    scale = _derivative_scale(order, tau)
+    a_table = coeff_a_array(order, nt - 1)
+    b_table = coeff_b_array(order, nt - 1)
+
+    x = grid.nodes()
+    values = np.zeros((nt + 1, nx + 1))
+    values[0] = _validate_initial_layer(
+        np.asarray(problem.u0(x), dtype=float), problem
     )
-    values = np.zeros(grid.n + 1)
-    values[1:-1] = interior
-    return GridLayer(values=values, layer_time=(j + 1) * tau)
+    # diffs[s] = y^{s+1} - y^s at the interior nodes.
+    diffs = np.empty((nt, nx - 1))
+
+    for j in range(nt):
+        c = _assemble_l21sigma(a_table, b_table, j)
+        conv = np.dot(c[j:0:-1], diffs[:j])
+        system = step(
+            problem, grid, x, (j + sigma) * tau, sigma, scale, c[0], values[j], conv
+        )
+        interior = np.asarray(_solve_core(*system))
+        values[j + 1, 1:-1] = interior
+        diffs[j] = interior - values[j, 1:-1]
+
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
+    return SolutionHistory(grid, values, np.arange(nt + 1) * tau)
 
 
 def run_second_order(
     problem: ProblemSpec, order: FractionalOrder, nx: int, nt: int
 ) -> SolutionHistory:
     """Run the second-order scheme on ``nx`` space subintervals and ``nt``
-    time steps covering ``[0, horizon]``.  Cost ``O(nt^2 * nx)`` because the
-    history convolution is recomputed in full each step."""
-    if nt < 1:
-        raise ValueError(f"need at least one time step, got {nt}")
-    grid = SpaceGrid(n=nx, length=problem.length)
-    tau = problem.horizon / nt
-    sigma = order.sigma
-    scale = _derivative_scale(order, tau)
-    a_table = coeff_a_array(order, nt - 1)
-    b_table = coeff_b_array(order, nt - 1)
-
-    x = grid.nodes()
-    x_int = x[1:-1]
-    x_mid = grid.midpoints()
-    values = np.zeros((nt + 1, nx + 1))
-    values[0] = _validate_initial_layer(
-        np.asarray(problem.u0(x), dtype=float), problem
-    )
-    diffs = np.empty((nt, nx - 1))
-
-    for j in range(nt):
-        t_eval = (j + sigma) * tau
-        c = _assemble_l21sigma(a_table, b_table, j)
-        interior = _second_order_core(
-            h=grid.h,
-            sigma=sigma,
-            scale=scale,
-            c=c,
-            a_half=np.asarray(problem.k(x_mid, t_eval), dtype=float),
-            d_int=np.asarray(problem.q(x_int, t_eval), dtype=float),
-            phi_int=np.asarray(problem.f(x_int, t_eval), dtype=float),
-            y_full=values[j],
-            diffs=diffs,
-        )
-        values[j + 1, 1:-1] = interior
-        diffs[j] = interior - values[j, 1:-1]
-
-    history = SolutionHistory(
-        grid, GridLayer(values=values[0], layer_time=0.0), reserve=nt
-    )
-    for j in range(1, nt + 1):
-        history.append(GridLayer(values=values[j], layer_time=j * tau))
-    return history
-
-
-def step_compact(
-    problem: ProblemSpec,
-    order: FractionalOrder,
-    grid: SpaceGrid,
-    tau: float,
-    history: SolutionHistory,
-) -> GridLayer:
-    """Advance the compact fourth-order scheme one step.
-
-    Requires time-only coefficients.  The source enters under the mass
-    operator, which reads ``f`` at the boundary nodes as well.
-    """
-    if not problem.has_time_only_coefficients:
-        raise SchemeCompatibilityError(
-            "compact scheme requires time-only coefficients (k_time and q_time)"
-        )
-    j = len(history) - 1
-    t_eval = (j + order.sigma) * tau
-    a_table = coeff_a_array(order, max(j, 0))
-    b_table = coeff_b_array(order, max(j, 0))
-    c = _assemble_l21sigma(a_table, b_table, j)
-    interior = _compact_core(
-        h=grid.h,
-        sigma=order.sigma,
-        scale=_derivative_scale(order, tau),
-        c=c,
-        a=float(problem.k_time(t_eval)),
-        d=float(problem.q_time(t_eval)),
-        phi_full=np.asarray(problem.f(grid.nodes(), t_eval), dtype=float),
-        y_full=history.values[-1],
-        diffs=history.interior_diffs(),
-    )
-    values = np.zeros(grid.n + 1)
-    values[1:-1] = interior
-    return GridLayer(values=values, layer_time=(j + 1) * tau)
+    time steps covering ``[0, horizon]``."""
+    return _march(problem, order, nx, nt, _second_order_core)
 
 
 def run_compact(
     problem: ProblemSpec, order: FractionalOrder, nx: int, nt: int
 ) -> SolutionHistory:
     """Run the compact scheme on ``nx`` space subintervals and ``nt`` time
-    steps covering ``[0, horizon]``."""
+    steps covering ``[0, horizon]``.  Requires time-only coefficients."""
     if not problem.has_time_only_coefficients:
         raise SchemeCompatibilityError(
             "compact scheme requires time-only coefficients (k_time and q_time)"
         )
-    if nt < 1:
-        raise ValueError(f"need at least one time step, got {nt}")
-    grid = SpaceGrid(n=nx, length=problem.length)
-    tau = problem.horizon / nt
-    sigma = order.sigma
-    scale = _derivative_scale(order, tau)
-    a_table = coeff_a_array(order, nt - 1)
-    b_table = coeff_b_array(order, nt - 1)
-
-    x = grid.nodes()
-    values = np.zeros((nt + 1, nx + 1))
-    values[0] = _validate_initial_layer(
-        np.asarray(problem.u0(x), dtype=float), problem
-    )
-    diffs = np.empty((nt, nx - 1))
-
-    for j in range(nt):
-        t_eval = (j + sigma) * tau
-        c = _assemble_l21sigma(a_table, b_table, j)
-        interior = _compact_core(
-            h=grid.h,
-            sigma=sigma,
-            scale=scale,
-            c=c,
-            a=float(problem.k_time(t_eval)),
-            d=float(problem.q_time(t_eval)),
-            phi_full=np.asarray(problem.f(x, t_eval), dtype=float),
-            y_full=values[j],
-            diffs=diffs,
-        )
-        values[j + 1, 1:-1] = interior
-        diffs[j] = interior - values[j, 1:-1]
-
-    history = SolutionHistory(
-        grid, GridLayer(values=values[0], layer_time=0.0), reserve=nt
-    )
-    for j in range(1, nt + 1):
-        history.append(GridLayer(values=values[j], layer_time=j * tau))
-    return history
+    return _march(problem, order, nx, nt, _compact_core)
 
 
 def a_priori_bound(

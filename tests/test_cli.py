@@ -38,6 +38,7 @@ def test_caputo_l1_formula(capsys):
         ["caputo", "--alpha", "0.5", "--m", "1"],
         ["caputo", "--alpha", "0.5", "--m", "abc"],
         ["caputo", "--alpha", "0.5", "--m", "10", "--formula", "nope"],
+        ["caputo", "--alpha", "0.5", "--m", "10", "--function", "monomial"],
     ],
 )
 def test_caputo_usage_errors(argv, capsys):

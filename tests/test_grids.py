@@ -44,33 +44,35 @@ def test_grid_layer_copies_and_freezes_values():
         layer.values[0] = 5.0
 
 
-def test_history_append_and_views():
+def test_history_views():
     grid = SpaceGrid(n=4, length=1.0)
-    history = SolutionHistory(grid, GridLayer(np.zeros(5), 0.0), reserve=2)
-    history.append(GridLayer(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), 0.1))
-    history.append(GridLayer(np.array([0.0, 2.0, 3.0, 2.0, 0.0]), 0.2))
+    values = np.array(
+        [[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 1.0, 0.0], [0.0, 2.0, 3.0, 2.0, 0.0]]
+    )
+    history = SolutionHistory(grid, values, np.array([0.0, 0.1, 0.2]))
     assert len(history) == 3
     np.testing.assert_allclose(history.times, [0.0, 0.1, 0.2])
     assert history.values.shape == (3, 5)
     assert max_norm(history) == 3.0
-    diffs = history.interior_diffs()
-    np.testing.assert_allclose(diffs, [[1.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
-
-
-def test_history_grows_past_reserve():
-    grid = SpaceGrid(n=2, length=1.0)
-    history = SolutionHistory(grid, GridLayer(np.zeros(3), 0.0), reserve=1)
-    for j in range(1, 20):
-        history.append(GridLayer(np.full(3, float(j)), 0.1 * j))
-    assert len(history) == 20
-    assert history.layer(19).values[0] == 19.0
+    layer = history.layer(2)
+    assert layer.layer_time == 0.2
+    np.testing.assert_array_equal(layer.values, values[2])
+    with pytest.raises(IndexError):
+        history.layer(3)
+    with pytest.raises(ValueError):
+        history.values[1, 1] = 5.0
+    with pytest.raises(ValueError):
+        history.times[0] = 1.0
 
 
 def test_history_rejects_wrong_size_layer():
     grid = SpaceGrid(n=4, length=1.0)
-    history = SolutionHistory(grid, GridLayer(np.zeros(5), 0.0))
     with pytest.raises(ValueError):
-        history.append(GridLayer(np.zeros(4), 0.1))
+        SolutionHistory(grid, np.zeros((2, 4)), np.zeros(2))
+    with pytest.raises(ValueError):
+        SolutionHistory(grid, np.zeros(5), np.zeros(1))
+    with pytest.raises(ValueError):
+        SolutionHistory(grid, np.zeros((2, 5)), np.zeros(3))
 
 
 def test_error_norms_zero_for_exact_fit():
@@ -80,8 +82,9 @@ def test_error_norms_zero_for_exact_fit():
     def exact(xs, t):
         return np.sin(np.pi * xs) * (1.0 + t)
 
-    history = SolutionHistory(grid, GridLayer(exact(x, 0.0), 0.0))
-    history.append(GridLayer(exact(x, 0.5), 0.5))
+    history = SolutionHistory(
+        grid, np.array([exact(x, 0.0), exact(x, 0.5)]), np.array([0.0, 0.5])
+    )
     summary = error_norms(history, exact)
     assert isinstance(summary, ErrorSummary)
     assert summary.l2max == 0.0
@@ -97,7 +100,7 @@ def test_error_norms_detects_perturbation():
 
     values = np.zeros(5)
     values[2] = 0.01
-    history = SolutionHistory(grid, GridLayer(values, 0.0))
+    history = SolutionHistory(grid, values[np.newaxis], np.zeros(1))
     summary = error_norms(history, exact)
     assert summary.sup == pytest.approx(0.01)
     assert summary.l2max == pytest.approx(0.5 * 0.01, rel=1e-12)  # sqrt(h)*|v|
