@@ -1,6 +1,7 @@
 """Unit tests for the difference schemes, stability machinery, and energy
 probes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,28 @@ def test_runs_reproduce_recorded_final_layers():
     history = run_compact(problem_timecoeff_compact(order), order, 10, 7)
     np.testing.assert_allclose(history.values[-1], COMPACT_FINAL, rtol=1e-14)
 
+
+
+def _replays_prefix_bitwise(runner, problem, order, nx, nt):
+    """A run over half the horizon with half the steps keeps the step size,
+    so the full run must replay its layers exactly: step ``j -> j+1`` reads
+    only layers ``0..j`` (same assembly, same arithmetic)."""
+    short = runner(
+        dataclasses.replace(problem, horizon=0.5 * problem.horizon), order, nx, nt
+    )
+    longer = runner(problem, order, nx, 2 * nt)
+    assert np.array_equal(longer.times[: nt + 1], short.times)
+    assert np.array_equal(longer.values[: nt + 1], short.values)
+
+
+def test_step_second_order_matches_run_bitwise():
+    order = FractionalOrder(0.4)
+    _replays_prefix_bitwise(run_second_order, problem_varcoeff_2nd(order), order, 10, 7)
+
+
+def test_step_compact_matches_run_bitwise():
+    order = FractionalOrder(0.6)
+    _replays_prefix_bitwise(run_compact, problem_timecoeff_compact(order), order, 10, 7)
 
 def _crank_nicolson_final_layer(problem, nx, nt):
     """Plain Crank-Nicolson comparator (dense solves, sigma = 1/2)."""
