@@ -16,7 +16,6 @@ Exit codes: 0 on success, 1 when a requested assertion or audit fails,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -84,11 +83,10 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         summary = error_norms(history, named.spec.exact)
         print(f"err_l2max={summary.l2max:.6e} err_sup={summary.sup:.6e}")
     if args.out:
-        final = history.layer(len(history) - 1)
         nodes = history.grid.nodes()
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("x,value\n")
-            for x, value in zip(nodes, final.values):
+            for x, value in zip(nodes, history.values[-1]):
                 handle.write(f"{x:.10e},{value:.10e}\n")
         print(f"final layer written to {args.out}")
     return 0
@@ -189,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     study.add_argument("--format", choices=("csv", "markdown"), default="csv",
                        help="output format (default: %(default)s)")
     study.add_argument("--out", help="write the report to this path")
-    study.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (default: logical processors; "
-                            "1 gives the deterministic golden path)")
+    study.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default: %(default)s; the "
+                            "bundled studies run slower on more)")
     study.set_defaults(handler=_cmd_study)
 
     audit = subparsers.add_parser(

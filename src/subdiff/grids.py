@@ -10,13 +10,10 @@ import numpy as np
 
 __all__ = [
     "ErrorSummary",
-    "GridLayer",
     "SolutionHistory",
     "SpaceGrid",
     "convergence_order",
     "error_norms",
-    "l2_norm",
-    "max_norm",
 ]
 
 
@@ -42,22 +39,6 @@ class SpaceGrid:
     def midpoints(self) -> np.ndarray:
         """Half-integer nodes ``x_{i-1/2}`` for ``i = 1..n``."""
         return (np.arange(self.n, dtype=float) + 0.5) * self.h
-
-
-@dataclass(frozen=True)
-class GridLayer:
-    """One time layer of a grid function (all ``n+1`` nodal values)."""
-
-    values: np.ndarray
-    layer_time: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"layer values must be one-dimensional, got {values.shape}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,29 +72,6 @@ class SolutionHistory:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def layer(self, j: int) -> GridLayer:
-        if not 0 <= j < len(self):
-            raise IndexError(f"layer {j} out of range (have {len(self)})")
-        return GridLayer(values=self.values[j], layer_time=float(self.times[j]))
-
-
-def l2_norm(layer: GridLayer, grid: SpaceGrid) -> float:
-    """Discrete L2 norm ``sqrt(h * sum_{i=1}^{n-1} y_i^2)``; boundary nodes are
-    excluded, matching the inner product the energy estimates use."""
-    if layer.values.size != grid.n + 1:
-        raise ValueError(
-            f"layer has {layer.values.size} values, grid expects {grid.n + 1}"
-        )
-    interior = layer.values[1:-1]
-    return float(np.sqrt(grid.h * np.dot(interior, interior)))
-
-
-def max_norm(history: SolutionHistory) -> float:
-    """Maximum of ``|y|`` over every node of every stored layer."""
-    if len(history) == 0:
-        raise ValueError("history holds no layers")
-    return float(np.abs(history.values).max())
 
 
 @dataclass(frozen=True)

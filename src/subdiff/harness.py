@@ -16,12 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .grids import convergence_order, error_norms
 from .kernels import (
     L1,
     L21SIGMA,
     FractionalOrder,
-    TimeGrid,
     apply,
     weights,
     weights_l1,
@@ -184,17 +185,15 @@ def monomial_error(
         raise ValueError(f"need at least two steps, got {m}")
     case = problem_caputo_monomial(order)
     if formula == L21SIGMA:
-        grid = TimeGrid.shifted_unit(m, order)
-        weight_vector = weights(order, m - 1, grid.tau)
-        nodes = grid.nodes()
+        tau = 1.0 / (m - 1 + order.sigma)
+        weight_vector = weights(order, m - 1, tau)
     elif formula == L1:
-        grid = TimeGrid.uniform(m, 1.0)
-        weight_vector = weights_l1(order, m - 1, grid.tau)
-        nodes = grid.nodes()
+        tau = 1.0 / m
+        weight_vector = weights_l1(order, m - 1, tau)
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    approx = apply(weight_vector, case.u(nodes))
-    return abs(approx - case.exact_value), grid.tau
+    approx = apply(weight_vector, case.u(np.arange(m + 1) * tau))
+    return abs(approx - case.exact_value), tau
 
 
 def _run_cell(plan: StudyPlan, alpha: float, index: int, level: LevelSpec) -> ReportRow:

@@ -31,7 +31,6 @@ __all__ = [
     "L21SIGMA",
     "AuditCheck",
     "FractionalOrder",
-    "TimeGrid",
     "WeightAudit",
     "WeightVector",
     "apply",
@@ -39,9 +38,7 @@ __all__ = [
     "audit_weights",
     "caputo_power_rule",
     "caputo_reference",
-    "coeff_a",
     "coeff_a_array",
-    "coeff_b",
     "coeff_b_array",
     "weights",
     "weights_l1",
@@ -64,40 +61,6 @@ class FractionalOrder:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", 1.0 - alpha / 2.0)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time mesh: ``m`` steps of size ``tau``; node ``s`` sits at ``s*tau``."""
-
-    m: int
-    tau: float
-    horizon: float
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"step count must be positive, got {self.m}")
-        if not self.tau > 0.0:
-            raise ValueError(f"step size must be positive, got {self.tau}")
-
-    @classmethod
-    def uniform(cls, m: int, horizon: float) -> "TimeGrid":
-        """Mesh with ``m`` equal steps covering ``[0, horizon]``."""
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        return cls(m=m, tau=horizon / m, horizon=horizon)
-
-    @classmethod
-    def shifted_unit(cls, m: int, order: FractionalOrder) -> "TimeGrid":
-        """Mesh with ``tau = 1/(m - 1 + sigma)`` so the shifted collocation node
-        of the last step, ``t_{m-1+sigma}``, lands exactly at 1."""
-        if m < 1:
-            raise ValueError(f"step count must be positive, got {m}")
-        tau = 1.0 / (m - 1 + order.sigma)
-        return cls(m=m, tau=tau, horizon=1.0)
-
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.m + 1, dtype=float) * self.tau
 
 
 @dataclass(frozen=True)
@@ -184,34 +147,6 @@ def _b_direct(alpha: float, lo):
     return (hi ** (2.0 - alpha) - lo ** (2.0 - alpha)) / (2.0 - alpha) - (
         hi ** (1.0 - alpha) + lo ** (1.0 - alpha)
     ) / 2.0
-
-
-def coeff_a(order: FractionalOrder, l: int) -> float:
-    """First-level weight ``a_l``: ``sigma^(1-alpha)`` for ``l = 0``, otherwise
-    ``(l+sigma)^(1-alpha) - (l-1+sigma)^(1-alpha)``.  Strictly positive."""
-    if l < 0:
-        raise ValueError(f"index must be nonnegative, got {l}")
-    alpha, sigma = order.alpha, order.sigma
-    if l == 0:
-        return sigma ** (1.0 - alpha)
-    return float(_power_difference(1.0 - alpha, l - 1 + sigma))
-
-
-def coeff_b(order: FractionalOrder, l: int) -> float:
-    """Quadratic-correction weight ``b_l`` for ``l >= 1``:
-
-    ``[(l+sigma)^(2-alpha) - (l-1+sigma)^(2-alpha)]/(2-alpha)
-      - [(l+sigma)^(1-alpha) + (l-1+sigma)^(1-alpha)]/2``.
-
-    Strictly positive for every ``l >= 1``.
-    """
-    if l < 1:
-        raise ValueError(f"index must be at least 1, got {l}")
-    alpha, sigma = order.alpha, order.sigma
-    lo = l - 1 + sigma
-    if lo < _B_SERIES_CUTOFF:
-        return float(_b_direct(alpha, lo))
-    return float(_b_series(alpha, lo))
 
 
 def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:

@@ -53,9 +53,8 @@ __all__ = [
 
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 TimeFn = Callable[[float], float]
-#: ``(sub, diag, sup, rhs)`` rows of one step's interior system, as plain lists
-#: for the scalar Thomas loop.
-TridiagonalRows = tuple[list[float], list[float], list[float], list[float]]
+#: ``(sub, diag, sup, rhs)`` rows of one step's interior system.
+TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -262,7 +261,7 @@ def _second_order_core(
     sub = -sigma * a_half[:-1] / h_sq
     sup = -sigma * a_half[1:] / h_sq
     _dominance_guard(float(m + sigma * d_int.min()), "second-order step")
-    return sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    return sub, diag, sup, rhs
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -311,8 +310,8 @@ def _compact_core(
         min(reaction, (2.0 / 3.0) * reaction + 4.0 * sigma * a / h_sq),
         "compact step",
     )
-    off = [off_value] * n_interior
-    return off, [diag_value] * n_interior, off, rhs.tolist()
+    off = np.full(n_interior, off_value)
+    return off, np.full(n_interior, diag_value), off, rhs
 
 
 def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndarray:
@@ -338,9 +337,11 @@ def _march(
     """March the L2-1sigma scheme over ``nx`` space subintervals and ``nt``
     time steps covering ``[0, horizon]``; ``step`` is the spatial assembler.
 
-    Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Cost
-    ``O(nt^2 * nx)`` because the history convolution is recomputed in full
-    each step.
+    Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Its
+    weights ``c_0 .. c_j`` share ``c_1 .. c_{j-1}`` with the last step's
+    vector, so that vector is built once; only ``c_0`` and the tail
+    ``c_j = a_j - b_j`` change with ``j``.  Cost ``O(nt^2 * nx)`` because the
+    history convolution is recomputed in full each step.
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
@@ -350,6 +351,8 @@ def _march(
     scale = _derivative_scale(order, tau)
     a_table = coeff_a_array(order, nt - 1)
     b_table = coeff_b_array(order, nt - 1)
+    shared = _assemble_l21sigma(a_table, b_table, nt - 1)
+    tail = a_table - b_table
 
     x = grid.nodes()
     values = np.zeros((nt + 1, nx + 1))
@@ -360,12 +363,15 @@ def _march(
     diffs = np.empty((nt, nx - 1))
 
     for j in range(nt):
-        c = _assemble_l21sigma(a_table, b_table, j)
-        conv = np.dot(c[j:0:-1], diffs[:j])
+        if j == 0:
+            c0, conv = a_table[0], np.zeros(nx - 1)
+        else:
+            c0 = shared[0]
+            conv = tail[j] * diffs[0] + np.dot(shared[j - 1 : 0 : -1], diffs[1:j])
         system = step(
-            problem, grid, x, (j + sigma) * tau, sigma, scale, c[0], values[j], conv
+            problem, grid, x, (j + sigma) * tau, sigma, scale, c0, values[j], conv
         )
-        interior = np.asarray(_solve_core(*system))
+        interior = _solve_core(*system)
         values[j + 1, 1:-1] = interior
         diffs[j] = interior - values[j, 1:-1]
 

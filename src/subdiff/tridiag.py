@@ -1,9 +1,12 @@
 """Tridiagonal linear solves for the implicit time steps.
 
-Plain Thomas elimination without pivoting: every system assembled by the
-steppers is strictly diagonally dominant (asserted during assembly), so a
-vanishing pivot indicates a bug and is surfaced as an error rather than
-repaired.
+Each system goes to LAPACK's ``dgtsv`` (through ``scipy.linalg.lapack``):
+Gaussian elimination with partial pivoting.  Every system the schemes
+assemble is symmetric and strictly diagonally dominant (the dominance is
+asserted during assembly), so each pivot exceeds the next row's subdiagonal
+entry, the pivoting never swaps rows, and the elimination is the Thomas
+algorithm.  A zero or denormal pivot indicates a bug and is surfaced as an
+error rather than repaired.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 __all__ = ["SingularSystemError", "TridiagonalSystem", "solve_tridiagonal"]
 
@@ -65,40 +69,21 @@ class TridiagonalSystem:
 
 
 def _solve_core(
-    sub: list[float], diag: list[float], sup: list[float], rhs: list[float]
-) -> list[float]:
-    """Thomas elimination on plain lists (fast scalar loop)."""
-    n = len(diag)
-    scratch_sup = [0.0] * n
-    scratch_rhs = [0.0] * n
-    pivot = diag[0]
-    if abs(pivot) <= _PIVOT_FLOOR:
-        raise SingularSystemError(0, pivot)
-    scratch_sup[0] = sup[0] / pivot if n > 1 else 0.0
-    scratch_rhs[0] = rhs[0] / pivot
-    for i in range(1, n):
-        pivot = diag[i] - sub[i] * scratch_sup[i - 1]
-        if abs(pivot) <= _PIVOT_FLOOR:
-            raise SingularSystemError(i, pivot)
-        scratch_sup[i] = sup[i] / pivot if i < n - 1 else 0.0
-        scratch_rhs[i] = (rhs[i] - sub[i] * scratch_rhs[i - 1]) / pivot
-    x = scratch_rhs
-    for i in range(n - 2, -1, -1):
-        x[i] -= scratch_sup[i] * x[i + 1]
-    return x
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve one system with ``dgtsv`` and check its pivots (the diagonal of
+    the ``U`` factor); ``sub[0]`` and ``sup[-1]`` are ignored."""
+    if diag.size > 1:
+        _, pivots, _, x, _ = dgtsv(sub[1:], diag, sup[:-1], rhs)
+    else:
+        pivots = diag
+    if np.abs(pivots).min() <= _PIVOT_FLOOR:
+        row = int(np.flatnonzero(np.abs(pivots) <= _PIVOT_FLOOR)[0])
+        raise SingularSystemError(row, float(pivots[row]))
+    return x if diag.size > 1 else rhs / diag
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve ``A x = rhs`` by forward elimination and back substitution.
-
-    Deterministic (fixed operation order); raises
-    :class:`SingularSystemError` naming the pivot row if elimination breaks
-    down.
-    """
-    x = _solve_core(
-        system.sub.tolist(),
-        system.diag.tolist(),
-        system.sup.tolist(),
-        system.rhs.tolist(),
-    )
-    return np.asarray(x)
+    """Solve ``A x = rhs``; raises :class:`SingularSystemError` naming the
+    pivot row if elimination breaks down."""
+    return _solve_core(system.sub, system.diag, system.sup, system.rhs)

@@ -1,17 +1,14 @@
-"""Unit tests for grids, layers, histories, and norm helpers."""
+"""Unit tests for grids, histories, error norms and convergence orders."""
 
 import numpy as np
 import pytest
 
 from subdiff.grids import (
     ErrorSummary,
-    GridLayer,
     SolutionHistory,
     SpaceGrid,
     convergence_order,
     error_norms,
-    l2_norm,
-    max_norm,
 )
 
 
@@ -29,19 +26,14 @@ def test_space_grid_rejects_too_few_intervals(n):
 
 
 def test_l2_norm_hand_value():
-    """h = 1/4, interior values (1, 2, 1): norm = sqrt(0.25 * 6)."""
+    """h = 1/4, interior values (1, 2, 1): norm = sqrt(0.25 * 6).  The
+    boundary values are left out of the L2 norm but not of the sup norm."""
     grid = SpaceGrid(n=4, length=1.0)
-    layer = GridLayer(values=np.array([0.0, 1.0, 2.0, 1.0, 0.0]), layer_time=0.0)
-    assert l2_norm(layer, grid) == pytest.approx(np.sqrt(1.5), rel=1e-15)
-
-
-def test_grid_layer_copies_and_freezes_values():
-    source = np.array([0.0, 1.0, 0.0])
-    layer = GridLayer(values=source, layer_time=0.0)
-    source[1] = 99.0
-    assert layer.values[1] == 1.0
-    with pytest.raises(ValueError):
-        layer.values[0] = 5.0
+    values = np.array([[7.0, 1.0, 2.0, 1.0, 0.0]])
+    history = SolutionHistory(grid, values, np.zeros(1))
+    summary = error_norms(history, lambda xs, t: np.zeros_like(xs))
+    assert summary.l2max == pytest.approx(np.sqrt(1.5), rel=1e-15)
+    assert summary.sup == 7.0
 
 
 def test_history_views():
@@ -53,12 +45,7 @@ def test_history_views():
     assert len(history) == 3
     np.testing.assert_allclose(history.times, [0.0, 0.1, 0.2])
     assert history.values.shape == (3, 5)
-    assert max_norm(history) == 3.0
-    layer = history.layer(2)
-    assert layer.layer_time == 0.2
-    np.testing.assert_array_equal(layer.values, values[2])
-    with pytest.raises(IndexError):
-        history.layer(3)
+    np.testing.assert_array_equal(history.values[2], values[2])
     with pytest.raises(ValueError):
         history.values[1, 1] = 5.0
     with pytest.raises(ValueError):

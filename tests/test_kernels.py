@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,16 +10,13 @@ from subdiff.kernels import (
     L1,
     L21SIGMA,
     FractionalOrder,
-    TimeGrid,
     WeightVector,
     apply,
     audit_weight_family,
     audit_weights,
     caputo_power_rule,
     caputo_reference,
-    coeff_a,
     coeff_a_array,
-    coeff_b,
     coeff_b_array,
     weights,
     weights_l1,
@@ -47,36 +45,43 @@ def test_sigma_definition(alpha):
     assert order.sigma == 1.0 - alpha / 2.0
 
 
-def test_time_grid_uniform_nodes():
-    grid = TimeGrid.uniform(4, 2.0)
-    assert grid.tau == 0.5
-    np.testing.assert_allclose(grid.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
-
-
-def test_time_grid_shifted_unit_collocation():
-    """The last shifted collocation node (m-1+sigma)*tau must land on 1."""
-    order = FractionalOrder(0.5)
-    grid = TimeGrid.shifted_unit(10, order)
-    assert (10 - 1 + order.sigma) * grid.tau == pytest.approx(1.0, abs=1e-15)
-    assert grid.nodes().size == 11
-
-
 def test_coeff_values_against_frozen_oracle():
     order = FractionalOrder(0.5)
-    assert coeff_a(order, 0) == pytest.approx(A0_HALF, abs=1e-15)
-    assert coeff_a(order, 1) == pytest.approx(A1_HALF, abs=1e-15)
-    assert coeff_b(order, 1) == pytest.approx(B1_HALF, abs=1e-15)
+    a = coeff_a_array(order, 1)
+    b = coeff_b_array(order, 1)
+    assert a[0] == pytest.approx(A0_HALF, abs=1e-15)
+    assert a[1] == pytest.approx(A1_HALF, abs=1e-15)
+    assert b[1] == pytest.approx(B1_HALF, abs=1e-15)
+
+
+def _coeff_scalars(order, n):
+    """``a_0 .. a_n`` and ``b_1 .. b_n`` (``b_0`` is None) from their closed
+    forms, one index at a time in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        alpha, sigma = mpmath.mpf(order.alpha), mpmath.mpf(order.sigma)
+        a, b = [float(sigma ** (1 - alpha))], [None]
+        for l in range(1, n + 1):
+            lo, hi = l - 1 + sigma, l + sigma
+            a.append(float(hi ** (1 - alpha) - lo ** (1 - alpha)))
+            b.append(float(
+                (hi ** (2 - alpha) - lo ** (2 - alpha)) / (2 - alpha)
+                - (hi ** (1 - alpha) + lo ** (1 - alpha)) / 2
+            ))
+    return a, b
 
 
 def test_coeff_arrays_match_scalars():
+    """The vectorized tables agree with the per-index closed forms, on both
+    sides of the series cutoff for ``b_l`` (``l - 1 + sigma = 4``)."""
     order = FractionalOrder(0.3)
     a = coeff_a_array(order, 6)
     b = coeff_b_array(order, 6)
+    a_ref, b_ref = _coeff_scalars(order, 6)
     for l in range(7):
-        assert a[l] == pytest.approx(coeff_a(order, l), rel=1e-15)
+        assert a[l] == pytest.approx(a_ref[l], rel=1e-15)
     assert np.isnan(b[0])
     for l in range(1, 7):
-        assert b[l] == pytest.approx(coeff_b(order, l), rel=1e-15)
+        assert b[l] == pytest.approx(b_ref[l], rel=1e-15)
 
 
 def test_weights_first_two_target_indices():

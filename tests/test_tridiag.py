@@ -78,6 +78,20 @@ def test_zero_pivot_raises():
     assert excinfo.value.row == 0
 
 
+def test_denormal_pivot_raises():
+    """A denormal pivot is treated as singular, like an exact zero."""
+    system = TridiagonalSystem(
+        sub=np.zeros(2),
+        diag=np.array([1e-310, 1.0]),
+        sup=np.zeros(2),
+        rhs=np.ones(2),
+    )
+    with pytest.raises(SingularSystemError) as excinfo:
+        solve_tridiagonal(system)
+    assert excinfo.value.row == 0
+    assert excinfo.value.pivot == 1e-310
+
+
 def test_elimination_induced_singularity():
     """Rows are individually nonzero but elimination hits a zero pivot."""
     system = TridiagonalSystem(
@@ -86,8 +100,9 @@ def test_elimination_induced_singularity():
         sup=np.array([1.0, 0.0]),
         rhs=np.array([1.0, 1.0]),
     )
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError) as excinfo:
         solve_tridiagonal(system)
+    assert excinfo.value.row == 1
 
 
 def test_validation_rejects_mismatched_lengths():
