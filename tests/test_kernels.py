@@ -21,6 +21,8 @@ from subdiff.kernels import (
     weights,
     weights_l1,
 )
+from subdiff.harness import monomial_error
+from subdiff.problems import problem_caputo_monomial
 
 # Frozen oracle values for alpha = 0.5 (sigma = 0.75), computed once with
 # 40-digit arithmetic and pinned here.
@@ -43,6 +45,28 @@ def test_fractional_order_rejects_out_of_range(alpha):
 def test_sigma_definition(alpha):
     order = FractionalOrder(alpha)
     assert order.sigma == 1.0 - alpha / 2.0
+
+
+def test_time_grid_uniform_nodes():
+    """The L1 check samples u on the uniform nodes 0, tau, ..., 1 with tau = 1/m."""
+    order = FractionalOrder(0.5)
+    error, tau = monomial_error(order, 4, formula=L1)
+    assert tau == 0.25
+    case = problem_caputo_monomial(order)
+    nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    approx = apply(weights_l1(order, 3, 0.25), case.u(nodes))
+    assert error == abs(approx - case.exact_value)
+
+
+def test_time_grid_shifted_unit_collocation():
+    """The last shifted collocation node (m-1+sigma)*tau must land on 1."""
+    order = FractionalOrder(0.5)
+    error, tau = monomial_error(order, 10)
+    assert (10 - 1 + order.sigma) * tau == pytest.approx(1.0, abs=1e-15)
+    case = problem_caputo_monomial(order)
+    nodes = np.linspace(0.0, 10 * tau, 11)
+    approx = apply(weights(order, 9, tau), case.u(nodes))
+    assert error == pytest.approx(abs(approx - case.exact_value), rel=1e-12)
 
 
 def test_coeff_values_against_frozen_oracle():
