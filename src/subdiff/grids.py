@@ -4,7 +4,7 @@ convergence orders."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,13 @@ class SolutionHistory:
     """All time layers of a finished run: ``values[j]`` holds the ``n+1``
     nodal values of layer ``j``, computed at ``times[j]``.
 
+    ``source_norm_sq`` is ``max_j h ||phi^j||^2`` over the steps, with the
+    source ``phi^j`` as the scheme assembled it at the collocation time (after
+    the mass operator for the compact scheme), and ``scheme`` names the scheme
+    (``"second"`` or ``"compact"``) that produced the run; the marching loop
+    records both for the a priori bound, and a record built by hand may leave
+    them ``None``.
+
     The record keeps read-only views of the arrays it is given and does not
     copy them.
     """
@@ -53,6 +60,8 @@ class SolutionHistory:
     grid: SpaceGrid
     values: np.ndarray
     times: np.ndarray
+    source_norm_sq: Optional[float] = None
+    scheme: Optional[str] = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float).view()

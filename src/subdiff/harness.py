@@ -3,9 +3,10 @@
 A ``StudyPlan`` fixes the experiment geometry for one of the seven bundled
 study tables (which fractional orders, which grid levels, which norms, and
 whether the convergence order is measured against the time step or the mesh
-size).  ``run_study`` executes every (alpha, level) cell, attaches observed
-convergence orders and a priori stability verdicts, and ``emit`` renders the
-report as CSV or markdown.
+size).  ``run_study`` executes every (alpha, level) cell, marching the levels
+of one alpha that share a time grid together, attaches observed convergence
+orders and a priori stability verdicts, and ``emit`` renders the report as CSV
+or markdown.
 """
 
 from __future__ import annotations
@@ -196,47 +197,56 @@ def monomial_error(
     return abs(approx - case.exact_value), tau
 
 
-def _run_cell(plan: StudyPlan, alpha: float, index: int, level: LevelSpec) -> ReportRow:
+def _run_group(
+    plan: StudyPlan, alpha: float, cells: list[tuple[int, LevelSpec]]
+) -> list[ReportRow]:
+    """Run the cells of one alpha that share ``nt``; a PDE scheme marches
+    their grids together.  Each row's ``seconds`` is the group's wall time
+    split evenly over its cells."""
     order = FractionalOrder(alpha)
+    nt = cells[0][1].nt
     start = time.perf_counter()
+    # (h, tau, err_l2max, err_sup, apriori_ok) of each cell.
+    outcomes: list[tuple] = []
     if plan.scheme == "kernel":
-        error, tau = monomial_error(order, level.nt)
-        seconds = time.perf_counter() - start
-        return ReportRow(
+        error, tau = monomial_error(order, nt)
+        outcomes = [(None, tau, error, error, None)] * len(cells)
+    else:
+        problem = get_problem(plan.problem_id, order).spec
+        runner = {"second": run_second_order, "compact": run_compact}[plan.scheme]
+        histories = runner(problem, order, tuple(level.nx for _, level in cells), nt)
+        for (_, level), history in zip(cells, histories):
+            summary = error_norms(history, problem.exact)
+            lhs, rhs = a_priori_bound(problem, order, history, scheme=plan.scheme)
+            outcomes.append(
+                (
+                    problem.length / level.nx,
+                    problem.horizon / nt,
+                    summary.l2max if "l2max" in plan.norms else None,
+                    summary.sup if "sup" in plan.norms else None,
+                    bool(lhs <= rhs),
+                )
+            )
+    seconds = (time.perf_counter() - start) / len(cells)
+    return [
+        ReportRow(
             alpha=alpha,
             level=index + 1,
-            nx=None,
-            nt=level.nt,
-            h=None,
+            nx=level.nx,
+            nt=nt,
+            h=h,
             tau=tau,
-            err_l2max=error,
+            err_l2max=err_l2max,
             co_l2max=None,
-            err_sup=error,
+            err_sup=err_sup,
             co_sup=None,
             seconds=seconds,
-            apriori_ok=None,
+            apriori_ok=apriori_ok,
         )
-
-    problem = get_problem(plan.problem_id, order).spec
-    runner = {"second": run_second_order, "compact": run_compact}[plan.scheme]
-    history = runner(problem, order, level.nx, level.nt)
-    summary = error_norms(history, problem.exact)
-    lhs, rhs = a_priori_bound(problem, order, history, scheme=plan.scheme)
-    seconds = time.perf_counter() - start
-    return ReportRow(
-        alpha=alpha,
-        level=index + 1,
-        nx=level.nx,
-        nt=level.nt,
-        h=problem.length / level.nx,
-        tau=problem.horizon / level.nt,
-        err_l2max=summary.l2max if "l2max" in plan.norms else None,
-        co_l2max=None,
-        err_sup=summary.sup if "sup" in plan.norms else None,
-        co_sup=None,
-        seconds=seconds,
-        apriori_ok=bool(lhs <= rhs),
-    )
+        for (index, level), (h, tau, err_l2max, err_sup, apriori_ok) in zip(
+            cells, outcomes
+        )
+    ]
 
 
 def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
@@ -261,8 +271,10 @@ def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
 
 
 def run_study(plan: StudyPlan, threads: int = 1) -> ConvergenceReport:
-    """Execute every cell of the plan; cells are independent, so they may run
-    on a thread pool, and the report always preserves plan order."""
+    """Execute every cell of the plan.  The cells of one alpha that share
+    ``nt`` form a group whose grids march together; groups are independent,
+    so they may run on a thread pool, and the report always preserves plan
+    order."""
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     cells = [
@@ -270,15 +282,28 @@ def run_study(plan: StudyPlan, threads: int = 1) -> ConvergenceReport:
         for alpha in plan.alphas
         for index, level in enumerate(plan.levels)
     ]
+    groups: dict[tuple[float, int], list[int]] = {}
+    for position, (alpha, _, level) in enumerate(cells):
+        groups.setdefault((alpha, level.nt), []).append(position)
+    jobs = [
+        (alpha, [cells[position][1:] for position in positions])
+        for (alpha, _), positions in groups.items()
+    ]
     if threads == 1:
-        rows = [_run_cell(plan, alpha, index, level) for alpha, index, level in cells]
+        results = [_run_group(plan, alpha, members) for alpha, members in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_run_cell, plan, alpha, index, level)
-                for alpha, index, level in cells
+                pool.submit(_run_group, plan, alpha, members)
+                for alpha, members in jobs
             ]
-            rows = [future.result() for future in futures]
+            results = [future.result() for future in futures]
+    placed = {
+        position: row
+        for positions, group_rows in zip(groups.values(), results)
+        for position, row in zip(positions, group_rows)
+    }
+    rows = [placed[position] for position in range(len(cells))]
     return ConvergenceReport(table_id=plan.table_id, rows=_fill_orders(plan, rows))
 
 

@@ -22,8 +22,9 @@ solution bound.  The weight inequalities themselves are audited by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +56,8 @@ SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 TimeFn = Callable[[float], float]
 #: ``(sub, diag, sup, rhs)`` rows of one step's interior system.
 TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: A spatial assembler: one step's rows and the source it formed.
+Assembler = Callable[..., tuple[TridiagonalRows, np.ndarray]]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -226,42 +229,101 @@ def _diffusivity_guard(problem: ProblemSpec, k_min: float, t: float) -> None:
         )
 
 
+class _GridGroup:
+    """Grids on one domain laid end to end, so that each step of a run
+    serves all of them with one set of callbacks, one stencil pass and one
+    tridiagonal solve.
+
+    ``x`` concatenates each grid's ``n+1`` nodes and ``midpoints`` its ``n``
+    half-integer nodes; the interior rows of all grids, in the same order,
+    form one block-diagonal system.  An operation applied to a whole
+    concatenated vector is taken back to the interior rows by a gather:
+
+    * ``interior``: the interior nodes out of the node vector;
+    * ``rows``: the interior rows out of a three-point stencil over the node
+      vector (entry ``i`` of ``v[:-2] + v[1:-1] + v[2:]`` belongs to node
+      ``i+1``);
+    * ``intervals``: the grids' own intervals out of ``np.diff`` of the node
+      vector, dropping the differences across two grids;
+    * ``pairs``: the interior rows out of a pairwise operation on the
+      midpoint vector (entry ``i`` of ``w[1:] - w[:-1]`` lies between
+      midpoints ``i`` and ``i+1``).
+
+    ``h_sq`` holds each interior row's ``h*h``.  With one grid the gathers
+    select every entry a plain one-grid code would slice, and the divisions
+    by ``h_sq`` round as a division by the scalar ``h*h`` does, so a one-grid
+    run is bitwise the one-grid arithmetic.
+    """
+
+    def __init__(self, length: float, nxs: tuple[int, ...]):
+        if not nxs:
+            raise ValueError("need at least one grid")
+        self.grids = tuple(SpaceGrid(n=nx, length=length) for nx in nxs)
+        self.h = np.array([grid.h for grid in self.grids])
+        self.h_sq_max = float(np.max(self.h * self.h))
+        sizes = np.array([grid.n - 1 for grid in self.grids])
+        #: First and last interior row of each grid's block.
+        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self.lasts = self.starts + sizes - 1
+        #: Node range ``[begin, end)`` of each grid in the node vector.
+        ends = np.cumsum([grid.n + 1 for grid in self.grids]).tolist()
+        self.spans = tuple(zip([0] + ends[:-1], ends))
+        self.x = np.concatenate([grid.nodes() for grid in self.grids])
+        self.midpoints = np.concatenate([grid.midpoints() for grid in self.grids])
+        self.interior = np.concatenate(
+            [np.arange(begin + 1, end - 1) for begin, end in self.spans]
+        )
+        self.rows = self.interior - 1
+        self.intervals = np.concatenate(
+            [np.arange(begin, end - 1) for begin, end in self.spans]
+        )
+        # Grid g's midpoints sit g places before its nodes.
+        self.pairs = self.rows - np.repeat(np.arange(sizes.size), sizes)
+        self.h_sq = np.repeat(self.h * self.h, sizes)
+        self.x_int = self.x[self.interior]
+
+
 def _second_order_core(
     problem: ProblemSpec,
-    grid: SpaceGrid,
-    x: np.ndarray,
+    group: _GridGroup,
     t: float,
     sigma: float,
     scale: float,
     c0: float,
     y_full: np.ndarray,
     conv: np.ndarray,
-) -> TridiagonalRows:
+) -> tuple[TridiagonalRows, np.ndarray]:
     """Assemble one step of the second-order scheme at ``t = t_{j+sigma}``.
 
     The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``;
-    ``conv`` is the history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at the
-    interior nodes.  Returns the ``(sub, diag, sup, rhs)`` rows of the
-    interior system.
+    ``conv`` is the history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at
+    every node (zero on the boundary).  Returns the ``(sub, diag, sup, rhs)``
+    rows of the interior system and the source at the interior nodes.
     """
-    x_int = x[1:-1]
-    a_half = np.asarray(problem.k(grid.midpoints(), t), dtype=float)
+    x_int = group.x_int
+    a_half = np.asarray(problem.k(group.midpoints, t), dtype=float)
     d_int = np.asarray(problem.q(x_int, t), dtype=float)
     phi_int = np.asarray(problem.f(x_int, t), dtype=float)
     _diffusivity_guard(problem, float(a_half.min()), t)
     m = scale * c0
-    y_int = y_full[1:-1]
-    h_sq = grid.h * grid.h
+    y_int = y_full[group.interior]
+    h_sq = group.h_sq
+    a_left = a_half[:-1][group.pairs]
+    a_right = a_half[1:][group.pairs]
 
-    flux = a_half * np.diff(y_full)
-    spatial = (flux[1:] - flux[:-1]) / h_sq - d_int * y_int
-    rhs = scale * (c0 * y_int - conv) + (1.0 - sigma) * spatial + phi_int
+    flux = a_half * np.diff(y_full)[group.intervals]
+    spatial = (flux[1:] - flux[:-1])[group.pairs] / h_sq - d_int * y_int
+    rhs = (
+        scale * (c0 * y_int - conv[group.interior])
+        + (1.0 - sigma) * spatial
+        + phi_int
+    )
 
-    diag = m + sigma * (a_half[:-1] + a_half[1:]) / h_sq + sigma * d_int
-    sub = -sigma * a_half[:-1] / h_sq
-    sup = -sigma * a_half[1:] / h_sq
+    diag = m + sigma * (a_left + a_right) / h_sq + sigma * d_int
+    sub = -sigma * a_left / h_sq
+    sup = -sigma * a_right / h_sq
     _dominance_guard(float(m + sigma * d_int.min()), "second-order step")
-    return sub, diag, sup, rhs
+    return (sub, diag, sup, rhs), phi_int
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -272,33 +334,30 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
 
 def _compact_core(
     problem: ProblemSpec,
-    grid: SpaceGrid,
-    x: np.ndarray,
+    group: _GridGroup,
     t: float,
     sigma: float,
     scale: float,
     c0: float,
     y_full: np.ndarray,
     conv: np.ndarray,
-) -> TridiagonalRows:
+) -> tuple[TridiagonalRows, np.ndarray]:
     """Assemble one step of the compact scheme from the time-only
     coefficients ``k_time(t)``, ``q_time(t)``.  The source and the history
     term enter under the mass operator, which reads ``f`` at the boundary
-    nodes as well."""
+    nodes as well; the mass-averaged source is returned with the rows."""
     a = float(problem.k_time(t))
     d = float(problem.q_time(t))
-    phi_full = np.asarray(problem.f(x, t), dtype=float)
+    phi_full = np.asarray(problem.f(group.x, t), dtype=float)
     _diffusivity_guard(problem, a, t)
     m = scale * c0
-    n_interior = y_full.size - 2
-    h_sq = grid.h * grid.h
+    rows = group.rows
+    h_sq = group.h_sq
 
-    mass_phi = _mass_average(phi_full)
-    mass_y = _mass_average(y_full)
-    laplace_y = y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:]
-    conv_full = np.zeros(y_full.size)
-    conv_full[1:-1] = conv
-    mass_conv = _mass_average(conv_full)
+    mass_phi = _mass_average(phi_full)[rows]
+    mass_y = _mass_average(y_full)[rows]
+    laplace_y = (y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:])[rows]
+    mass_conv = _mass_average(conv)[rows]
 
     spatial_old = a * laplace_y / h_sq - d * mass_y
     rhs = scale * (c0 * mass_y - mass_conv) + (1.0 - sigma) * spatial_old + mass_phi
@@ -306,12 +365,21 @@ def _compact_core(
     reaction = m + sigma * d
     diag_value = reaction * (10.0 / 12.0) + 2.0 * sigma * a / h_sq
     off_value = reaction / 12.0 - sigma * a / h_sq
+    # a >= c1 > 0 here, so the coarsest grid has the smallest margin.
     _dominance_guard(
-        min(reaction, (2.0 / 3.0) * reaction + 4.0 * sigma * a / h_sq),
+        min(reaction, (2.0 / 3.0) * reaction + 4.0 * sigma * a / group.h_sq_max),
         "compact step",
     )
-    off = np.full(n_interior, off_value)
-    return off, np.full(n_interior, diag_value), off, rhs
+    n = rhs.size
+    rows_out = (np.full(n, off_value), np.full(n, diag_value), np.full(n, off_value), rhs)
+    return rows_out, mass_phi
+
+
+#: The spatial assembler of each scheme, by the name ``a_priori_bound`` takes.
+_ASSEMBLERS: dict[str, Assembler] = {
+    "second": _second_order_core,
+    "compact": _compact_core,
+}
 
 
 def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndarray:
@@ -330,22 +398,31 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
 def _march(
     problem: ProblemSpec,
     order: FractionalOrder,
-    nx: int,
+    nxs: tuple[int, ...],
     nt: int,
-    step: Callable[..., TridiagonalRows],
-) -> SolutionHistory:
-    """March the L2-1sigma scheme over ``nx`` space subintervals and ``nt``
-    time steps covering ``[0, horizon]``; ``step`` is the spatial assembler.
+    scheme: str,
+) -> tuple[SolutionHistory, ...]:
+    """March the L2-1sigma scheme with ``nt`` time steps covering
+    ``[0, horizon]`` on every grid of ``nxs`` space subintervals at once;
+    ``scheme`` names the spatial assembler in ``_ASSEMBLERS``.  Returns one
+    history per grid.
 
     Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Its
     weights ``c_0 .. c_j`` share ``c_1 .. c_{j-1}`` with the last step's
     vector, so that vector is built once; only ``c_0`` and the tail
     ``c_j = a_j - b_j`` change with ``j``.  Cost ``O(nt^2 * nx)`` because the
     history convolution is recomputed in full each step.
+
+    The grids share the time grid, the callbacks, the history contraction
+    and the solve: their interior rows form one block-diagonal system whose
+    couplings across two blocks are zeroed, so ``dgtsv`` eliminates each
+    block exactly as it would alone.  Each history records the scheme and
+    ``max_j h ||phi^j||^2`` of the source as its assembler formed it.
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
-    grid = SpaceGrid(n=nx, length=problem.length)
+    step = _ASSEMBLERS[scheme]
+    group = _GridGroup(problem.length, nxs)
     tau = problem.horizon / nt
     sigma = order.sigma
     scale = _derivative_scale(order, tau)
@@ -354,51 +431,93 @@ def _march(
     shared = _assemble_l21sigma(a_table, b_table, nt - 1)
     tail = a_table - b_table
 
-    x = grid.nodes()
-    values = np.zeros((nt + 1, nx + 1))
-    values[0] = _validate_initial_layer(
-        np.asarray(problem.u0(x), dtype=float), problem
-    )
+    values = np.zeros((nt + 1, group.x.size))
+    initial = np.asarray(problem.u0(group.x), dtype=float)
+    for begin, end in group.spans:
+        values[0, begin:end] = _validate_initial_layer(initial[begin:end], problem)
     # diffs[s] = y^{s+1} - y^s at the interior nodes.
-    diffs = np.empty((nt, nx - 1))
+    diffs = np.empty((nt, group.x_int.size))
+    # The history term at every node; the boundary entries stay zero.
+    conv = np.zeros(group.x.size)
+    source_norm_sq = np.zeros(len(group.grids))
 
     for j in range(nt):
         if j == 0:
-            c0, conv = a_table[0], np.zeros(nx - 1)
+            c0 = a_table[0]
         else:
             c0 = shared[0]
-            conv = tail[j] * diffs[0] + np.dot(shared[j - 1 : 0 : -1], diffs[1:j])
-        system = step(
-            problem, grid, x, (j + sigma) * tau, sigma, scale, c0, values[j], conv
+            conv[group.interior] = tail[j] * diffs[0] + np.dot(
+                shared[j - 1 : 0 : -1], diffs[1:j]
+            )
+        (sub, diag, sup, rhs), phi = step(
+            problem, group, (j + sigma) * tau, sigma, scale, c0, values[j], conv
         )
-        interior = _solve_core(*system)
-        values[j + 1, 1:-1] = interior
-        diffs[j] = interior - values[j, 1:-1]
+        np.maximum(
+            source_norm_sq,
+            group.h * np.add.reduceat(phi * phi, group.starts),
+            out=source_norm_sq,
+        )
+        # Decouple the blocks (a lone grid's first sub and last sup entries
+        # are ignored by the solver anyway).
+        sub[group.starts] = 0.0
+        sup[group.lasts] = 0.0
+        interior = _solve_core(sub, diag, sup, rhs)
+        values[j + 1, group.interior] = interior
+        diffs[j] = interior - values[j, group.interior]
 
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
         raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
-    return SolutionHistory(grid, values, np.arange(nt + 1) * tau)
+    times = np.arange(nt + 1) * tau
+    return tuple(
+        SolutionHistory(grid, values[:, begin:end], times, float(norm_sq), scheme)
+        for grid, (begin, end), norm_sq in zip(group.grids, group.spans, source_norm_sq)
+    )
+
+
+def _run(
+    problem: ProblemSpec,
+    order: FractionalOrder,
+    nx: Union[int, tuple[int, ...]],
+    nt: int,
+    scheme: str,
+) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
+    """One history for an integer ``nx``, one per grid for a tuple of
+    integers; any other ``nx`` is rejected."""
+    sizes = nx if isinstance(nx, tuple) else (nx,)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in sizes):
+        raise ValueError(f"nx must be an int or a tuple of ints, got {nx!r}")
+    histories = _march(problem, order, sizes, nt, scheme)
+    return histories if isinstance(nx, tuple) else histories[0]
 
 
 def run_second_order(
-    problem: ProblemSpec, order: FractionalOrder, nx: int, nt: int
-) -> SolutionHistory:
+    problem: ProblemSpec,
+    order: FractionalOrder,
+    nx: Union[int, tuple[int, ...]],
+    nt: int,
+) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
     """Run the second-order scheme on ``nx`` space subintervals and ``nt``
-    time steps covering ``[0, horizon]``."""
-    return _march(problem, order, nx, nt, _second_order_core)
+    time steps covering ``[0, horizon]``.  A tuple ``nx`` marches those grids
+    together and returns one history per grid."""
+    return _run(problem, order, nx, nt, "second")
 
 
 def run_compact(
-    problem: ProblemSpec, order: FractionalOrder, nx: int, nt: int
-) -> SolutionHistory:
+    problem: ProblemSpec,
+    order: FractionalOrder,
+    nx: Union[int, tuple[int, ...]],
+    nt: int,
+) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
     """Run the compact scheme on ``nx`` space subintervals and ``nt`` time
-    steps covering ``[0, horizon]``.  Requires time-only coefficients."""
+    steps covering ``[0, horizon]``.  Requires time-only coefficients.  A
+    tuple ``nx`` marches those grids together and returns one history per
+    grid."""
     if not problem.has_time_only_coefficients:
         raise SchemeCompatibilityError(
             "compact scheme requires time-only coefficients (k_time and q_time)"
         )
-    return _march(problem, order, nx, nt, _compact_core)
+    return _run(problem, order, nx, nt, "compact")
 
 
 def a_priori_bound(
@@ -412,25 +531,28 @@ def a_priori_bound(
 
     Returns ``(lhs, rhs)`` where ``lhs`` is the largest squared solution norm
     over all layers and ``rhs = ||y^0||^2 + const * max_j ||phi^j||^2`` with
-    the source sampled at the collocation times.  For the second-order scheme
-    the norms are plain interior L2 norms and
+    the source at the collocation times, as the run recorded it in
+    ``history.source_norm_sq``.  For the second-order scheme the norms are
+    plain interior L2 norms and
     ``const = l^2 T^alpha Gamma(1-alpha) / (4 c1)``; for the compact scheme
     the norms are taken after the mass operator and
-    ``const = l^2 T^alpha Gamma(1-alpha) / c1``.  Stability means
+    ``const = l^2 T^alpha Gamma(1-alpha) / c1``.  ``scheme`` must name the
+    scheme that produced the history, since the recorded source norm is that
+    scheme's; a mismatch raises ``ValueError``.  Stability means
     ``lhs <= rhs``.
     """
-    if scheme not in ("second", "compact"):
+    if scheme not in _ASSEMBLERS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    grid = history.grid
-    steps = len(history) - 1
-    if steps < 1:
+    if len(history) < 2:
         raise ValueError("history must contain at least one computed step")
-    times = history.times
-    tau = float(times[1] - times[0])
-    t_final = float(times[-1])
-    x = grid.nodes()
-    h = grid.h
-    alpha, sigma = order.alpha, order.sigma
+    if history.source_norm_sq is None:
+        raise ValueError("history carries no recorded source norm")
+    if history.scheme != scheme:
+        raise ValueError(
+            f"history was produced by the {history.scheme!r} scheme, not {scheme!r}"
+        )
+    t_final = float(history.times[-1])
+    alpha = order.alpha
 
     values = history.values
     if scheme == "compact":
@@ -441,14 +563,8 @@ def a_priori_bound(
         source_consts = (
             problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
         )
-    layer_norms_sq = h * np.sum(transformed * transformed, axis=1)
-
-    source_norm_sq = 0.0
-    for j in range(steps):
-        phi = np.asarray(problem.f(x, (j + sigma) * tau), dtype=float)
-        phi_t = _mass_average(phi) if scheme == "compact" else phi[1:-1]
-        source_norm_sq = max(source_norm_sq, h * float(np.dot(phi_t, phi_t)))
+    layer_norms_sq = history.grid.h * np.sum(transformed * transformed, axis=1)
 
     lhs = float(layer_norms_sq.max())
-    rhs = float(layer_norms_sq[0] + source_consts * source_norm_sq)
+    rhs = float(layer_norms_sq[0] + source_consts * history.source_norm_sq)
     return lhs, rhs

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.grids import convergence_order
+from subdiff.grids import convergence_order, error_norms
 from subdiff.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -17,6 +17,8 @@ from subdiff.harness import (
     study_plan,
 )
 from subdiff.kernels import L1, FractionalOrder
+from subdiff.problems import get_problem
+from subdiff.schemes import run_compact
 
 
 def test_study_plan_schedules():
@@ -111,6 +113,39 @@ def test_run_study_deterministic_and_thread_invariant():
     threaded = emit(run_study(plan, threads=3), "csv")
     assert _strip_seconds(first) == _strip_seconds(second)
     assert _strip_seconds(first) == _strip_seconds(threaded)
+
+
+def test_levels_sharing_nt_march_together_in_plan_order():
+    """Levels 1 and 3 share nt and form one group per alpha; the report keeps
+    plan order, is thread invariant, and matches one-grid runs."""
+    plan = StudyPlan(
+        table_id="T5",
+        problem_id="timecoeff-compact",
+        scheme="compact",
+        alphas=(0.3, 0.7),
+        levels=(
+            LevelSpec(nx=4, nt=40),
+            LevelSpec(nx=8, nt=20),
+            LevelSpec(nx=16, nt=40),
+        ),
+        norms=("l2max", "sup"),
+        co_step="h",
+    )
+    report = run_study(plan, threads=1)
+    threaded = run_study(plan, threads=3)
+    assert _strip_seconds(emit(report, "csv")) == _strip_seconds(emit(threaded, "csv"))
+    assert [(row.alpha, row.level, row.nx, row.nt) for row in report.rows] == [
+        (alpha, index + 1, level.nx, level.nt)
+        for alpha in plan.alphas
+        for index, level in enumerate(plan.levels)
+    ]
+    for row in report.rows:
+        order = FractionalOrder(row.alpha)
+        problem = get_problem(plan.problem_id, order).spec
+        single = error_norms(run_compact(problem, order, row.nx, row.nt), problem.exact)
+        assert row.err_l2max == pytest.approx(single.l2max, rel=1e-13)
+        assert row.err_sup == pytest.approx(single.sup, rel=1e-13)
+        assert row.apriori_ok
 
 
 def test_kernel_plan_rows_fill_both_error_columns():

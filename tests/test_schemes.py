@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from subdiff.grids import SpaceGrid, error_norms
+from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
 from subdiff.kernels import L1, L21SIGMA, FractionalOrder, audit_weight_family
 from subdiff.problems import problem_timecoeff_compact, problem_varcoeff_2nd
 from subdiff.schemes import (
@@ -124,6 +124,33 @@ def test_step_second_order_matches_run_bitwise():
 def test_step_compact_matches_run_bitwise():
     order = FractionalOrder(0.6)
     _replays_prefix_bitwise(run_compact, problem_timecoeff_compact(order), order, 10, 7)
+
+def _assert_group_matches_single_runs(runner, problem, order, nxs, nt):
+    """Grids marched together reproduce their one-grid runs; the wider
+    history contraction may round differently in the last bit."""
+    histories = runner(problem, order, nxs, nt)
+    assert len(histories) == len(nxs)
+    for nx, history in zip(nxs, histories):
+        single = runner(problem, order, nx, nt)
+        assert history.grid == single.grid
+        assert np.array_equal(history.times, single.times)
+        np.testing.assert_allclose(history.values, single.values, rtol=1e-14, atol=0.0)
+        assert history.source_norm_sq == pytest.approx(single.source_norm_sq, rel=1e-14)
+
+
+def test_grouped_compact_matches_single_runs():
+    order = FractionalOrder(0.6)
+    _assert_group_matches_single_runs(
+        run_compact, problem_timecoeff_compact(order), order, (4, 8, 16, 32), 300
+    )
+
+
+def test_grouped_second_order_matches_single_runs():
+    order = FractionalOrder(0.4)
+    _assert_group_matches_single_runs(
+        run_second_order, problem_varcoeff_2nd(order), order, (6, 10), 300
+    )
+
 
 def _crank_nicolson_final_layer(problem, nx, nt):
     """Plain Crank-Nicolson comparator (dense solves, sigma = 1/2)."""
@@ -280,6 +307,30 @@ def test_diffusivity_below_declared_floor_is_rejected(runner):
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_grouped_runs_keep_the_guards(runner):
+    """A diffusivity below c1 or a lost dominance raises on a group of grids
+    as it does on one grid."""
+    order = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match=r"t=0\.1875.*minimum 0\.5.*c1=1\.0"):
+        runner(_constant_problem(0.5), order, (8, 4, 16), 4)
+    problem = dataclasses.replace(
+        _constant_problem(1.0),
+        q=lambda x, t: -50.0 * np.ones_like(np.asarray(x, dtype=float)),
+        q_time=lambda t: -50.0,
+    )
+    with pytest.raises(ArithmeticError):
+        runner(problem, order, (8, 4, 16), 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+@pytest.mark.parametrize("nx", [[4, 8], 8.0, (4, 8.0), True])
+def test_runs_reject_sizes_that_are_neither_int_nor_tuple(runner, nx):
+    order = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="nx must be an int or a tuple of ints"):
+        runner(_constant_problem(1.0), order, nx, 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
 def test_non_finite_layer_is_rejected(runner):
     """A source that turns NaN from t = 0.5 on poisons layer 3 (t = 0.75) of a
     four-step run first; the run must fail naming that layer."""
@@ -383,6 +434,81 @@ def test_a_priori_bound_holds_on_manufactured_runs(scheme, runner):
     history = runner(problem, order, 16, 16)
     lhs, rhs = a_priori_bound(problem, order, history, scheme=scheme)
     assert lhs <= rhs
+
+
+def _resampled_a_priori_bound(problem, order, history, scheme):
+    """The a priori estimate with the source sampled afresh at every
+    collocation time, as the scheme's assembler forms it."""
+    grid = history.grid
+    x = grid.nodes()
+    tau = float(history.times[1] - history.times[0])
+    alpha = order.alpha
+    values = history.values
+    if scheme == "compact":
+        transformed = (values[:, :-2] + 10.0 * values[:, 1:-1] + values[:, 2:]) / 12.0
+        const = problem.length**2 * math.gamma(1.0 - alpha) / problem.c1
+    else:
+        transformed = values[:, 1:-1]
+        const = problem.length**2 * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
+    const *= float(history.times[-1]) ** alpha
+    norms_sq = grid.h * np.sum(transformed * transformed, axis=1)
+    source_sq = 0.0
+    for j in range(len(history) - 1):
+        phi = problem.f(x, (j + order.sigma) * tau)
+        phi_t = (phi[:-2] + 10.0 * phi[1:-1] + phi[2:]) / 12.0 if scheme == "compact" else phi[1:-1]
+        source_sq = max(source_sq, grid.h * float(np.dot(phi_t, phi_t)))
+    return float(norms_sq.max()), float(norms_sq[0] + const * source_sq)
+
+
+@pytest.mark.parametrize(
+    "scheme,runner", [("second", run_second_order), ("compact", run_compact)]
+)
+def test_a_priori_bound_reuses_the_recorded_source(scheme, runner):
+    """The bound reads the source norm the run recorded: it equals the
+    estimate with the source resampled, and it never calls ``f``."""
+    order = FractionalOrder(0.3)
+    base = (
+        problem_varcoeff_2nd(order)
+        if scheme == "second"
+        else problem_timecoeff_compact(order)
+    )
+    calls = []
+
+    def counting_f(x, t):
+        calls.append(t)
+        return base.f(x, t)
+
+    problem = dataclasses.replace(base, f=counting_f)
+    histories = (runner(problem, order, 12, 20),) + runner(problem, order, (6, 9), 20)
+    for history in histories:
+        expected = _resampled_a_priori_bound(base, order, history, scheme)
+        calls.clear()
+        lhs, rhs = a_priori_bound(problem, order, history, scheme=scheme)
+        assert calls == []
+        assert lhs == pytest.approx(expected[0], rel=1e-12)
+        assert rhs == pytest.approx(expected[1], rel=1e-12)
+
+
+def test_a_priori_bound_needs_a_recorded_source_norm():
+    order = FractionalOrder(0.5)
+    problem = problem_varcoeff_2nd(order)
+    run = run_second_order(problem, order, 8, 4)
+    hand_built = SolutionHistory(run.grid, run.values, run.times)
+    with pytest.raises(ValueError, match="source norm"):
+        a_priori_bound(problem, order, hand_built, scheme="second")
+
+
+def test_a_priori_bound_rejects_a_history_of_the_other_scheme():
+    """Each scheme records its own source norm, so the bound refuses to mix a
+    run of one scheme with the other scheme's norms."""
+    order = FractionalOrder(0.5)
+    problem = problem_timecoeff_compact(order)
+    runs = {"second": run_second_order, "compact": run_compact}
+    for produced, claimed in (("second", "compact"), ("compact", "second")):
+        history = runs[produced](problem, order, 8, 4)
+        assert history.scheme == produced
+        with pytest.raises(ValueError, match=f"{produced!r} scheme, not {claimed!r}"):
+            a_priori_bound(problem, order, history, scheme=claimed)
 
 
 def test_a_priori_bound_rejects_unknown_scheme():
