@@ -23,6 +23,7 @@ from .kernels import (
     L1,
     L21SIGMA,
     AuditCheck,
+    EnergyProbe,
     FractionalOrder,
     WeightAudit,
     WeightVector,
@@ -31,6 +32,7 @@ from .kernels import (
     audit_weights,
     caputo_power_rule,
     caputo_reference,
+    energy_inequality_probe,
     weights,
     weights_l1,
 )
@@ -44,13 +46,9 @@ from .problems import (
     problem_varcoeff_2nd,
 )
 from .schemes import (
-    EnergyProbe,
-    L1Provider,
-    L21SigmaProvider,
     ProblemSpec,
     SchemeCompatibilityError,
     a_priori_bound,
-    energy_inequality_probe,
     run_compact,
     run_second_order,
 )
@@ -65,9 +63,7 @@ __all__ = [
     "ErrorSummary",
     "FractionalOrder",
     "L1",
-    "L1Provider",
     "L21SIGMA",
-    "L21SigmaProvider",
     "LevelSpec",
     "MonomialCase",
     "NamedProblem",

@@ -137,7 +137,7 @@ def _cmd_audit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         verdict = "PASS" if check.passed else "FAIL"
         print(f"{check.name}: {verdict} (worst margin {check.margin:.3e})")
     overall = "PASS" if audit.passed else "FAIL"
-    print(f"overall: {overall} (alpha={order.alpha:g}, jmax={args.jmax}, "
+    print(f"overall: {overall} (alpha={order.alpha!r}, jmax={args.jmax}, "
           f"weights={args.weights})")
     return 0 if audit.passed else 1
 

@@ -217,7 +217,7 @@ def _run_group(
         histories = runner(problem, order, tuple(level.nx for _, level in cells), nt)
         for (_, level), history in zip(cells, histories):
             summary = error_norms(history, problem.exact)
-            lhs, rhs = a_priori_bound(problem, order, history, scheme=plan.scheme)
+            lhs, rhs = a_priori_bound(problem, order, history)
             outcomes.append(
                 (
                     problem.length / level.nx,

@@ -15,6 +15,11 @@ Both express the derivative approximation as
 
 where coefficients are stored lag-ordered: ``coefficients[m]`` multiplies the
 backward difference ``m`` intervals before the newest one.
+
+The stability of the schemes rests on two properties of these weights: the
+coefficient inequalities, checked for a whole family by
+:func:`audit_weight_family`, and the energy inequalities, evaluated on a
+concrete series by :func:`energy_inequality_probe`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "L1",
     "L21SIGMA",
     "AuditCheck",
+    "EnergyProbe",
     "FractionalOrder",
     "WeightAudit",
     "WeightVector",
@@ -40,6 +46,7 @@ __all__ = [
     "caputo_reference",
     "coeff_a_array",
     "coeff_b_array",
+    "energy_inequality_probe",
     "weights",
     "weights_l1",
 ]
@@ -183,8 +190,8 @@ def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
 def _assemble_l21sigma(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
     """Build ``c_0 .. c_j`` from precomputed ``a``/``b`` tables.
 
-    Shared by :func:`weights` and the PDE steppers so both produce
-    bit-identical coefficients.
+    Shared by :func:`weights`, :func:`energy_inequality_probe` and the
+    marching loop so all three produce bit-identical coefficients.
     """
     if j == 0:
         return a[:1].copy()
@@ -470,3 +477,71 @@ def audit_weight_family(
     ]
     checks.extend(_ratio_checks(order, a, b))
     return WeightAudit(checks=tuple(checks))
+
+
+@dataclass(frozen=True)
+class EnergyProbe:
+    """Margins (left side minus right side) of the three energy inequalities
+    at every target index, plus the magnitude of the terms involved for
+    tolerance scaling.
+
+    * ``newest``: pairing the operator with ``v^{j+1}`` against
+      ``(1/2) D(v^2) + (D v)^2 / (2 g_j)``.
+    * ``previous``: pairing with ``v^j`` against
+      ``(1/2) D(v^2) - (D v)^2 / (2 (g_j - g_{j-1}))``.
+    * ``blended``: pairing with ``sigma v^{j+1} + (1-sigma) v^j`` against
+      ``(1/2) D(v^2)``.
+
+    Here ``g_j`` is the weight of the newest difference, ``scale * c_0``.
+    """
+
+    newest: np.ndarray
+    previous: np.ndarray
+    blended: np.ndarray
+    term_scale: np.ndarray
+
+
+def energy_inequality_probe(
+    order: FractionalOrder, tau: float, series: Sequence[float]
+) -> EnergyProbe:
+    """Evaluate the energy-inequality margins of the ``l21sigma`` operator
+    with step ``tau`` on one time series.
+
+    ``series`` holds ``v^0 .. v^{J+1}``; target indices ``0 .. J`` are probed.
+    All margins are provably nonnegative whenever the weights satisfy the
+    inequalities :func:`audit_weight_family` checks, so negative margins
+    beyond rounding indicate a broken weight family.
+    """
+    if not tau > 0.0:
+        raise ValueError(f"step size must be positive, got {tau}")
+    v = np.asarray(series, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError(f"series must hold at least two samples, got {v.shape}")
+    count = v.size - 1
+    sigma = order.sigma
+    scale = _derivative_scale(order, tau)
+    a = coeff_a_array(order, count - 1)
+    b = coeff_b_array(order, count - 1)
+    newest = np.empty(count)
+    previous = np.empty(count)
+    blended = np.empty(count)
+    term_scale = np.empty(count)
+    diffs = np.diff(v)
+    diffs_sq = np.diff(v * v)
+    for j in range(count):
+        # g[s] weights v^{s+1} - v^s, so g[-1] multiplies the newest difference.
+        g = scale * _assemble_l21sigma(a, b, j)[::-1]
+        dv = float(np.dot(g, diffs[: j + 1]))
+        dv_sq = float(np.dot(g, diffs_sq[: j + 1]))
+        g_new = float(g[-1])
+        gap = g_new - float(g[-2]) if j >= 1 else g_new
+        newest[j] = v[j + 1] * dv - 0.5 * dv_sq - dv * dv / (2.0 * g_new)
+        previous[j] = v[j] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
+        blend_value = sigma * v[j + 1] + (1.0 - sigma) * v[j]
+        blended[j] = blend_value * dv - 0.5 * dv_sq
+        term_scale[j] = max(
+            abs(v[j + 1] * dv), abs(v[j] * dv), abs(dv_sq), dv * dv / (2.0 * g_new)
+        )
+    return EnergyProbe(
+        newest=newest, previous=previous, blended=blended, term_scale=term_scale
+    )

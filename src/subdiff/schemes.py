@@ -13,10 +13,9 @@ operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
 ``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and differ
 only in the spatial assembler it calls each step.
 
-The module also exposes the generic stability machinery: weight providers for
-the discrete time operator, energy-inequality probes, and the a priori
-solution bound.  The weight inequalities themselves are audited by
-:func:`subdiff.kernels.audit_weight_family`.
+The module also evaluates the a priori solution bound of a finished run.  The
+weight inequalities and the energy inequalities behind it are checked in
+:mod:`subdiff.kernels`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -33,21 +32,15 @@ from .kernels import (
     FractionalOrder,
     _assemble_l21sigma,
     _derivative_scale,
-    _l1_coefficients,
     coeff_a_array,
     coeff_b_array,
 )
 from .tridiag import _solve_core
 
 __all__ = [
-    "EnergyProbe",
-    "L1Provider",
-    "L21SigmaProvider",
     "ProblemSpec",
     "SchemeCompatibilityError",
-    "WeightProvider",
     "a_priori_bound",
-    "energy_inequality_probe",
     "run_compact",
     "run_second_order",
 ]
@@ -98,120 +91,6 @@ class ProblemSpec:
     @property
     def has_time_only_coefficients(self) -> bool:
         return self.k_time is not None and self.q_time is not None
-
-
-class WeightProvider(Protocol):
-    """Supplier of the discrete time operator's weights for each step.
-
-    ``weights_for(j)`` returns ``(g, sigma)`` where ``g[s]`` weights the
-    difference ``v^{s+1} - v^s`` for ``s = 0..j`` (so ``g[-1]`` multiplies the
-    newest difference) and ``sigma`` is the blend parameter of step ``j -> j+1``.
-    """
-
-    def weights_for(self, j: int) -> tuple[np.ndarray, float]: ...
-
-
-class L21SigmaProvider:
-    """Weights of the shifted-collocation operator: ``g[s] = scale * c_{j-s}``
-    with the constant blend ``sigma = 1 - alpha/2``."""
-
-    def __init__(self, order: FractionalOrder, tau: float):
-        if not tau > 0.0:
-            raise ValueError(f"step size must be positive, got {tau}")
-        self.order = order
-        self.tau = tau
-        self.scale = _derivative_scale(order, tau)
-        self._a = coeff_a_array(order, 0)
-        self._b = coeff_b_array(order, 0)
-
-    def _ensure_tables(self, j: int) -> None:
-        have = self._a.size - 1
-        if j > have:
-            grow = max(j, 2 * have)
-            self._a = coeff_a_array(self.order, grow)
-            self._b = coeff_b_array(self.order, grow)
-
-    def weights_for(self, j: int) -> tuple[np.ndarray, float]:
-        if j < 0:
-            raise ValueError(f"target index must be nonnegative, got {j}")
-        self._ensure_tables(j)
-        c = _assemble_l21sigma(self._a, self._b, j)
-        return self.scale * c[::-1], self.order.sigma
-
-
-class L1Provider:
-    """Weights of the piecewise-linear operator (collocation at ``t_{j+1}``,
-    fully implicit blend ``sigma = 1``)."""
-
-    def __init__(self, order: FractionalOrder, tau: float):
-        if not tau > 0.0:
-            raise ValueError(f"step size must be positive, got {tau}")
-        self.order = order
-        self.tau = tau
-        self.scale = _derivative_scale(order, tau)
-
-    def weights_for(self, j: int) -> tuple[np.ndarray, float]:
-        if j < 0:
-            raise ValueError(f"target index must be nonnegative, got {j}")
-        return self.scale * _l1_coefficients(self.order, j)[::-1], 1.0
-
-
-@dataclass(frozen=True)
-class EnergyProbe:
-    """Margins (left side minus right side) of the three energy inequalities
-    at every target index, plus the magnitude of the terms involved for
-    tolerance scaling.
-
-    * ``newest``: pairing the operator with ``v^{j+1}`` against
-      ``(1/2) D(v^2) + (D v)^2 / (2 g_j)``.
-    * ``previous``: pairing with ``v^j`` against
-      ``(1/2) D(v^2) - (D v)^2 / (2 (g_j - g_{j-1}))``.
-    * ``blended``: pairing with ``sigma v^{j+1} + (1-sigma) v^j`` against
-      ``(1/2) D(v^2)``.
-    """
-
-    newest: np.ndarray
-    previous: np.ndarray
-    blended: np.ndarray
-    term_scale: np.ndarray
-
-
-def energy_inequality_probe(
-    provider: WeightProvider, series: Sequence[float]
-) -> EnergyProbe:
-    """Evaluate the energy-inequality margins on one time series.
-
-    ``series`` holds ``v^0 .. v^{J+1}``; target indices ``0 .. J`` are probed.
-    All margins are provably nonnegative whenever the provider satisfies the
-    stability conditions, so negative margins beyond rounding indicate a
-    broken weight family.
-    """
-    v = np.asarray(series, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError(f"series must hold at least two samples, got {v.shape}")
-    count = v.size - 1
-    newest = np.empty(count)
-    previous = np.empty(count)
-    blended = np.empty(count)
-    term_scale = np.empty(count)
-    diffs = np.diff(v)
-    diffs_sq = np.diff(v * v)
-    for j in range(count):
-        g, sigma = provider.weights_for(j)
-        dv = float(np.dot(g, diffs[: j + 1]))
-        dv_sq = float(np.dot(g, diffs_sq[: j + 1]))
-        g_new = float(g[-1])
-        gap = g_new - float(g[-2]) if j >= 1 else g_new
-        newest[j] = v[j + 1] * dv - 0.5 * dv_sq - dv * dv / (2.0 * g_new)
-        previous[j] = v[j] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
-        blend_value = sigma * v[j + 1] + (1.0 - sigma) * v[j]
-        blended[j] = blend_value * dv - 0.5 * dv_sq
-        term_scale[j] = max(
-            abs(v[j + 1] * dv), abs(v[j] * dv), abs(dv_sq), dv * dv / (2.0 * g_new)
-        )
-    return EnergyProbe(
-        newest=newest, previous=previous, blended=blended, term_scale=term_scale
-    )
 
 
 def _dominance_guard(margin: float, context: str) -> None:
@@ -375,7 +254,8 @@ def _compact_core(
     return rows_out, mass_phi
 
 
-#: The spatial assembler of each scheme, by the name ``a_priori_bound`` takes.
+#: The spatial assembler of each scheme, by the name a run records in
+#: ``SolutionHistory.scheme``.
 _ASSEMBLERS: dict[str, Assembler] = {
     "second": _second_order_core,
     "compact": _compact_core,
@@ -475,6 +355,10 @@ def _march(
     )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _run(
     problem: ProblemSpec,
     order: FractionalOrder,
@@ -483,10 +367,13 @@ def _run(
     scheme: str,
 ) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
     """One history for an integer ``nx``, one per grid for a tuple of
-    integers; any other ``nx`` is rejected."""
+    integers; any other ``nx``, and an ``nt`` that is not an integer, is
+    rejected."""
     sizes = nx if isinstance(nx, tuple) else (nx,)
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in sizes):
+    if not all(_is_int(n) for n in sizes):
         raise ValueError(f"nx must be an int or a tuple of ints, got {nx!r}")
+    if not _is_int(nt):
+        raise ValueError(f"nt must be an int, got {nt!r}")
     histories = _march(problem, order, sizes, nt, scheme)
     return histories if isinstance(nx, tuple) else histories[0]
 
@@ -524,7 +411,6 @@ def a_priori_bound(
     problem: ProblemSpec,
     order: FractionalOrder,
     history: SolutionHistory,
-    scheme: str = "second",
 ) -> tuple[float, float]:
     """Evaluate both sides of the a priori stability estimate for a finished
     run.
@@ -532,30 +418,25 @@ def a_priori_bound(
     Returns ``(lhs, rhs)`` where ``lhs`` is the largest squared solution norm
     over all layers and ``rhs = ||y^0||^2 + const * max_j ||phi^j||^2`` with
     the source at the collocation times, as the run recorded it in
-    ``history.source_norm_sq``.  For the second-order scheme the norms are
-    plain interior L2 norms and
+    ``history.source_norm_sq``.  The norms and the constant are those of the
+    scheme that produced the history, ``history.scheme``.  For the
+    second-order scheme the norms are plain interior L2 norms and
     ``const = l^2 T^alpha Gamma(1-alpha) / (4 c1)``; for the compact scheme
     the norms are taken after the mass operator and
-    ``const = l^2 T^alpha Gamma(1-alpha) / c1``.  ``scheme`` must name the
-    scheme that produced the history, since the recorded source norm is that
-    scheme's; a mismatch raises ``ValueError``.  Stability means
+    ``const = l^2 T^alpha Gamma(1-alpha) / c1``.  Stability means
     ``lhs <= rhs``.
     """
-    if scheme not in _ASSEMBLERS:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if len(history) < 2:
         raise ValueError("history must contain at least one computed step")
     if history.source_norm_sq is None:
         raise ValueError("history carries no recorded source norm")
-    if history.scheme != scheme:
-        raise ValueError(
-            f"history was produced by the {history.scheme!r} scheme, not {scheme!r}"
-        )
+    if history.scheme not in _ASSEMBLERS:
+        raise ValueError(f"unknown scheme {history.scheme!r}")
     t_final = float(history.times[-1])
     alpha = order.alpha
 
     values = history.values
-    if scheme == "compact":
+    if history.scheme == "compact":
         transformed = _mass_average(values)
         source_consts = problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / problem.c1
     else:

@@ -27,14 +27,13 @@ from subdiff.kernels import (
     apply,
     audit_weight_family,
     caputo_reference,
+    energy_inequality_probe,
     weights,
 )
 from subdiff.problems import get_problem
 from subdiff.schemes import (
-    L21SigmaProvider,
     ProblemSpec,
     a_priori_bound,
-    energy_inequality_probe,
     run_compact,
     run_second_order,
 )
@@ -189,9 +188,8 @@ def test_criterion_04_energy_inequalities_random_series():
     violations = []
     for index in range(1000):
         alpha = float(rng.uniform(0.02, 0.98))
-        provider = L21SigmaProvider(FractionalOrder(alpha), tau=0.02)
         series = rng.standard_normal(52)
-        probe = energy_inequality_probe(provider, series)
+        probe = energy_inequality_probe(FractionalOrder(alpha), 0.02, series)
         tol = 1e-12 * np.maximum(1.0, probe.term_scale)
         for name, margins in (
             ("newest", probe.newest),
@@ -307,7 +305,7 @@ def test_criterion_11_a_priori_stability(table_runs):
         scheme = "second" if index % 2 == 0 else "compact"
         runner = run_second_order if scheme == "second" else run_compact
         history = runner(problem, order, 64, 64)
-        lhs, rhs = a_priori_bound(problem, order, history, scheme=scheme)
+        lhs, rhs = a_priori_bound(problem, order, history)
         if not lhs <= rhs:
             violations.append(
                 f"random run {index} ({scheme}, alpha={alpha:.3f}): "

@@ -183,6 +183,12 @@ def test_audit_l1_weights(capsys):
     assert "monotone_decrease: PASS" in out
 
 
+def test_audit_prints_the_order_unrounded(capsys):
+    """An order just below 1 is printed as given, not rounded to 1."""
+    assert main(["audit", "--alpha", "0.999999999999", "--jmax", "10"]) == 0
+    assert "alpha=0.999999999999," in capsys.readouterr().out
+
+
 def test_audit_trivial_jmax_zero(capsys):
     assert main(["audit", "--alpha", "0.5", "--jmax", "0"]) == 0
     capsys.readouterr()

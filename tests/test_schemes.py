@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 
 from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
-from subdiff.kernels import L1, L21SIGMA, FractionalOrder, audit_weight_family
+from subdiff.kernels import (
+    L1,
+    L21SIGMA,
+    FractionalOrder,
+    audit_weight_family,
+    energy_inequality_probe,
+    weights,
+)
 from subdiff.problems import problem_timecoeff_compact, problem_varcoeff_2nd
 from subdiff.schemes import (
-    L1Provider,
-    L21SigmaProvider,
     ProblemSpec,
     SchemeCompatibilityError,
     a_priori_bound,
-    energy_inequality_probe,
     run_compact,
     run_second_order,
 )
@@ -331,6 +335,14 @@ def test_runs_reject_sizes_that_are_neither_int_nor_tuple(runner, nx):
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
+@pytest.mark.parametrize("nt", [4.0, 4.5, True, "4"])
+def test_runs_reject_step_counts_that_are_not_int(runner, nt):
+    order = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="nt must be an int"):
+        runner(_constant_problem(1.0), order, 8, nt)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
 def test_non_finite_layer_is_rejected(runner):
     """A source that turns NaN from t = 0.5 on poisons layer 3 (t = 0.75) of a
     four-step run first; the run must fail naming that layer."""
@@ -358,7 +370,7 @@ def test_problem_spec_validation():
         )
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-12])
 def test_stability_conditions_hold_for_l21sigma(alpha):
     audit = audit_weight_family(FractionalOrder(alpha), 200, L21SIGMA)
     assert audit.passed
@@ -376,49 +388,46 @@ def test_energy_probe_spike_hits_equality():
     """A series that is zero except at the newest sample makes the first
     energy pairing an exact equality; the margin must vanish to roundoff."""
     order = FractionalOrder(0.5)
-    provider = L21SigmaProvider(order, tau=0.1)
     spike_value = 3.0
     series = np.zeros(7)
     series[-1] = spike_value
-    probe = energy_inequality_probe(provider, series)
+    probe = energy_inequality_probe(order, 0.1, series)
     j = series.size - 2
-    g, sigma = provider.weights_for(j)
-    energy_scale = float(g[-1]) * spike_value**2
+    vector = weights(order, j, 0.1)
+    g_new = vector.scale * float(vector.coefficients[0])
+    energy_scale = g_new * spike_value**2
     assert abs(probe.newest[j]) <= 1e-14 * energy_scale
     assert probe.previous[j] > 0.0
     assert probe.blended[j] == pytest.approx(
-        (sigma - 0.5) * energy_scale, rel=1e-12
+        (order.sigma - 0.5) * energy_scale, rel=1e-12
     )
 
 
 def test_energy_probe_random_series_nonnegative():
+    """Random series at a mid-range order and at both extreme orders."""
     rng = np.random.default_rng(42)
-    order = FractionalOrder(0.7)
-    provider = L21SigmaProvider(order, tau=0.05)
-    for _ in range(20):
-        series = rng.standard_normal(16)
-        probe = energy_inequality_probe(provider, series)
-        tol = 1e-12 * np.maximum(1.0, probe.term_scale)
-        assert np.all(probe.newest >= -tol)
-        assert np.all(probe.previous >= -tol)
-        assert np.all(probe.blended >= -tol)
+    for alpha in (0.7, 1e-9, 1.0 - 1e-12):
+        order = FractionalOrder(alpha)
+        for _ in range(20):
+            series = rng.standard_normal(16)
+            probe = energy_inequality_probe(order, 0.05, series)
+            tol = 1e-12 * np.maximum(1.0, probe.term_scale)
+            assert np.all(probe.newest >= -tol)
+            assert np.all(probe.previous >= -tol)
+            assert np.all(probe.blended >= -tol)
 
 
 def test_energy_probe_validation():
-    provider = L21SigmaProvider(FractionalOrder(0.5), tau=0.1)
     with pytest.raises(ValueError):
-        energy_inequality_probe(provider, [1.0])
+        energy_inequality_probe(FractionalOrder(0.5), 0.1, [1.0])
 
 
 def test_provider_validation():
+    """The probe's step size must be positive."""
     order = FractionalOrder(0.5)
-    with pytest.raises(ValueError):
-        L21SigmaProvider(order, tau=0.0)
-    provider = L21SigmaProvider(order, tau=0.1)
-    with pytest.raises(ValueError):
-        provider.weights_for(-1)
-    with pytest.raises(ValueError):
-        L1Provider(order, tau=-1.0)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="step size"):
+            energy_inequality_probe(order, tau, [0.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -432,7 +441,7 @@ def test_a_priori_bound_holds_on_manufactured_runs(scheme, runner):
         else problem_timecoeff_compact(order)
     )
     history = runner(problem, order, 16, 16)
-    lhs, rhs = a_priori_bound(problem, order, history, scheme=scheme)
+    lhs, rhs = a_priori_bound(problem, order, history)
     assert lhs <= rhs
 
 
@@ -483,7 +492,7 @@ def test_a_priori_bound_reuses_the_recorded_source(scheme, runner):
     for history in histories:
         expected = _resampled_a_priori_bound(base, order, history, scheme)
         calls.clear()
-        lhs, rhs = a_priori_bound(problem, order, history, scheme=scheme)
+        lhs, rhs = a_priori_bound(problem, order, history)
         assert calls == []
         assert lhs == pytest.approx(expected[0], rel=1e-12)
         assert rhs == pytest.approx(expected[1], rel=1e-12)
@@ -495,25 +504,15 @@ def test_a_priori_bound_needs_a_recorded_source_norm():
     run = run_second_order(problem, order, 8, 4)
     hand_built = SolutionHistory(run.grid, run.values, run.times)
     with pytest.raises(ValueError, match="source norm"):
-        a_priori_bound(problem, order, hand_built, scheme="second")
-
-
-def test_a_priori_bound_rejects_a_history_of_the_other_scheme():
-    """Each scheme records its own source norm, so the bound refuses to mix a
-    run of one scheme with the other scheme's norms."""
-    order = FractionalOrder(0.5)
-    problem = problem_timecoeff_compact(order)
-    runs = {"second": run_second_order, "compact": run_compact}
-    for produced, claimed in (("second", "compact"), ("compact", "second")):
-        history = runs[produced](problem, order, 8, 4)
-        assert history.scheme == produced
-        with pytest.raises(ValueError, match=f"{produced!r} scheme, not {claimed!r}"):
-            a_priori_bound(problem, order, history, scheme=claimed)
+        a_priori_bound(problem, order, hand_built)
 
 
 def test_a_priori_bound_rejects_unknown_scheme():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)
-    history = run_second_order(problem, order, 8, 4)
-    with pytest.raises(ValueError):
-        a_priori_bound(problem, order, history, scheme="bogus")
+    run = run_second_order(problem, order, 8, 4)
+    hand_built = SolutionHistory(
+        run.grid, run.values, run.times, source_norm_sq=1.0, scheme="bogus"
+    )
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        a_priori_bound(problem, order, hand_built)
