@@ -97,14 +97,19 @@ def error_norms(
     exact: Callable[[np.ndarray, float], np.ndarray],
 ) -> ErrorSummary:
     """Measure ``max_n ||y^n - u(., t_n)||_L2`` and ``max |y - u|`` over the
-    whole space-time mesh; the exact solution is sampled at the nodes."""
+    whole space-time mesh.  The exact solution is sampled once on the mesh,
+    as ``exact(x[None, :], times[:, None])``, so it must broadcast over
+    ``t``; a ``ValueError`` naming ``exact`` is raised when it does not."""
     grid = history.grid
-    x = grid.nodes()
     values = history.values
-    times = history.times
-    exact_values = np.empty_like(values)
-    for row, t in enumerate(times):
-        exact_values[row] = exact(x, float(t))
+    try:
+        exact_values = np.broadcast_to(
+            exact(grid.nodes()[None, :], history.times[:, None]), values.shape
+        )
+    except (TypeError, ValueError) as error:
+        raise ValueError(
+            f"exact(x, t) must broadcast over an array of times t: {error}"
+        ) from error
     z = values - exact_values
     interior = z[:, 1:-1]
     l2_layers = np.sqrt(grid.h * np.sum(interior * interior, axis=1))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.fft
 
 from .grids import SolutionHistory, SpaceGrid
 from .kernels import (
@@ -66,7 +67,11 @@ class ProblemSpec:
     both endpoints).  ``c1`` is the declared lower bound of ``k`` used by the
     a priori estimate.  The compact scheme additionally needs the coefficients
     as functions of time only (``k_time``/``q_time``); leave them ``None`` for
-    genuinely space-dependent coefficients.
+    genuinely space-dependent coefficients.  ``exact``, when given, is the
+    exact solution; it must broadcast over ``t`` as numpy ufuncs do, because
+    :func:`subdiff.grids.error_norms` samples it once on the whole mesh with
+    ``x`` of shape ``(1, n+1)`` and ``t`` of shape ``(layers, 1)`` (write
+    ``np.exp(t)``, not ``math.exp(t)``).
     """
 
     k: SpaceTimeFn
@@ -275,6 +280,80 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
     return pinned
 
 
+#: Blocks of up to this many sources go through one dense Toeplitz product;
+#: larger ones through an FFT of twice their length.
+_DENSE_BLOCK_MAX = 64
+#: Size in bytes of the padded block one FFT pass transforms; the columns
+#: are taken in chunks that fit it.
+_FFT_CHUNK_BYTES = 1 << 18
+
+
+class _CausalConvolution:
+    """The history sums ``acc[t] = sum_{1 <= s < t} lags[t-s] * src[s]`` over
+    the rows of ``src``, built while the rows are filled one by one
+    (the dyadic scheme of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6, 1985).
+
+    Once row ``j-1`` is filled, ``add(j)`` adds the ``L = j & -j`` sources
+    ``[j-L, j)`` into the targets ``[j, j+L)``.  Each pair ``s < t`` is added
+    exactly once, at the highest bit where ``s`` and ``t`` differ, so
+    ``acc[j]`` is complete after ``add(j)``.  Source 0 never enters.  A block
+    of ``L <= _DENSE_BLOCK_MAX`` is one product with the Toeplitz matrix of
+    lags ``1 .. 2L-1``; a larger one is a circular convolution of length
+    ``2L`` through ``scipy.fft``, over column chunks of at most
+    ``_FFT_CHUNK_BYTES``.  The matrices and lag spectra are cached per ``L``.
+    A block always computes its full ``L`` target rows and drops those past
+    the last row only when adding them, so ``acc[t]`` does not depend on the
+    number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
+    ``L <= len(src) - 1``.  Cost ``O(n log^2 n)`` per column for ``n`` rows.
+    """
+
+    def __init__(self, lags: np.ndarray, src: np.ndarray):
+        self.lags = lags
+        self.src = src
+        self.acc = np.zeros_like(src)
+        self._blocks: dict[int, np.ndarray] = {}
+
+    def _block(self, size: int) -> np.ndarray:
+        """The ``size x size`` Toeplitz matrix of lags, or its ``rfft`` over
+        a period of ``2*size`` (lag 0 set to zero)."""
+        block = self._blocks.get(size)
+        if block is None:
+            if size <= _DENSE_BLOCK_MAX:
+                offsets = np.arange(size)
+                block = self.lags[size + offsets[:, None] - offsets[None, :]]
+            else:
+                period = np.zeros(2 * size)
+                period[1:] = self.lags[1 : 2 * size]
+                block = scipy.fft.rfft(period)
+            self._blocks[size] = block
+        return block
+
+    def add(self, j: int) -> None:
+        size = j & -j
+        first = j - size
+        kept = min(size, self.src.shape[0] - j)
+        targets = self.acc[j : j + kept]
+        if size <= _DENSE_BLOCK_MAX:
+            skip = 1 if first == 0 else 0
+            block = self._block(size)[:, skip:] @ self.src[first + skip : j]
+            targets += block[:kept]
+            return
+        spectrum = self._block(size)[:, None]
+        width = max(1, _FFT_CHUNK_BYTES // (16 * size))
+        for begin in range(0, self.src.shape[1], width):
+            columns = slice(begin, begin + width)
+            padded = np.zeros((2 * size, min(width, self.src.shape[1] - begin)))
+            padded[:size] = self.src[first:j, columns]
+            if first == 0:
+                padded[0] = 0.0
+            transform = scipy.fft.rfft(padded, axis=0, overwrite_x=True)
+            transform *= spectrum
+            targets[:, columns] += scipy.fft.irfft(
+                transform, 2 * size, axis=0, overwrite_x=True
+            )[size : size + kept]
+
+
 def _march(
     problem: ProblemSpec,
     order: FractionalOrder,
@@ -288,10 +367,12 @@ def _march(
     history per grid.
 
     Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Its
-    weights ``c_0 .. c_j`` share ``c_1 .. c_{j-1}`` with the last step's
-    vector, so that vector is built once; only ``c_0`` and the tail
-    ``c_j = a_j - b_j`` change with ``j``.  Cost ``O(nt^2 * nx)`` because the
-    history convolution is recomputed in full each step.
+    weights ``c_0 .. c_j`` share the lag weights ``c_1 .. c_{j-1}`` with
+    every other step, so one lag table serves the run; only ``c_0`` and the
+    tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.  Cost
+    ``O(nt log^2 nt * nx)``: the history term is built by
+    :class:`_CausalConvolution`, which adds each finished block of the last
+    ``L = j & -j`` differences into the next ``L`` steps' history at once.
 
     The grids share the time grid, the callbacks, the history contraction
     and the solve: their interior rows form one block-diagonal system whose
@@ -306,9 +387,11 @@ def _march(
     tau = problem.horizon / nt
     sigma = order.sigma
     scale = _derivative_scale(order, tau)
-    a_table = coeff_a_array(order, nt - 1)
-    b_table = coeff_b_array(order, nt - 1)
-    shared = _assemble_l21sigma(a_table, b_table, nt - 1)
+    # Lags up to 2L-1 of the largest block L <= nt-1, and the tail up to nt-1.
+    n_table = 1 << (nt - 1).bit_length()
+    a_table = coeff_a_array(order, n_table)
+    b_table = coeff_b_array(order, n_table)
+    lags = _assemble_l21sigma(a_table, b_table, n_table)
     tail = a_table - b_table
 
     values = np.zeros((nt + 1, group.x.size))
@@ -317,6 +400,7 @@ def _march(
         values[0, begin:end] = _validate_initial_layer(initial[begin:end], problem)
     # diffs[s] = y^{s+1} - y^s at the interior nodes.
     diffs = np.empty((nt, group.x_int.size))
+    history = _CausalConvolution(lags, diffs)
     # The history term at every node; the boundary entries stay zero.
     conv = np.zeros(group.x.size)
     source_norm_sq = np.zeros(len(group.grids))
@@ -325,10 +409,9 @@ def _march(
         if j == 0:
             c0 = a_table[0]
         else:
-            c0 = shared[0]
-            conv[group.interior] = tail[j] * diffs[0] + np.dot(
-                shared[j - 1 : 0 : -1], diffs[1:j]
-            )
+            c0 = lags[0]
+            history.add(j)
+            conv[group.interior] = tail[j] * diffs[0] + history.acc[j]
         (sub, diag, sup, rhs), phi = step(
             problem, group, (j + sigma) * tau, sigma, scale, c0, values[j], conv
         )

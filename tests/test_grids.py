@@ -1,5 +1,7 @@
 """Unit tests for grids, histories, error norms and convergence orders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,23 @@ def test_error_norms_detects_perturbation():
     summary = error_norms(history, exact)
     assert summary.sup == pytest.approx(0.01)
     assert summary.l2max == pytest.approx(0.5 * 0.01, rel=1e-12)  # sqrt(h)*|v|
+
+
+def test_error_norms_rejects_an_exact_solution_that_does_not_broadcast():
+    """The exact solution is sampled once on the whole mesh; one written for
+    a scalar ``t`` must fail with an error naming ``exact``."""
+    grid = SpaceGrid(n=4, length=1.0)
+    history = SolutionHistory(grid, np.zeros((3, 5)), np.array([0.0, 0.5, 1.0]))
+
+    def scalar_time(xs, t):
+        return np.sin(np.pi * xs) * math.exp(t)
+
+    def wrong_shape(xs, t):
+        return np.zeros(3)
+
+    for exact in (scalar_time, wrong_shape):
+        with pytest.raises(ValueError, match=r"exact\(x, t\) must broadcast"):
+            error_norms(history, exact)
 
 
 def test_convergence_order_recovers_exact_power():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from subdiff import schemes
 from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
 from subdiff.kernels import (
     L1,
@@ -20,6 +21,7 @@ from subdiff.problems import problem_timecoeff_compact, problem_varcoeff_2nd
 from subdiff.schemes import (
     ProblemSpec,
     SchemeCompatibilityError,
+    _CausalConvolution,
     a_priori_bound,
     run_compact,
     run_second_order,
@@ -128,6 +130,74 @@ def test_step_second_order_matches_run_bitwise():
 def test_step_compact_matches_run_bitwise():
     order = FractionalOrder(0.6)
     _replays_prefix_bitwise(run_compact, problem_timecoeff_compact(order), order, 10, 7)
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem",
+    [(run_second_order, problem_varcoeff_2nd), (run_compact, problem_timecoeff_compact)],
+)
+def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
+    """At nt = 200 the block of L = 128 differences takes the FFT path and is
+    clipped at the last step; the full run must still replay the half run."""
+    order = FractionalOrder(0.5)
+    _replays_prefix_bitwise(runner, make_problem(order), order, 10, 200)
+
+
+class _DirectHistory:
+    """Test oracle with the interface of ``_CausalConvolution``: the direct
+    contraction ``acc[j] = sum_{1 <= s < j} lags[j-s] * src[s]``, recomputed
+    in full at each step."""
+
+    def __init__(self, lags, src):
+        self.lags = lags
+        self.src = src
+        self.acc = np.zeros_like(src)
+
+    def add(self, j):
+        self.acc[j] = np.dot(self.lags[j - 1 : 0 : -1], self.src[1:j])
+
+
+def _direct_run(monkeypatch, runner, *args):
+    """The same run with the history term taken by the direct contraction."""
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes, "_CausalConvolution", _DirectHistory)
+        return runner(*args)
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 129, 300, 1000])
+@pytest.mark.parametrize("columns", [1, 7, 40])
+def test_causal_convolution_matches_direct_sum(nt, columns):
+    """Dense and FFT blocks, clipped at ``nt``, add every pair once; with 40
+    columns the block of L = 512 is transformed in two column chunks.  The
+    data are positive, as the L2-1sigma lags are, so each sum is compared
+    entry by entry."""
+    rng = np.random.default_rng(nt * 10 + columns)
+    lags = rng.uniform(0.1, 1.0, size=(1 << (nt - 1).bit_length()) + 1)
+    src = rng.uniform(0.1, 1.0, size=(nt, columns))
+    fast = _CausalConvolution(lags, src)
+    direct = _DirectHistory(lags, src)
+    for j in range(1, nt):
+        fast.add(j)
+        direct.add(j)
+    np.testing.assert_allclose(fast.acc, direct.acc, rtol=1e-13, atol=0.0)
+
+
+def test_compact_group_matches_direct_history(monkeypatch):
+    order = FractionalOrder(0.6)
+    problem = problem_timecoeff_compact(order)
+    fast = run_compact(problem, order, (4, 8, 16), 300)
+    direct = _direct_run(monkeypatch, run_compact, problem, order, (4, 8, 16), 300)
+    for ours, theirs in zip(fast, direct):
+        np.testing.assert_allclose(ours.values, theirs.values, rtol=1e-13, atol=0.0)
+
+
+def test_second_order_matches_direct_history(monkeypatch):
+    order = FractionalOrder(0.4)
+    problem = problem_varcoeff_2nd(order)
+    fast = run_second_order(problem, order, 16, 300)
+    direct = _direct_run(monkeypatch, run_second_order, problem, order, 16, 300)
+    np.testing.assert_allclose(fast.values, direct.values, rtol=1e-13, atol=0.0)
+
 
 def _assert_group_matches_single_runs(runner, problem, order, nxs, nt):
     """Grids marched together reproduce their one-grid runs; the wider
@@ -354,6 +424,24 @@ def test_non_finite_layer_is_rejected(runner):
 
     with pytest.raises(ValueError, match=r"layer 3 \(t=0\.75\)"):
         runner(_constant_problem(1.0, f), order, 8, 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_non_finite_layer_is_rejected_past_fft_blocks(runner, monkeypatch):
+    """At nt = 512 the NaN source from t = 0.5 on enters FFT blocks; the run
+    must name the same first bad layer (257) as the direct contraction."""
+    order = FractionalOrder(0.5)
+
+    def f(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+
+    problem = _constant_problem(1.0, f)
+    with pytest.raises(ValueError, match=r"layer 257 ") as fast:
+        runner(problem, order, 8, 512)
+    with pytest.raises(ValueError) as direct:
+        _direct_run(monkeypatch, runner, problem, order, 8, 512)
+    assert str(fast.value) == str(direct.value)
 
 
 def test_problem_spec_validation():
