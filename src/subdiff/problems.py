@@ -147,23 +147,23 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
     gamma_3a = math.gamma(3.0 - alpha)
     exact, _ = _timecoeff_exact_factory()
 
-    def k_time(t: float) -> float:
-        return math.exp(t)
+    def k_time(t):
+        return np.exp(t)
 
-    def q_time(t: float) -> float:
-        return 1.0 - math.sin(2.0 * t)
+    def q_time(t):
+        return 1.0 - np.sin(2.0 * t)
 
     def k(x, t):
-        return math.exp(t) * np.ones_like(np.asarray(x, dtype=float))
+        return np.exp(t) * np.ones_like(np.asarray(x, dtype=float))
 
     def q(x, t):
-        return (1.0 - math.sin(2.0 * t)) * np.ones_like(np.asarray(x, dtype=float))
+        return (1.0 - np.sin(2.0 * t)) * np.ones_like(np.asarray(x, dtype=float))
 
     def f(x, t):
         x = np.asarray(x, dtype=float)
         bracket = (
-            np.pi**2 * t**2 * math.exp(t)
-            + t**2 * (1.0 - math.sin(2.0 * t))
+            np.pi**2 * t**2 * np.exp(t)
+            + t**2 * (1.0 - np.sin(2.0 * t))
             + 2.0 * t ** (2.0 - alpha) / gamma_3a
         )
         return bracket * np.sin(np.pi * x)

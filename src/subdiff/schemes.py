@@ -11,7 +11,7 @@ space-and-time-dependent coefficients, and a compact fourth-order scheme
 (``O(h^4 + tau^2)``) for time-only coefficients.  Both collocate the time
 operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
 ``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and differ
-only in the spatial assembler it calls each step.
+only in the spatial assembler it calls for each block of steps.
 
 The module also evaluates the a priori solution bound of a finished run.  The
 weight inequalities and the energy inequalities behind it are checked in
@@ -46,12 +46,20 @@ __all__ = [
     "run_second_order",
 ]
 
-SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
-TimeFn = Callable[[float], float]
-#: ``(sub, diag, sup, rhs)`` rows of one step's interior system.
-TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-#: A spatial assembler: one step's rows and the source it formed.
-Assembler = Callable[..., tuple[TridiagonalRows, np.ndarray]]
+#: ``f(x, t)``: ``x`` and ``t`` are arrays that broadcast against each other.
+SpaceTimeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``g(t)`` over an array of times ``t``.
+TimeFn = Callable[[np.ndarray], np.ndarray]
+#: ``(sub, diag, sup)`` rows of the interior systems of a block of steps, one
+#: row per step.
+TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: The right-hand side of step ``i`` of a block from ``y^j`` and the history
+#: term at every node: ``rhs(i, y_full, conv)``.
+StepRhs = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+#: A spatial assembler: for a block of collocation times it returns the rows
+#: of every step, the source each step's right-hand side takes in, and the
+#: per-step right-hand side.
+Assembler = Callable[..., tuple[TridiagonalRows, np.ndarray, StepRhs]]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -68,10 +76,17 @@ class ProblemSpec:
     a priori estimate.  The compact scheme additionally needs the coefficients
     as functions of time only (``k_time``/``q_time``); leave them ``None`` for
     genuinely space-dependent coefficients.  ``exact``, when given, is the
-    exact solution; it must broadcast over ``t`` as numpy ufuncs do, because
-    :func:`subdiff.grids.error_norms` samples it once on the whole mesh with
-    ``x`` of shape ``(1, n+1)`` and ``t`` of shape ``(layers, 1)`` (write
-    ``np.exp(t)``, not ``math.exp(t)``).
+    exact solution.
+
+    Every callback of ``t`` must broadcast over an array of times as numpy
+    ufuncs do (write ``np.exp(t)``, not ``math.exp(t)``, and
+    ``np.where(t > s, ...)``, not ``if t > s``).  The runners sample ``k``,
+    ``q`` and ``f`` once per block of steps with ``x`` of shape ``(1, m)``
+    and ``t`` of shape ``(steps, 1)``, and ``k_time``/``q_time`` with ``t`` of
+    shape ``(steps,)``; :func:`subdiff.grids.error_norms` samples ``exact``
+    once on the whole mesh with ``t`` of shape ``(layers, 1)``.  A result
+    that only depends on some of the axes, or a constant, is broadcast to the
+    full shape.
     """
 
     k: SpaceTimeFn
@@ -98,19 +113,42 @@ class ProblemSpec:
         return self.k_time is not None and self.q_time is not None
 
 
-def _dominance_guard(margin: float, context: str) -> None:
-    if not margin > 0.0:
-        raise ArithmeticError(
-            f"diagonal dominance lost in {context}: margin {margin!r}"
-        )
-
-
-def _diffusivity_guard(problem: ProblemSpec, k_min: float, t: float) -> None:
-    if not k_min >= problem.c1:
+def _sample(fn: Callable, name: str, *args: np.ndarray) -> np.ndarray:
+    """``fn(*args)`` broadcast to the common shape of ``args``; a callback
+    that does not broadcast over an array of times raises a ``ValueError``
+    naming it."""
+    shape = np.broadcast_shapes(*(arg.shape for arg in args))
+    try:
+        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+    except (TypeError, ValueError) as error:
+        signature = "(x, t)" if len(args) == 2 else "(t)"
         raise ValueError(
-            f"diffusivity sampled at t={t!r} has minimum {k_min!r}, "
+            f"{name}{signature} must broadcast over an array of times t: {error}"
+        ) from error
+
+
+def _coefficient_guard(
+    problem: ProblemSpec, times: np.ndarray, k_min: np.ndarray, q_min: np.ndarray
+) -> None:
+    """Reject the first step of a block whose diffusivity falls below ``c1``
+    or whose reaction coefficient is negative (NaN included).  With
+    ``k >= c1 > 0`` and ``q >= 0`` every system is strictly diagonally
+    dominant."""
+    k_bad = ~(k_min >= problem.c1)
+    bad = k_bad | ~(q_min >= 0.0)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    t = float(times[i])
+    if k_bad[i]:
+        raise ValueError(
+            f"diffusivity sampled at t={t!r} has minimum {float(k_min[i])!r}, "
             f"below the declared floor c1={problem.c1!r}"
         )
+    raise ValueError(
+        f"reaction coefficient sampled at t={t!r} has minimum {float(q_min[i])!r}, "
+        "below zero"
+    )
 
 
 class _GridGroup:
@@ -144,7 +182,6 @@ class _GridGroup:
             raise ValueError("need at least one grid")
         self.grids = tuple(SpaceGrid(n=nx, length=length) for nx in nxs)
         self.h = np.array([grid.h for grid in self.grids])
-        self.h_sq_max = float(np.max(self.h * self.h))
         sizes = np.array([grid.n - 1 for grid in self.grids])
         #: First and last interior row of each grid's block.
         self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -167,47 +204,49 @@ class _GridGroup:
         self.x_int = self.x[self.interior]
 
 
-def _second_order_core(
+def _second_order_block(
     problem: ProblemSpec,
     group: _GridGroup,
-    t: float,
+    times: np.ndarray,
     sigma: float,
     scale: float,
-    c0: float,
-    y_full: np.ndarray,
-    conv: np.ndarray,
-) -> tuple[TridiagonalRows, np.ndarray]:
-    """Assemble one step of the second-order scheme at ``t = t_{j+sigma}``.
+    c0: np.ndarray,
+) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
+    """Assemble a block of steps of the second-order scheme, step ``i`` at
+    ``t = times[i]`` with weight ``c0[i]``.
 
-    The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``;
-    ``conv`` is the history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at
-    every node (zero on the boundary).  Returns the ``(sub, diag, sup, rhs)``
-    rows of the interior system and the source at the interior nodes.
+    The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``.
+    Returns the rows of every step, the source at the interior nodes, and
+    the right-hand side of step ``i``, where ``conv`` is the history term
+    ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at every node (zero on the
+    boundary).
     """
-    x_int = group.x_int
-    a_half = np.asarray(problem.k(group.midpoints, t), dtype=float)
-    d_int = np.asarray(problem.q(x_int, t), dtype=float)
-    phi_int = np.asarray(problem.f(x_int, t), dtype=float)
-    _diffusivity_guard(problem, float(a_half.min()), t)
-    m = scale * c0
-    y_int = y_full[group.interior]
+    x_int = group.x_int[None, :]
+    t = times[:, None]
+    a_half = _sample(problem.k, "k", group.midpoints[None, :], t)
+    d_int = _sample(problem.q, "q", x_int, t)
+    phi_int = _sample(problem.f, "f", x_int, t)
+    _coefficient_guard(problem, times, a_half.min(axis=1), d_int.min(axis=1))
     h_sq = group.h_sq
-    a_left = a_half[:-1][group.pairs]
-    a_right = a_half[1:][group.pairs]
-
-    flux = a_half * np.diff(y_full)[group.intervals]
-    spatial = (flux[1:] - flux[:-1])[group.pairs] / h_sq - d_int * y_int
-    rhs = (
-        scale * (c0 * y_int - conv[group.interior])
-        + (1.0 - sigma) * spatial
-        + phi_int
-    )
-
-    diag = m + sigma * (a_left + a_right) / h_sq + sigma * d_int
+    a_left = a_half[:, :-1][:, group.pairs]
+    a_right = a_half[:, 1:][:, group.pairs]
+    diag = (scale * c0)[:, None] + sigma * (a_left + a_right) / h_sq + sigma * d_int
     sub = -sigma * a_left / h_sq
     sup = -sigma * a_right / h_sq
-    _dominance_guard(float(m + sigma * d_int.min()), "second-order step")
-    return (sub, diag, sup, rhs), phi_int
+    # A Python float scales a small array faster than a numpy scalar does.
+    c0_step = c0.tolist()
+
+    def rhs(i: int, y_full: np.ndarray, conv: np.ndarray) -> np.ndarray:
+        y_int = y_full[group.interior]
+        flux = a_half[i] * np.diff(y_full)[group.intervals]
+        spatial = (flux[1:] - flux[:-1])[group.pairs] / h_sq - d_int[i] * y_int
+        return (
+            scale * (c0_step[i] * y_int - conv[group.interior])
+            + (1.0 - sigma) * spatial
+            + phi_int[i]
+        )
+
+    return (sub, diag, sup), phi_int, rhs
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -216,54 +255,50 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
     return (values[..., :-2] + 10.0 * values[..., 1:-1] + values[..., 2:]) / 12.0
 
 
-def _compact_core(
+def _compact_block(
     problem: ProblemSpec,
     group: _GridGroup,
-    t: float,
+    times: np.ndarray,
     sigma: float,
     scale: float,
-    c0: float,
-    y_full: np.ndarray,
-    conv: np.ndarray,
-) -> tuple[TridiagonalRows, np.ndarray]:
-    """Assemble one step of the compact scheme from the time-only
+    c0: np.ndarray,
+) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
+    """Assemble a block of steps of the compact scheme from the time-only
     coefficients ``k_time(t)``, ``q_time(t)``.  The source and the history
     term enter under the mass operator, which reads ``f`` at the boundary
     nodes as well; the mass-averaged source is returned with the rows."""
-    a = float(problem.k_time(t))
-    d = float(problem.q_time(t))
-    phi_full = np.asarray(problem.f(group.x, t), dtype=float)
-    _diffusivity_guard(problem, a, t)
-    m = scale * c0
+    a = _sample(problem.k_time, "k_time", times)
+    d = _sample(problem.q_time, "q_time", times)
+    phi_full = _sample(problem.f, "f", group.x[None, :], times[:, None])
+    _coefficient_guard(problem, times, a, d)
     rows = group.rows
     h_sq = group.h_sq
+    mass_phi = _mass_average(phi_full)[:, rows]
 
-    mass_phi = _mass_average(phi_full)[rows]
-    mass_y = _mass_average(y_full)[rows]
-    laplace_y = (y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:])[rows]
-    mass_conv = _mass_average(conv)[rows]
+    reaction = (scale * c0 + sigma * d)[:, None]
+    diag = reaction * (10.0 / 12.0) + 2.0 * sigma * a[:, None] / h_sq
+    sub = reaction / 12.0 - sigma * a[:, None] / h_sq
+    a_step, d_step, c0_step = a.tolist(), d.tolist(), c0.tolist()
 
-    spatial_old = a * laplace_y / h_sq - d * mass_y
-    rhs = scale * (c0 * mass_y - mass_conv) + (1.0 - sigma) * spatial_old + mass_phi
+    def rhs(i: int, y_full: np.ndarray, conv: np.ndarray) -> np.ndarray:
+        mass_y = _mass_average(y_full)[rows]
+        laplace_y = (y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:])[rows]
+        mass_conv = _mass_average(conv)[rows]
+        spatial_old = a_step[i] * laplace_y / h_sq - d_step[i] * mass_y
+        return (
+            scale * (c0_step[i] * mass_y - mass_conv)
+            + (1.0 - sigma) * spatial_old
+            + mass_phi[i]
+        )
 
-    reaction = m + sigma * d
-    diag_value = reaction * (10.0 / 12.0) + 2.0 * sigma * a / h_sq
-    off_value = reaction / 12.0 - sigma * a / h_sq
-    # a >= c1 > 0 here, so the coarsest grid has the smallest margin.
-    _dominance_guard(
-        min(reaction, (2.0 / 3.0) * reaction + 4.0 * sigma * a / group.h_sq_max),
-        "compact step",
-    )
-    n = rhs.size
-    rows_out = (np.full(n, off_value), np.full(n, diag_value), np.full(n, off_value), rhs)
-    return rows_out, mass_phi
+    return (sub, diag, sub.copy()), mass_phi, rhs
 
 
 #: The spatial assembler of each scheme, by the name a run records in
 #: ``SolutionHistory.scheme``.
 _ASSEMBLERS: dict[str, Assembler] = {
-    "second": _second_order_core,
-    "compact": _compact_core,
+    "second": _second_order_block,
+    "compact": _compact_block,
 }
 
 
@@ -283,9 +318,10 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
 #: Blocks of up to this many sources go through one dense Toeplitz product;
 #: larger ones through an FFT of twice their length.
 _DENSE_BLOCK_MAX = 64
-#: Size in bytes of the padded block one FFT pass transforms; the columns
-#: are taken in chunks that fit it.
-_FFT_CHUNK_BYTES = 1 << 18
+#: Working-set budget in bytes: the padded block one FFT pass transforms
+#: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
+#: block of sampled data (the steps are taken in blocks that fit it).
+_CHUNK_BYTES = 1 << 18
 
 
 class _CausalConvolution:
@@ -301,7 +337,7 @@ class _CausalConvolution:
     of ``L <= _DENSE_BLOCK_MAX`` is one product with the Toeplitz matrix of
     lags ``1 .. 2L-1``; a larger one is a circular convolution of length
     ``2L`` through ``scipy.fft``, over column chunks of at most
-    ``_FFT_CHUNK_BYTES``.  The matrices and lag spectra are cached per ``L``.
+    ``_CHUNK_BYTES``.  The matrices and lag spectra are cached per ``L``.
     A block always computes its full ``L`` target rows and drops those past
     the last row only when adding them, so ``acc[t]`` does not depend on the
     number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
@@ -340,7 +376,7 @@ class _CausalConvolution:
             targets += block[:kept]
             return
         spectrum = self._block(size)[:, None]
-        width = max(1, _FFT_CHUNK_BYTES // (16 * size))
+        width = max(1, _CHUNK_BYTES // (16 * size))
         for begin in range(0, self.src.shape[1], width):
             columns = slice(begin, begin + width)
             padded = np.zeros((2 * size, min(width, self.src.shape[1] - begin)))
@@ -374,6 +410,13 @@ def _march(
     :class:`_CausalConvolution`, which adds each finished block of the last
     ``L = j & -j`` differences into the next ``L`` steps' history at once.
 
+    Nothing but the right-hand side depends on the solution, so the steps
+    are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the assembler
+    samples the callbacks once per block, on an array of the block's
+    collocation times, checks ``k >= c1`` and ``q >= 0`` and builds the rows
+    and the source of every step of the block; each step then forms only its
+    right-hand side from ``y^j`` and the history term before the solve.
+
     The grids share the time grid, the callbacks, the history contraction
     and the solve: their interior rows form one block-diagonal system whose
     couplings across two blocks are zeroed, so ``dgtsv`` eliminates each
@@ -382,7 +425,7 @@ def _march(
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
-    step = _ASSEMBLERS[scheme]
+    assemble = _ASSEMBLERS[scheme]
     group = _GridGroup(problem.length, nxs)
     tau = problem.horizon / nt
     sigma = order.sigma
@@ -392,41 +435,42 @@ def _march(
     a_table = coeff_a_array(order, n_table)
     b_table = coeff_b_array(order, n_table)
     lags = _assemble_l21sigma(a_table, b_table, n_table)
-    tail = a_table - b_table
+    tail = (a_table - b_table).tolist()
 
     values = np.zeros((nt + 1, group.x.size))
     initial = np.asarray(problem.u0(group.x), dtype=float)
     for begin, end in group.spans:
         values[0, begin:end] = _validate_initial_layer(initial[begin:end], problem)
-    # diffs[s] = y^{s+1} - y^s at the interior nodes.
-    diffs = np.empty((nt, group.x_int.size))
+    # diffs[s] = y^{s+1} - y^s at every node; the boundary columns stay zero,
+    # and so do those of the history term.
+    diffs = np.zeros((nt, group.x.size))
     history = _CausalConvolution(lags, diffs)
-    # The history term at every node; the boundary entries stay zero.
     conv = np.zeros(group.x.size)
     source_norm_sq = np.zeros(len(group.grids))
+    block_steps = max(1, _CHUNK_BYTES // (8 * group.x.size))
 
-    for j in range(nt):
-        if j == 0:
-            c0 = a_table[0]
-        else:
-            c0 = lags[0]
-            history.add(j)
-            conv[group.interior] = tail[j] * diffs[0] + history.acc[j]
-        (sub, diag, sup, rhs), phi = step(
-            problem, group, (j + sigma) * tau, sigma, scale, c0, values[j], conv
+    for first in range(0, nt, block_steps):
+        steps = np.arange(first, min(first + block_steps, nt))
+        c0 = np.where(steps == 0, a_table[0], lags[0])
+        (sub, diag, sup), phi, rhs = assemble(
+            problem, group, (steps + sigma) * tau, sigma, scale, c0
         )
         np.maximum(
             source_norm_sq,
-            group.h * np.add.reduceat(phi * phi, group.starts),
+            (group.h * np.add.reduceat(phi * phi, group.starts, axis=1)).max(axis=0),
             out=source_norm_sq,
         )
-        # Decouple the blocks (a lone grid's first sub and last sup entries
-        # are ignored by the solver anyway).
-        sub[group.starts] = 0.0
-        sup[group.lasts] = 0.0
-        interior = _solve_core(sub, diag, sup, rhs)
-        values[j + 1, group.interior] = interior
-        diffs[j] = interior - values[j, group.interior]
+        # Decouple the grids' blocks of rows (a lone grid's first sub and
+        # last sup entries are ignored by the solver anyway).
+        sub[:, group.starts] = 0.0
+        sup[:, group.lasts] = 0.0
+        for i, j in enumerate(steps.tolist()):
+            if j > 0:
+                history.add(j)
+                conv = tail[j] * diffs[0] + history.acc[j]
+            system = sub[i], diag[i], sup[i], rhs(i, values[j], conv)
+            values[j + 1, group.interior] = _solve_core(*system)
+            np.subtract(values[j + 1], values[j], out=diffs[j])
 
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])

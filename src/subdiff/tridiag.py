@@ -2,11 +2,11 @@
 
 Each system goes to LAPACK's ``dgtsv`` (through ``scipy.linalg.lapack``):
 Gaussian elimination with partial pivoting.  Every system the schemes
-assemble is symmetric and strictly diagonally dominant (the dominance is
-asserted during assembly), so each pivot exceeds the next row's subdiagonal
-entry, the pivoting never swaps rows, and the elimination is the Thomas
-algorithm.  A zero or denormal pivot indicates a bug and is surfaced as an
-error rather than repaired.
+assemble is symmetric and strictly diagonally dominant (it follows from
+``k >= c1 > 0`` and ``q >= 0``, which assembly checks), so each pivot exceeds
+the next row's subdiagonal entry, the pivoting never swaps rows, and the
+elimination is the Thomas algorithm.  A zero or denormal pivot indicates a
+bug and is surfaced as an error rather than repaired.
 """
 
 from __future__ import annotations

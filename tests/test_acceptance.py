@@ -278,7 +278,7 @@ def _random_smooth_problem(rng):
         x = np.asarray(x, dtype=float)
         return f_amps[0] * np.sin(np.pi * x) * (1.0 + t) + f_amps[1] * np.sin(
             2.0 * np.pi * x
-        ) * math.exp(-t)
+        ) * np.exp(-t)
 
     return ProblemSpec(
         k=lambda x, t: k0 * np.ones_like(np.asarray(x, dtype=float)),

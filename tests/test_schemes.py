@@ -3,6 +3,7 @@ probes."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,8 +331,9 @@ def test_initial_layer_must_vanish_at_endpoints():
 
 
 def test_dominance_guard_trips_on_negative_reaction():
-    """A large negative reaction coefficient destroys diagonal dominance; the
-    assembly must refuse rather than silently produce garbage."""
+    """A negative reaction coefficient breaks the stability assumption
+    ``q >= 0`` (and, large enough, diagonal dominance); the assembly must
+    refuse with the time and the minimum rather than produce garbage."""
     order = FractionalOrder(0.5)
 
     def ones(x, t):
@@ -348,9 +350,10 @@ def test_dominance_guard_trips_on_negative_reaction():
         k_time=lambda t: 1.0,
         q_time=lambda t: -50.0,
     )
-    with pytest.raises(ArithmeticError):
+    message = r"reaction coefficient sampled at t=0\.1875 has minimum -50\.0, below zero"
+    with pytest.raises(ValueError, match=message):
         run_second_order(problem, order, 8, 4)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match=message):
         run_compact(problem, order, 8, 4)
 
 
@@ -382,8 +385,8 @@ def test_diffusivity_below_declared_floor_is_rejected(runner):
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
 def test_grouped_runs_keep_the_guards(runner):
-    """A diffusivity below c1 or a lost dominance raises on a group of grids
-    as it does on one grid."""
+    """A diffusivity below c1 or a negative reaction coefficient raises on a
+    group of grids as it does on one grid."""
     order = FractionalOrder(0.5)
     with pytest.raises(ValueError, match=r"t=0\.1875.*minimum 0\.5.*c1=1\.0"):
         runner(_constant_problem(0.5), order, (8, 4, 16), 4)
@@ -392,8 +395,130 @@ def test_grouped_runs_keep_the_guards(runner):
         q=lambda x, t: -50.0 * np.ones_like(np.asarray(x, dtype=float)),
         q_time=lambda t: -50.0,
     )
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match=r"t=0\.1875 has minimum -50\.0, below zero"):
         runner(problem, order, (8, 4, 16), 4)
+
+
+def _late_switch(early, late):
+    """A value that jumps from ``early`` to ``late`` once ``t > 0.6``; at
+    alpha = 0.5 and nt = 8 the first step past it is j = 5, t = 0.71875."""
+    return lambda t: np.where(t > 0.6, late, early)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_reaction_turning_negative_late_is_rejected(runner):
+    order = FractionalOrder(0.5)
+    q_time = _late_switch(0.0, -1.0)
+    problem = dataclasses.replace(
+        _constant_problem(1.0), q=lambda x, t: q_time(t), q_time=q_time
+    )
+    message = r"^reaction coefficient sampled at t=0\.71875 has minimum -1\.0, below zero"
+    with pytest.raises(ValueError, match=message):
+        runner(problem, order, 8, 8)
+
+
+def _nodes(nx):
+    return sum(n + 1 for n in (nx if isinstance(nx, tuple) else (nx,)))
+
+
+def _block_length(patch, nx, steps):
+    """Make a march over the grids ``nx`` take its steps in blocks of
+    ``steps``."""
+    patch.setattr(schemes, "_CHUNK_BYTES", 8 * _nodes(nx) * steps)
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem, nx",
+    [
+        (run_second_order, problem_varcoeff_2nd, 10),
+        (run_compact, problem_timecoeff_compact, 10),
+        (run_compact, problem_timecoeff_compact, (4, 8, 16)),
+    ],
+)
+@pytest.mark.parametrize("steps", [1, 3])
+def test_block_boundaries_do_not_change_the_numbers(
+    runner, make_problem, nx, steps, monkeypatch
+):
+    """The callbacks are sampled once per block of steps.  By default the
+    200 steps fit one block; blocks of 1 and 3 steps must give every layer
+    and the recorded source norm bitwise."""
+    order = FractionalOrder(0.5)
+    problem = make_problem(order)
+    assert schemes._CHUNK_BYTES // (8 * _nodes(nx)) >= 200
+    default = runner(problem, order, nx, 200)
+    with monkeypatch.context() as patch:
+        _block_length(patch, nx, steps)
+        blocked = runner(problem, order, nx, 200)
+    if not isinstance(nx, tuple):
+        default, blocked = (default,), (blocked,)
+    for ours, theirs in zip(blocked, default):
+        assert np.array_equal(ours.values, theirs.values)
+        assert ours.source_norm_sq == theirs.source_norm_sq
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_diffusivity_guard_names_the_step_in_a_later_block(runner, monkeypatch):
+    """In blocks of 3 steps the first diffusivity below c1 (step 5) lies in
+    the second block; it is reported with that step's time."""
+    order = FractionalOrder(0.5)
+    k_time = _late_switch(1.0, 0.5)
+    problem = dataclasses.replace(
+        _constant_problem(1.0),
+        k=lambda x, t: k_time(t) * np.ones_like(np.asarray(x, dtype=float)),
+        k_time=k_time,
+    )
+    _block_length(monkeypatch, 8, 3)
+    with pytest.raises(
+        ValueError,
+        match=r"^diffusivity sampled at t=0\.71875 has minimum 0\.5, "
+        r"below the declared floor c1=1\.0$",
+    ):
+        runner(problem, order, 8, 8)
+
+
+#: Functions written for a scalar ``t``, all >= 1: a ``math`` call and a
+#: branch.
+_SCALAR_ONLY = {
+    "math": lambda t: math.exp(t),
+    "branch": lambda t: 1.0 if t > 0.5 else 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "runner, name",
+    [(run_second_order, name) for name in ("k", "q", "f")]
+    + [(run_compact, name) for name in ("k_time", "q_time", "f")],
+)
+@pytest.mark.parametrize("style", sorted(_SCALAR_ONLY))
+def test_callbacks_that_do_not_broadcast_are_rejected(runner, name, style):
+    order = FractionalOrder(0.5)
+    g = _SCALAR_ONLY[style]
+    if name.endswith("_time"):
+        callback, signature = g, "(t)"
+    else:
+        callback, signature = (lambda x, t: g(t) + 0.0 * x), "(x, t)"
+    problem = dataclasses.replace(_constant_problem(1.0), **{name: callback})
+    message = f"{name}{signature} must broadcast over an array of times t"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runner(problem, order, 8, 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_constant_callbacks_are_broadcast(runner):
+    """A callback that returns a plain number serves every node and time."""
+    order = FractionalOrder(0.5)
+    constant = dataclasses.replace(
+        _constant_problem(1.0),
+        k=lambda x, t: 1.0,
+        q=lambda x, t: 0.0,
+        f=lambda x, t: 0.0,
+        k_time=lambda t: 1.0,
+        q_time=lambda t: 0.0,
+    )
+    ours = runner(constant, order, 8, 6)
+    theirs = runner(_constant_problem(1.0), order, 8, 6)
+    assert np.array_equal(ours.values, theirs.values)
+    assert ours.source_norm_sq == theirs.source_norm_sq == 0.0
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -419,8 +544,7 @@ def test_non_finite_layer_is_rejected(runner):
     order = FractionalOrder(0.5)
 
     def f(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+        return np.where(t > 0.5, np.nan, 0.0)
 
     with pytest.raises(ValueError, match=r"layer 3 \(t=0\.75\)"):
         runner(_constant_problem(1.0, f), order, 8, 4)
@@ -433,8 +557,7 @@ def test_non_finite_layer_is_rejected_past_fft_blocks(runner, monkeypatch):
     order = FractionalOrder(0.5)
 
     def f(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+        return np.where(t > 0.5, np.nan, 0.0)
 
     problem = _constant_problem(1.0, f)
     with pytest.raises(ValueError, match=r"layer 257 ") as fast:
