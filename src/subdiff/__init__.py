@@ -29,7 +29,6 @@ from .kernels import (
     WeightVector,
     apply,
     audit_weight_family,
-    audit_weights,
     caputo_power_rule,
     caputo_reference,
     energy_inequality_probe,
@@ -82,7 +81,6 @@ __all__ = [
     "a_priori_bound",
     "apply",
     "audit_weight_family",
-    "audit_weights",
     "caputo_power_rule",
     "caputo_reference",
     "convergence_order",

@@ -41,7 +41,6 @@ __all__ = [
     "WeightVector",
     "apply",
     "audit_weight_family",
-    "audit_weights",
     "caputo_power_rule",
     "caputo_reference",
     "coeff_a_array",
@@ -72,28 +71,24 @@ class FractionalOrder:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Convolution weights for one target index of a discrete Caputo operator.
+    """Convolution weights for one target index ``j`` of a discrete Caputo
+    operator.
 
-    ``coefficients[m]`` is the weight of the backward difference ``m`` intervals
-    before the newest one; ``coefficients[0]`` always multiplies
-    ``u^{j+1} - u^j``.  ``scale`` converts the weighted difference sum into the
-    derivative approximation.
+    ``coefficients`` holds ``c_0 .. c_j``: ``coefficients[m]`` is the weight of
+    the backward difference ``m`` intervals before the newest one, so
+    ``coefficients[0]`` always multiplies ``u^{j+1} - u^j``.  ``scale``
+    converts the weighted difference sum into the derivative approximation.
     """
 
-    kind: str
-    order: FractionalOrder
-    target_index: int
-    tau: float
     coefficients: np.ndarray
     scale: float
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size != self.target_index + 1:
+        coeffs = np.array(self.coefficients, dtype=float)
+        if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError(
-                f"expected {self.target_index + 1} coefficients, got shape {coeffs.shape}"
+                f"expected a nonempty 1-D coefficient array, got shape {coeffs.shape}"
             )
-        coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -213,14 +208,8 @@ def weights(order: FractionalOrder, j: int, tau: float) -> WeightVector:
         raise ValueError(f"step size must be positive, got {tau}")
     a = coeff_a_array(order, j)
     b = coeff_b_array(order, j)
-    c = _assemble_l21sigma(a, b, j)
     return WeightVector(
-        kind=L21SIGMA,
-        order=order,
-        target_index=j,
-        tau=tau,
-        coefficients=c,
-        scale=_derivative_scale(order, tau),
+        coefficients=_assemble_l21sigma(a, b, j), scale=_derivative_scale(order, tau)
     )
 
 
@@ -240,12 +229,7 @@ def weights_l1(order: FractionalOrder, j: int, tau: float) -> WeightVector:
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
     return WeightVector(
-        kind=L1,
-        order=order,
-        target_index=j,
-        tau=tau,
-        coefficients=_l1_coefficients(order, j),
-        scale=_derivative_scale(order, tau),
+        coefficients=_l1_coefficients(order, j), scale=_derivative_scale(order, tau)
     )
 
 
@@ -256,11 +240,11 @@ def apply(weight_vector: WeightVector, series: Sequence[float]) -> float:
     approximation at ``t_{j+sigma}`` (``l21sigma``) or ``t_{j+1}`` (``l1``).
     """
     values = np.asarray(series, dtype=float)
-    expected = weight_vector.target_index + 2
+    expected = weight_vector.coefficients.size + 1
     if values.ndim != 1 or values.size != expected:
         raise ValueError(
             f"series must hold {expected} samples for target index "
-            f"{weight_vector.target_index}, got shape {values.shape}"
+            f"{expected - 2}, got shape {values.shape}"
         )
     diffs = np.diff(values)
     return weight_vector.scale * float(np.dot(weight_vector.coefficients[::-1], diffs))
@@ -332,7 +316,7 @@ class AuditCheck:
 
 @dataclass(frozen=True)
 class WeightAudit:
-    """Collection of inequality checks on one weight vector or a whole family."""
+    """The inequality checks on a whole weight family."""
 
     checks: tuple[AuditCheck, ...]
 
@@ -356,64 +340,22 @@ def _finish_check(name: str, margins: np.ndarray | float) -> AuditCheck:
     return AuditCheck(name=name, passed=margin > -AUDIT_TOLERANCE, margin=margin)
 
 
-def _ratio_checks(
-    order: FractionalOrder, a: np.ndarray, b: np.ndarray
-) -> list[AuditCheck]:
-    """Bounds on ``kappa_s = b_s/a_s + 1/2``: it must lie in
-    ``(1/2, 1/(2-alpha))`` for every ``s >= 1``."""
-    if a.size <= 1:
-        return [
-            _finish_check("correction_ratio_lower", np.empty(0)),
-            _finish_check("correction_ratio_upper", np.empty(0)),
-        ]
-    kappa = b[1:] / a[1:] + 0.5
-    upper = 1.0 / (2.0 - order.alpha)
-    return [
-        _finish_check("correction_ratio_lower", kappa - 0.5),
-        _finish_check("correction_ratio_upper", upper - kappa),
-    ]
-
-
-def audit_weights(weight_vector: WeightVector) -> WeightAudit:
-    """Check the provable inequalities on a single weight vector.
+def audit_weight_family(
+    order: FractionalOrder, j_max: int, kind: str = L21SIGMA
+) -> WeightAudit:
+    """Check the provable inequalities on every weight vector with target
+    index ``j <= j_max`` at once, in ``O(j_max)`` time.
 
     For ``l21sigma``: positivity, strict decrease, the tail lower bound
     ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the blend gate
     ``(2*sigma-1)*c_0 - sigma*c_1 > 0``, and the correction-ratio bounds
     ``1/2 < b_s/a_s + 1/2 < 1/(2-alpha)``.  For ``l1``: positivity and strict
-    decrease only.
-    """
-    order = weight_vector.order
-    c = weight_vector.coefficients
-    j = weight_vector.target_index
-    checks = [
-        _finish_check("positivity", c),
-        _finish_check("monotone_decrease", c[:-1] - c[1:]),
-    ]
-    if weight_vector.kind == L21SIGMA:
-        alpha, sigma = order.alpha, order.sigma
-        bound = 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha)
-        checks.append(_finish_check("tail_lower_bound", c[-1] - bound))
-        gate = (
-            (2.0 * sigma - 1.0) * c[0] - sigma * c[1] if j >= 1 else np.empty(0)
-        )
-        checks.append(_finish_check("blend_gate", gate))
-        a = coeff_a_array(order, j)
-        b = coeff_b_array(order, j)
-        checks.extend(_ratio_checks(order, a, b))
-    return WeightAudit(checks=tuple(checks))
+    decrease only.  Each check reports its worst margin over the family.
 
-
-def audit_weight_family(
-    order: FractionalOrder, j_max: int, kind: str = L21SIGMA
-) -> WeightAudit:
-    """Audit every target index ``j <= j_max`` at once in ``O(j_max)`` time.
-
-    For the shifted-collocation family only the head (``c_0``) and tail
-    (``c_j``) entries depend on ``j``; interior entries are shared.  Worst
-    margins over the whole family therefore reduce to a handful of vectorized
-    comparisons, and the reported margins equal the minima that per-``j``
-    :func:`audit_weights` calls would produce.
+    Of the ``l21sigma`` vector for index ``j``, only the tail entry ``c_j``
+    depends on ``j``; the entries before it are shared by every longer
+    vector, so the worst margins reduce to a handful of vectorized
+    comparisons.
     """
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
@@ -431,52 +373,34 @@ def audit_weight_family(
     alpha, sigma = order.alpha, order.sigma
     a = coeff_a_array(order, j_max)
     b = coeff_b_array(order, j_max)
-
-    if j_max == 0:
-        bound = 0.5 * (1.0 - alpha) * sigma ** (-alpha)
-        checks = [
-            _finish_check("positivity", a[:1]),
-            _finish_check("monotone_decrease", np.empty(0)),
-            _finish_check("tail_lower_bound", a[0] - bound),
-            _finish_check("blend_gate", np.empty(0)),
-        ]
-        checks.extend(_ratio_checks(order, a, b))
-        return WeightAudit(checks=tuple(checks))
-
-    head = a[0] + b[1]
-    # interior[s-1] holds c_s for 1 <= s <= j_max-1 (any j > s).
-    interior = a[1:j_max] + b[2 : j_max + 1] - b[1:j_max]
-    # tail[j-1] holds c_j for the vector with target index j, 1 <= j <= j_max.
-    tail = a[1 : j_max + 1] - b[1 : j_max + 1]
-
-    positivity = np.concatenate(([a[0], head], interior, tail))
-
-    monotone_parts = [head - tail[0]]  # j = 1: c_0 > c_1
-    if j_max >= 2:
-        monotone_parts.append(head - interior[0])  # c_0 > c_1 for j >= 2
-        monotone_parts.append(interior[: j_max - 1] - tail[1:])  # c_{j-1} > c_j
-        if interior.size >= 2:
-            monotone_parts.append(interior[:-1] - interior[1:])
-    monotone = np.concatenate([np.atleast_1d(part) for part in monotone_parts])
-
+    # shared[s] holds c_s of every index j > s; tail[j-1] holds c_j of index j.
+    shared = _assemble_l21sigma(a, b, j_max)[:j_max]
+    tail = a[1:] - b[1:]
     j = np.arange(1, j_max + 1, dtype=float)
-    tail_bound = tail - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha)
-    bound0 = a[0] - 0.5 * (1.0 - alpha) * sigma ** (-alpha)
-    tail_margins = np.concatenate(([bound0], tail_bound))
-
-    gate_parts = [(2.0 * sigma - 1.0) * head - sigma * tail[0]]  # j = 1
-    if j_max >= 2:
-        gate_parts.append((2.0 * sigma - 1.0) * head - sigma * interior[0])
-    gate = np.asarray(gate_parts)
-
-    checks = [
-        _finish_check("positivity", positivity),
-        _finish_check("monotone_decrease", monotone),
-        _finish_check("tail_lower_bound", tail_margins),
-        _finish_check("blend_gate", gate),
-    ]
-    checks.extend(_ratio_checks(order, a, b))
-    return WeightAudit(checks=tuple(checks))
+    tail_margins = np.concatenate(
+        (
+            [a[0] - 0.5 * (1.0 - alpha) * sigma ** (-alpha)],  # j = 0: c_0 = a_0
+            tail - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
+        )
+    )
+    # c_1 is tail[0] for j = 1 and shared[1] for every j >= 2.
+    gate = (2.0 * sigma - 1.0) * shared[:1] - sigma * np.concatenate(
+        (tail[:1], shared[1:2])
+    )
+    kappa = b[1:] / a[1:] + 0.5
+    return WeightAudit(
+        checks=(
+            _finish_check("positivity", np.concatenate(([a[0]], shared, tail))),
+            _finish_check(
+                "monotone_decrease",
+                np.concatenate((shared - tail, shared[:-1] - shared[1:])),
+            ),
+            _finish_check("tail_lower_bound", tail_margins),
+            _finish_check("blend_gate", gate),
+            _finish_check("correction_ratio_lower", kappa - 0.5),
+            _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
+        )
+    )
 
 
 @dataclass(frozen=True)

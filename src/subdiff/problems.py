@@ -48,7 +48,6 @@ class MonomialCase:
 
     order: FractionalOrder
     u: Callable[[np.ndarray], np.ndarray]
-    u_dt: Callable[[np.ndarray], np.ndarray]
     exact_value: float  # the exact derivative at t = 1
 
 
@@ -59,8 +58,6 @@ class NamedProblem:
     problem_id: str
     spec: Optional[ProblemSpec]
     case: Optional[MonomialCase]
-    notes: str
-    exact_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
 
 def problem_caputo_monomial(order: FractionalOrder) -> MonomialCase:
@@ -71,22 +68,9 @@ def problem_caputo_monomial(order: FractionalOrder) -> MonomialCase:
     def u(t):
         return np.asarray(t, dtype=float) ** power
 
-    def u_dt(t):
-        return power * np.asarray(t, dtype=float) ** (power - 1.0)
-
     return MonomialCase(
-        order=order, u=u, u_dt=u_dt, exact_value=math.gamma(5.0 + order.alpha) / 24.0
+        order=order, u=u, exact_value=math.gamma(5.0 + order.alpha) / 24.0
     )
-
-
-def _varcoeff_exact_factory():
-    def exact(x, t):
-        return np.sin(np.pi * x) * (t**3 + 3.0 * t**2 + 1.0)
-
-    def exact_dt(x, t):
-        return np.sin(np.pi * x) * (3.0 * t**2 + 6.0 * t)
-
-    return exact, exact_dt
 
 
 def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
@@ -94,7 +78,9 @@ def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
     alpha = order.alpha
     gamma_4a = math.gamma(4.0 - alpha)
     gamma_3a = math.gamma(3.0 - alpha)
-    exact, _ = _varcoeff_exact_factory()
+
+    def exact(x, t):
+        return np.sin(np.pi * x) * (t**3 + 3.0 * t**2 + 1.0)
 
     def k(x, t):
         return 2.0 - np.sin(x * t)
@@ -131,21 +117,13 @@ def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
     )
 
 
-def _timecoeff_exact_factory():
-    def exact(x, t):
-        return t**2 * np.sin(np.pi * x)
-
-    def exact_dt(x, t):
-        return 2.0 * t * np.sin(np.pi * x)
-
-    return exact, exact_dt
-
-
 def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
     """Manufactured problem with time-only coefficients (compact-capable)."""
     alpha = order.alpha
     gamma_3a = math.gamma(3.0 - alpha)
-    exact, _ = _timecoeff_exact_factory()
+
+    def exact(x, t):
+        return t**2 * np.sin(np.pi * x)
 
     def k_time(t):
         return np.exp(t)
@@ -188,29 +166,12 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
 def get_problem(problem_id: str, order: FractionalOrder) -> NamedProblem:
     """Build the named problem for a concrete fractional order."""
     if problem_id == "caputo-monomial":
-        return NamedProblem(
-            problem_id=problem_id,
-            spec=None,
-            case=problem_caputo_monomial(order),
-            notes="scalar monomial t**(4+alpha) with closed-form derivative",
-        )
+        return NamedProblem(problem_id, spec=None, case=problem_caputo_monomial(order))
     if problem_id == "varcoeff-2nd":
-        _, exact_dt = _varcoeff_exact_factory()
-        return NamedProblem(
-            problem_id=problem_id,
-            spec=problem_varcoeff_2nd(order),
-            case=None,
-            notes="space-time coefficients, exact solution sin(pi x)(t^3+3t^2+1)",
-            exact_dt=exact_dt,
-        )
+        return NamedProblem(problem_id, spec=problem_varcoeff_2nd(order), case=None)
     if problem_id == "timecoeff-compact":
-        _, exact_dt = _timecoeff_exact_factory()
         return NamedProblem(
-            problem_id=problem_id,
-            spec=problem_timecoeff_compact(order),
-            case=None,
-            notes="time-only coefficients, exact solution t^2 sin(pi x)",
-            exact_dt=exact_dt,
+            problem_id, spec=problem_timecoeff_compact(order), case=None
         )
     raise KeyError(
         f"unknown problem id {problem_id!r}; registered ids: {', '.join(PROBLEM_IDS)}"

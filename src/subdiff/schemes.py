@@ -114,17 +114,26 @@ class ProblemSpec:
 
 
 def _sample(fn: Callable, name: str, *args: np.ndarray) -> np.ndarray:
-    """``fn(*args)`` broadcast to the common shape of ``args``; a callback
-    that does not broadcast over an array of times raises a ``ValueError``
-    naming it."""
-    shape = np.broadcast_shapes(*(arg.shape for arg in args))
+    """``fn(*args)`` broadcast to the common shape of ``args``, whose last
+    member holds the times along its first axis; a callback that does not
+    broadcast over an array of times raises a ``ValueError`` naming it.
+
+    A block of one step is sampled at its time twice, because a size-one
+    array passes ``if t > s``: a callback is rejected whatever the block
+    length."""
+    *space, times = args
+    steps = times.shape[0]
+    if steps == 1:
+        times = np.concatenate((times, times))
+    shape = np.broadcast_shapes(*(arg.shape for arg in space), times.shape)
     try:
-        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+        values = np.broadcast_to(np.asarray(fn(*space, times), dtype=float), shape)
     except (TypeError, ValueError) as error:
         signature = "(x, t)" if len(args) == 2 else "(t)"
         raise ValueError(
             f"{name}{signature} must broadcast over an array of times t: {error}"
         ) from error
+    return values[:steps]
 
 
 def _coefficient_guard(

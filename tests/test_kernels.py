@@ -8,12 +8,10 @@ import pytest
 
 from subdiff.kernels import (
     L1,
-    L21SIGMA,
     FractionalOrder,
     WeightVector,
     apply,
     audit_weight_family,
-    audit_weights,
     caputo_power_rule,
     caputo_reference,
     coeff_a_array,
@@ -125,8 +123,6 @@ def test_weights_scale():
     assert vector.scale == pytest.approx(
         tau ** (-0.4) / math.gamma(1.6), rel=1e-15
     )
-    assert vector.kind == L21SIGMA
-    assert vector.target_index == 3
 
 
 def test_weight_vector_is_read_only():
@@ -136,16 +132,9 @@ def test_weight_vector_is_read_only():
 
 
 def test_weight_vector_length_validation():
-    order = FractionalOrder(0.5)
-    with pytest.raises(ValueError):
-        WeightVector(
-            kind=L21SIGMA,
-            order=order,
-            target_index=2,
-            tau=0.1,
-            coefficients=np.ones(2),
-            scale=1.0,
-        )
+    for coefficients in (np.ones(0), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            WeightVector(coefficients=coefficients, scale=1.0)
 
 
 def test_apply_validates_series_length():
@@ -179,7 +168,6 @@ def test_l1_weights_exact_on_linear():
     t_target = (j + 1) * tau
     exact = t_target ** (1.0 - 0.6) / math.gamma(2.0 - 0.6)
     assert approx == pytest.approx(exact, rel=1e-13)
-    assert weights_l1(order, j, tau).kind == L1
 
 
 def test_caputo_power_rule_values():
@@ -219,37 +207,62 @@ def test_caputo_reference_consistent_with_power_rule():
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
 @pytest.mark.parametrize("j", [0, 1, 2, 17])
 def test_audit_weights_passes(alpha, j):
-    vector = weights(FractionalOrder(alpha), j, 0.02)
-    audit = audit_weights(vector)
+    """The family audit up to ``j`` covers index ``j`` and every index below."""
+    audit = audit_weight_family(FractionalOrder(alpha), j)
     assert audit.passed, [(c.name, c.margin) for c in audit.checks if not c.passed]
 
 
+_L21SIGMA_CHECKS = (
+    "positivity",
+    "monotone_decrease",
+    "tail_lower_bound",
+    "blend_gate",
+    "correction_ratio_lower",
+    "correction_ratio_upper",
+)
+
+
 def test_audit_weights_names():
-    audit = audit_weights(weights(FractionalOrder(0.5), 5, 0.1))
-    names = {check.name for check in audit.checks}
-    assert {
-        "positivity",
-        "monotone_decrease",
-        "tail_lower_bound",
-        "blend_gate",
-        "correction_ratio_lower",
-        "correction_ratio_upper",
-    } <= names
+    audit = audit_weight_family(FractionalOrder(0.5), 5)
+    assert tuple(check.name for check in audit.checks) == _L21SIGMA_CHECKS
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def _per_index_margins(order, j):
+    """The worst margin of each inequality on the one weight vector of
+    target index ``j``, checked entry by entry: the oracle of the family
+    audit."""
+    alpha, sigma = order.alpha, order.sigma
+    c = weights(order, j, 1.0).coefficients
+    kappa = coeff_b_array(order, j)[1:] / coeff_a_array(order, j)[1:] + 0.5
+    margins = {
+        "positivity": c,
+        "monotone_decrease": c[:-1] - c[1:],
+        "tail_lower_bound": c[-1] - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
+        "blend_gate": (2.0 * sigma - 1.0) * c[0] - sigma * c[1:2],
+        "correction_ratio_lower": kappa - 0.5,
+        "correction_ratio_upper": 1.0 / (2.0 - alpha) - kappa,
+    }
+    return {
+        name: float(np.min(values)) if np.size(values) else math.inf
+        for name, values in margins.items()
+    }
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1e-9, 1.0 - 1e-12])
 def test_audit_weight_family_matches_per_index_audits(alpha):
     """The vectorized family audit must agree with the worst per-index audit
-    margins check by check."""
+    margins check by check, for every family bound up to 24."""
     order = FractionalOrder(alpha)
-    j_max = 24
-    family = audit_weight_family(order, j_max)
-    worst: dict[str, float] = {}
-    for j in range(j_max + 1):
-        for check in audit_weights(weights(order, j, 1.0)).checks:
-            worst[check.name] = min(worst.get(check.name, math.inf), check.margin)
-    for check in family.checks:
-        assert check.margin == pytest.approx(worst[check.name], rel=1e-12, abs=1e-15)
+    worst = {name: math.inf for name in _L21SIGMA_CHECKS}
+    for j_max in range(25):
+        for name, margin in _per_index_margins(order, j_max).items():
+            worst[name] = min(worst[name], margin)
+        family = audit_weight_family(order, j_max)
+        assert tuple(check.name for check in family.checks) == _L21SIGMA_CHECKS
+        for check in family.checks:
+            assert check.margin == pytest.approx(
+                worst[check.name], rel=1e-12, abs=1e-15
+            ), (j_max, check.name)
 
 
 def test_audit_weight_family_l1():

@@ -45,14 +45,6 @@ def test_monomial_case_exact_value():
     assert case.u(1.0) == 1.0
 
 
-def test_monomial_case_derivative_consistency():
-    case = problem_caputo_monomial(FractionalOrder(0.3))
-    t = np.array([0.2, 0.7, 1.0])
-    step = 1e-6
-    numeric = (case.u(t + step) - case.u(t - step)) / (2.0 * step)
-    np.testing.assert_allclose(case.u_dt(t), numeric, rtol=1e-8)
-
-
 @pytest.mark.parametrize("problem_id", ["varcoeff-2nd", "timecoeff-compact"])
 def test_boundary_and_initial_compatibility(problem_id):
     order = FractionalOrder(0.4)
@@ -110,19 +102,6 @@ def test_manufactured_residual_vanishes(problem_id, alpha):
         residual = caputo - spatial(xv, tv) - spec.f(np.array([xv]), tv)[0]
         worst = max(worst, abs(residual))
     assert worst <= 1e-10
-
-
-def test_exact_dt_matches_finite_difference():
-    order = FractionalOrder(0.5)
-    for problem_id in ("varcoeff-2nd", "timecoeff-compact"):
-        named = get_problem(problem_id, order)
-        xs = np.array([0.3, 0.6])
-        t0 = 0.4
-        step = 1e-6
-        numeric = (named.spec.exact(xs, t0 + step) - named.spec.exact(xs, t0 - step)) / (
-            2.0 * step
-        )
-        np.testing.assert_allclose(named.exact_dt(xs, t0), numeric, rtol=1e-8)
 
 
 def test_varcoeff_declared_diffusivity_floor():

@@ -499,8 +499,10 @@ def test_callbacks_that_do_not_broadcast_are_rejected(runner, name, style):
         callback, signature = (lambda x, t: g(t) + 0.0 * x), "(x, t)"
     problem = dataclasses.replace(_constant_problem(1.0), **{name: callback})
     message = f"{name}{signature} must broadcast over an array of times t"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        runner(problem, order, 8, 4)
+    # nt = 1 samples a block of one step, where a size-one t passes a branch.
+    for nt in (4, 1):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runner(problem, order, 8, nt)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
