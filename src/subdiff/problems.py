@@ -46,18 +46,17 @@ PROBLEM_IDS = ("caputo-monomial", "varcoeff-2nd", "timecoeff-compact")
 class MonomialCase:
     """Scalar test function for the discrete Caputo operators."""
 
-    order: FractionalOrder
     u: Callable[[np.ndarray], np.ndarray]
     exact_value: float  # the exact derivative at t = 1
 
 
 @dataclass(frozen=True)
 class NamedProblem:
-    """A registered problem: a PDE spec, a scalar kernel case, or both."""
+    """A registered problem: its PDE spec, or ``None`` for the scalar
+    ``caputo-monomial`` case, which :func:`problem_caputo_monomial` builds."""
 
     problem_id: str
     spec: Optional[ProblemSpec]
-    case: Optional[MonomialCase]
 
 
 def problem_caputo_monomial(order: FractionalOrder) -> MonomialCase:
@@ -68,9 +67,7 @@ def problem_caputo_monomial(order: FractionalOrder) -> MonomialCase:
     def u(t):
         return np.asarray(t, dtype=float) ** power
 
-    return MonomialCase(
-        order=order, u=u, exact_value=math.gamma(5.0 + order.alpha) / 24.0
-    )
+    return MonomialCase(u=u, exact_value=math.gamma(5.0 + order.alpha) / 24.0)
 
 
 def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
@@ -166,13 +163,11 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
 def get_problem(problem_id: str, order: FractionalOrder) -> NamedProblem:
     """Build the named problem for a concrete fractional order."""
     if problem_id == "caputo-monomial":
-        return NamedProblem(problem_id, spec=None, case=problem_caputo_monomial(order))
+        return NamedProblem(problem_id, spec=None)
     if problem_id == "varcoeff-2nd":
-        return NamedProblem(problem_id, spec=problem_varcoeff_2nd(order), case=None)
+        return NamedProblem(problem_id, spec=problem_varcoeff_2nd(order))
     if problem_id == "timecoeff-compact":
-        return NamedProblem(
-            problem_id, spec=problem_timecoeff_compact(order), case=None
-        )
+        return NamedProblem(problem_id, spec=problem_timecoeff_compact(order))
     raise KeyError(
         f"unknown problem id {problem_id!r}; registered ids: {', '.join(PROBLEM_IDS)}"
     )

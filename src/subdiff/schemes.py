@@ -36,7 +36,7 @@ from .kernels import (
     coeff_a_array,
     coeff_b_array,
 )
-from .tridiag import _solve_core
+from .tridiag import _check_pivots, _solve_core
 
 __all__ = [
     "ProblemSpec",
@@ -50,12 +50,11 @@ __all__ = [
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: ``g(t)`` over an array of times ``t``.
 TimeFn = Callable[[np.ndarray], np.ndarray]
-#: ``(sub, diag, sup)`` rows of the interior systems of a block of steps, one
-#: row per step.
+#: ``(sub, diag, sup)`` of the systems of a block of steps, one row per step.
 TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: The right-hand side of step ``i`` of a block from ``y^j`` and the history
-#: term at every node: ``rhs(i, y_full, conv)``.
-StepRhs = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+#: Writes the right-hand side of step ``i`` of a block, from ``y^j`` and the
+#: history term at every node, into the rows: ``rhs(i, y, conv, out)``.
+StepRhs = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 #: A spatial assembler: for a block of collocation times it returns the rows
 #: of every step, the source each step's right-hand side takes in, and the
 #: per-step right-hand side.
@@ -166,24 +165,22 @@ class _GridGroup:
     tridiagonal solve.
 
     ``x`` concatenates each grid's ``n+1`` nodes and ``midpoints`` its ``n``
-    half-integer nodes; the interior rows of all grids, in the same order,
-    form one block-diagonal system.  An operation applied to a whole
-    concatenated vector is taken back to the interior rows by a gather:
+    half-integer nodes.  Every node but the first and the last is a row of
+    one block-diagonal system, row ``r`` being node ``r+1``, so a three-point
+    stencil over the node vector lands on the rows without a gather.  The
+    boundary nodes inside the group are identity rows (``edges``): diagonal
+    1, no couplings and a right-hand side of zero, so they keep their zero.
+    The couplings into them, from each grid's first and last interior row
+    (``firsts``, ``lasts``), are zeroed too, and ``dgtsv`` eliminates each
+    grid's block exactly as it would alone.
 
-    * ``interior``: the interior nodes out of the node vector;
-    * ``rows``: the interior rows out of a three-point stencil over the node
-      vector (entry ``i`` of ``v[:-2] + v[1:-1] + v[2:]`` belongs to node
-      ``i+1``);
-    * ``intervals``: the grids' own intervals out of ``np.diff`` of the node
-      vector, dropping the differences across two grids;
-    * ``pairs``: the interior rows out of a pairwise operation on the
-      midpoint vector (entry ``i`` of ``w[1:] - w[:-1]`` lies between
-      midpoints ``i`` and ``i+1``).
-
-    ``h_sq`` holds each interior row's ``h*h``.  With one grid the gathers
-    select every entry a plain one-grid code would slice, and the divisions
-    by ``h_sq`` round as a division by the scalar ``h*h`` does, so a one-grid
-    run is bitwise the one-grid arithmetic.
+    Once per block of steps the assemblers spread what they sample over the
+    rows: ``live`` lists the rows of the grids' interior nodes ``x_int``, and
+    ``intervals`` the grids' own intervals among the differences of the node
+    vector (difference ``i`` joins nodes ``i`` and ``i+1``); those across two
+    grids are left out.  ``h_sq`` holds each row's ``h*h`` (1 on an identity
+    row).  With one grid there are no identity rows, and the rows are the
+    interior nodes a one-grid code solves for.
     """
 
     def __init__(self, length: float, nxs: tuple[int, ...]):
@@ -191,26 +188,33 @@ class _GridGroup:
             raise ValueError("need at least one grid")
         self.grids = tuple(SpaceGrid(n=nx, length=length) for nx in nxs)
         self.h = np.array([grid.h for grid in self.grids])
-        sizes = np.array([grid.n - 1 for grid in self.grids])
-        #: First and last interior row of each grid's block.
-        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self.lasts = self.starts + sizes - 1
-        #: Node range ``[begin, end)`` of each grid in the node vector.
-        ends = np.cumsum([grid.n + 1 for grid in self.grids]).tolist()
-        self.spans = tuple(zip([0] + ends[:-1], ends))
+        ends = np.cumsum([grid.n + 1 for grid in self.grids])
+        begins = np.concatenate(([0], ends[:-1]))
+        self.spans = tuple(zip(begins.tolist(), ends.tolist()))
         self.x = np.concatenate([grid.nodes() for grid in self.grids])
         self.midpoints = np.concatenate([grid.midpoints() for grid in self.grids])
-        self.interior = np.concatenate(
-            [np.arange(begin + 1, end - 1) for begin, end in self.spans]
+        #: Row ``begin`` is node ``begin+1``, the first interior node of a
+        #: grid; row ``end-3`` is node ``end-2``, its last.
+        self.firsts = begins
+        self.lasts = ends - 3
+        self.edges = np.concatenate((ends[:-1] - 2, ends[:-1] - 1))
+        self.live = np.flatnonzero(~np.isin(np.arange(self.x.size - 2), self.edges))
+        self.x_int = self.x[self.live + 1]
+        self.intervals = np.flatnonzero(
+            ~np.isin(np.arange(self.x.size - 1), ends[:-1] - 1)
         )
-        self.rows = self.interior - 1
-        self.intervals = np.concatenate(
-            [np.arange(begin, end - 1) for begin, end in self.spans]
-        )
-        # Grid g's midpoints sit g places before its nodes.
-        self.pairs = self.rows - np.repeat(np.arange(sizes.size), sizes)
-        self.h_sq = np.repeat(self.h * self.h, sizes)
-        self.x_int = self.x[self.interior]
+        self.h_sq = np.ones(self.x.size - 2)
+        for grid, begin, end in zip(self.grids, begins, ends):
+            self.h_sq[begin : end - 2] = grid.h * grid.h
+
+    def decouple(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
+        """Make the identity rows of a block of steps' systems and zero the
+        couplings into them."""
+        diag[:, self.edges] = 1.0
+        sub[:, self.edges] = 0.0
+        sup[:, self.edges] = 0.0
+        sub[:, self.firsts] = 0.0
+        sup[:, self.lasts] = 0.0
 
 
 def _second_order_block(
@@ -225,37 +229,50 @@ def _second_order_block(
     ``t = times[i]`` with weight ``c0[i]``.
 
     The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``.
-    Returns the rows of every step, the source at the interior nodes, and
-    the right-hand side of step ``i``, where ``conv`` is the history term
-    ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at every node (zero on the
-    boundary).
+    Returns the rows of every step, the source at every row (zero on the
+    identity rows), and the right-hand side of step ``i``, where ``conv`` is
+    the history term ``scale * sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at every
+    node (zero on the boundary).
     """
-    x_int = group.x_int[None, :]
     t = times[:, None]
     a_half = _sample(problem.k, "k", group.midpoints[None, :], t)
-    d_int = _sample(problem.q, "q", x_int, t)
-    phi_int = _sample(problem.f, "f", x_int, t)
+    d_int = _sample(problem.q, "q", group.x_int[None, :], t)
+    phi_int = _sample(problem.f, "f", group.x_int[None, :], t)
     _coefficient_guard(problem, times, a_half.min(axis=1), d_int.min(axis=1))
+    steps, rows = times.size, group.x.size - 2
+    # The diffusivity on every difference of the node vector (zero across
+    # two grids), and the reaction and the source on every row.
+    a = np.zeros((steps, rows + 1))
+    a[:, group.intervals] = a_half
+    d = np.zeros((steps, rows))
+    d[:, group.live] = d_int
+    phi = np.zeros((steps, rows))
+    phi[:, group.live] = phi_int
     h_sq = group.h_sq
-    a_left = a_half[:, :-1][:, group.pairs]
-    a_right = a_half[:, 1:][:, group.pairs]
-    diag = (scale * c0)[:, None] + sigma * (a_left + a_right) / h_sq + sigma * d_int
+    a_left, a_right = a[:, :-1], a[:, 1:]
+    diag = (scale * c0)[:, None] + sigma * (a_left + a_right) / h_sq + sigma * d
     sub = -sigma * a_left / h_sq
     sup = -sigma * a_right / h_sq
-    # A Python float scales a small array faster than a numpy scalar does.
-    c0_step = c0.tolist()
+    # Per-row weights of y^j and of the flux differences; the latter vanish
+    # on the identity rows, where y^j, the history term and phi are zero.
+    y_weight = (scale * c0)[:, None] - (1.0 - sigma) * d
+    flux_weight = (1.0 - sigma) / h_sq
+    flux_weight[group.edges] = 0.0
+    flux = np.empty(rows + 1)
+    scratch = np.empty(rows)
 
-    def rhs(i: int, y_full: np.ndarray, conv: np.ndarray) -> np.ndarray:
-        y_int = y_full[group.interior]
-        flux = a_half[i] * np.diff(y_full)[group.intervals]
-        spatial = (flux[1:] - flux[:-1])[group.pairs] / h_sq - d_int[i] * y_int
-        return (
-            scale * (c0_step[i] * y_int - conv[group.interior])
-            + (1.0 - sigma) * spatial
-            + phi_int[i]
-        )
+    # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
+    def rhs(i: int, y: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(y[1:], y[:-1], flux)
+        np.multiply(flux, a[i], flux)
+        np.subtract(flux[1:], flux[:-1], out)
+        np.multiply(out, flux_weight, out)
+        np.multiply(y_weight[i], y[1:-1], scratch)
+        np.add(out, scratch, out)
+        np.subtract(out, conv[1:-1], out)
+        np.add(out, phi[i], out)
 
-    return (sub, diag, sup), phi_int, rhs
+    return (sub, diag, sup), phi, rhs
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -280,25 +297,40 @@ def _compact_block(
     d = _sample(problem.q_time, "q_time", times)
     phi_full = _sample(problem.f, "f", group.x[None, :], times[:, None])
     _coefficient_guard(problem, times, a, d)
-    rows = group.rows
     h_sq = group.h_sq
-    mass_phi = _mass_average(phi_full)[:, rows]
+    mass_phi = _mass_average(phi_full)
+    mass_phi[:, group.edges] = 0.0
 
     reaction = (scale * c0 + sigma * d)[:, None]
     diag = reaction * (10.0 / 12.0) + 2.0 * sigma * a[:, None] / h_sq
     sub = reaction / 12.0 - sigma * a[:, None] / h_sq
-    a_step, d_step, c0_step = a.tolist(), d.tolist(), c0.tolist()
+    # The right-hand side is M(w) + g L(y^j) + M(phi) with the mass operator
+    # M, the second difference L and w = y_weight * y^j - conv.  The weights
+    # are arrays, which numpy multiplies by faster than by a Python float;
+    # those per row vanish on the identity rows.
+    y_weight = np.repeat((scale * c0 - (1.0 - sigma) * d)[:, None], group.x.size, axis=1)
+    laplace_weight = (1.0 - sigma) * a[:, None] / h_sq
+    laplace_weight[:, group.edges] = 0.0
+    mass_weight = np.full(h_sq.size, 1.0 / 12.0)
+    mass_weight[group.edges] = 0.0
+    ten = np.full(h_sq.size, 10.0)
+    w = np.empty(group.x.size)
+    laplace = np.empty(h_sq.size)
 
-    def rhs(i: int, y_full: np.ndarray, conv: np.ndarray) -> np.ndarray:
-        mass_y = _mass_average(y_full)[rows]
-        laplace_y = (y_full[:-2] - 2.0 * y_full[1:-1] + y_full[2:])[rows]
-        mass_conv = _mass_average(conv)[rows]
-        spatial_old = a_step[i] * laplace_y / h_sq - d_step[i] * mass_y
-        return (
-            scale * (c0_step[i] * mass_y - mass_conv)
-            + (1.0 - sigma) * spatial_old
-            + mass_phi[i]
-        )
+    # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
+    def rhs(i: int, y: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(y, y_weight[i], w)
+        np.subtract(w, conv, w)
+        np.multiply(w[1:-1], ten, out)
+        np.add(out, w[:-2], out)
+        np.add(out, w[2:], out)
+        np.multiply(out, mass_weight, out)
+        np.add(y[:-2], y[2:], laplace)
+        np.subtract(laplace, y[1:-1], laplace)
+        np.subtract(laplace, y[1:-1], laplace)
+        np.multiply(laplace, laplace_weight[i], laplace)
+        np.add(out, laplace, out)
+        np.add(out, mass_phi[i], out)
 
     return (sub, diag, sub.copy()), mass_phi, rhs
 
@@ -324,8 +356,14 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
     return pinned
 
 
+#: Each step sums the sources of its own window of this many steps directly;
+#: the older ones arrive in dyadic blocks of at least this many.
+_WINDOW = 64
 #: Blocks of up to this many sources go through one dense Toeplitz product;
-#: larger ones through an FFT of twice their length.
+#: larger ones through an FFT of twice their length.  A larger bound would
+#: keep the Toeplitz matrices in memory (8 MB for a block of 1024) and hand
+#: OpenBLAS products large enough to start its second thread, for no gain in
+#: wall time on the study tables.
 _DENSE_BLOCK_MAX = 64
 #: Working-set budget in bytes: the padded block one FFT pass transforms
 #: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
@@ -334,29 +372,38 @@ _CHUNK_BYTES = 1 << 18
 
 
 class _CausalConvolution:
-    """The history sums ``acc[t] = sum_{1 <= s < t} lags[t-s] * src[s]`` over
-    the rows of ``src``, built while the rows are filled one by one
-    (the dyadic scheme of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 1985).
+    """The history sums ``acc[t] = tail[t] * src[0] + sum_{1 <= s < t}
+    lags[t-s] * src[s]`` over the rows of ``src``, built while the rows are
+    filled one by one (the dyadic scheme of Hairer, Lubich & Schlichte, SIAM
+    J. Sci. Stat. Comput. 6, 1985).
 
-    Once row ``j-1`` is filled, ``add(j)`` adds the ``L = j & -j`` sources
-    ``[j-L, j)`` into the targets ``[j, j+L)``.  Each pair ``s < t`` is added
-    exactly once, at the highest bit where ``s`` and ``t`` differ, so
-    ``acc[j]`` is complete after ``add(j)``.  Source 0 never enters.  A block
-    of ``L <= _DENSE_BLOCK_MAX`` is one product with the Toeplitz matrix of
-    lags ``1 .. 2L-1``; a larger one is a circular convolution of length
-    ``2L`` through ``scipy.fft``, over column chunks of at most
-    ``_CHUNK_BYTES``.  The matrices and lag spectra are cached per ``L``.
-    A block always computes its full ``L`` target rows and drops those past
-    the last row only when adding them, so ``acc[t]`` does not depend on the
-    number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
-    ``L <= len(src) - 1``.  Cost ``O(n log^2 n)`` per column for ``n`` rows.
+    ``term(j)`` returns ``acc[j]`` once rows ``0 .. j-1`` are filled; it is
+    called for ``j = 0, 1, 2, ...`` in turn.  Source 0 enters every target
+    at once, when ``term(1)`` is called.  A pair ``1 <= s < t`` inside one
+    window of ``_WINDOW`` steps is summed by target ``t`` itself, in one
+    product with the lags of its window.  Any other pair is added exactly
+    once, at the highest bit where ``s`` and ``t`` differ: at ``j = t`` with
+    that bit and the ones below it cleared, ``term(j)`` adds the
+    ``L = j & -j >= _WINDOW`` sources ``[j-L, j)`` into the targets
+    ``[j, j+L)``.  A block of ``L <= _DENSE_BLOCK_MAX`` is one product with
+    the Toeplitz matrix of lags ``1 .. 2L-1``; a larger one is a circular
+    convolution of length ``2L`` through ``scipy.fft``, over column chunks of
+    at most ``_CHUNK_BYTES``.  The matrices and lag spectra are cached per
+    ``L``.  A block always computes its full ``L`` target rows and drops those
+    past the last row only when adding them, so ``acc[t]`` does not depend on
+    the number of rows.  ``lags`` must reach lag ``2L-1`` of the largest
+    block, ``L <= len(src) - 1``, and ``tail`` must reach ``len(src) - 1``.
+    Cost ``O(n log^2 n + n * _WINDOW)`` per column for ``n`` rows.
     """
 
-    def __init__(self, lags: np.ndarray, src: np.ndarray):
+    def __init__(self, lags: np.ndarray, tail: np.ndarray, src: np.ndarray):
         self.lags = lags
+        self.tail = tail
         self.src = src
         self.acc = np.zeros_like(src)
+        #: Lags ``_WINDOW-1 .. 1``: the last ``m`` of them weigh the ``m``
+        #: sources before a target.
+        self._near = lags[1:_WINDOW][::-1].copy()
         self._blocks: dict[int, np.ndarray] = {}
 
     def _block(self, size: int) -> np.ndarray:
@@ -374,7 +421,21 @@ class _CausalConvolution:
             self._blocks[size] = block
         return block
 
-    def add(self, j: int) -> None:
+    def term(self, j: int) -> np.ndarray:
+        """``acc[j]``, complete once rows ``0 .. j-1`` of ``src`` are filled."""
+        if j == 1:
+            # Nothing has reached the accumulator yet.
+            rows = self.src.shape[0]
+            np.multiply.outer(self.tail[1:rows], self.src[0], out=self.acc[1:])
+        elif j and not j % _WINDOW:
+            self._add_block(j)
+        target = self.acc[j]
+        near = min(j % _WINDOW, j - 1)
+        if near > 0:
+            np.add(target, np.dot(self._near[-near:], self.src[j - near : j]), target)
+        return target
+
+    def _add_block(self, j: int) -> None:
         size = j & -j
         first = j - size
         kept = min(size, self.src.shape[0] - j)
@@ -414,23 +475,31 @@ def _march(
     Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Its
     weights ``c_0 .. c_j`` share the lag weights ``c_1 .. c_{j-1}`` with
     every other step, so one lag table serves the run; only ``c_0`` and the
-    tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.  Cost
-    ``O(nt log^2 nt * nx)``: the history term is built by
-    :class:`_CausalConvolution`, which adds each finished block of the last
-    ``L = j & -j`` differences into the next ``L`` steps' history at once.
+    tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.  The lag
+    table and the tail carry the derivative's scale ``tau^-alpha /
+    Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nx)``: the history term is
+    built by :class:`_CausalConvolution`, which sums each step's own window
+    of the last few differences directly and adds older ones in dyadic
+    blocks.
 
     Nothing but the right-hand side depends on the solution, so the steps
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the assembler
     samples the callbacks once per block, on an array of the block's
-    collocation times, checks ``k >= c1`` and ``q >= 0`` and builds the rows
-    and the source of every step of the block; each step then forms only its
-    right-hand side from ``y^j`` and the history term before the solve.
+    collocation times, checks ``k >= c1`` and ``q >= 0`` and builds the rows,
+    the source and per-row weights for every step of the block.  Each step
+    then writes its right-hand side from ``y^j`` and the history term into
+    ``values[j+1]``, where ``dgtsv`` solves in place, and takes the
+    difference to ``y^j`` for the history.  The factored pivots land in the
+    block's diagonal and are checked once per block, so a zero or denormal
+    pivot raises :class:`~subdiff.tridiag.SingularSystemError` at the end of
+    its block.
 
     The grids share the time grid, the callbacks, the history contraction
-    and the solve: their interior rows form one block-diagonal system whose
-    couplings across two blocks are zeroed, so ``dgtsv`` eliminates each
-    block exactly as it would alone.  Each history records the scheme and
-    ``max_j h ||phi^j||^2`` of the source as its assembler formed it.
+    and the solve: every node but the first and the last of the group is a
+    row of one block-diagonal system (see :class:`_GridGroup`), in which the
+    grids' boundary nodes are identity rows.  Each history records the
+    scheme and ``max_j h ||phi^j||^2`` of the source as its assembler formed
+    it.
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
@@ -444,7 +513,6 @@ def _march(
     a_table = coeff_a_array(order, n_table)
     b_table = coeff_b_array(order, n_table)
     lags = _assemble_l21sigma(a_table, b_table, n_table)
-    tail = (a_table - b_table).tolist()
 
     values = np.zeros((nt + 1, group.x.size))
     initial = np.asarray(problem.u0(group.x), dtype=float)
@@ -453,8 +521,7 @@ def _march(
     # diffs[s] = y^{s+1} - y^s at every node; the boundary columns stay zero,
     # and so do those of the history term.
     diffs = np.zeros((nt, group.x.size))
-    history = _CausalConvolution(lags, diffs)
-    conv = np.zeros(group.x.size)
+    history = _CausalConvolution(scale * lags, scale * (a_table - b_table), diffs)
     source_norm_sq = np.zeros(len(group.grids))
     block_steps = max(1, _CHUNK_BYTES // (8 * group.x.size))
 
@@ -464,22 +531,22 @@ def _march(
         (sub, diag, sup), phi, rhs = assemble(
             problem, group, (steps + sigma) * tau, sigma, scale, c0
         )
+        # Each grid's rows run from its first row to the next grid's; the
+        # identity rows among them carry no source.
         np.maximum(
             source_norm_sq,
-            (group.h * np.add.reduceat(phi * phi, group.starts, axis=1)).max(axis=0),
+            (group.h * np.add.reduceat(phi * phi, group.firsts, axis=1)).max(axis=0),
             out=source_norm_sq,
         )
-        # Decouple the grids' blocks of rows (a lone grid's first sub and
-        # last sup entries are ignored by the solver anyway).
-        sub[:, group.starts] = 0.0
-        sup[:, group.lasts] = 0.0
-        for i, j in enumerate(steps.tolist()):
-            if j > 0:
-                history.add(j)
-                conv = tail[j] * diffs[0] + history.acc[j]
-            system = sub[i], diag[i], sup[i], rhs(i, values[j], conv)
-            values[j + 1, group.interior] = _solve_core(*system)
-            np.subtract(values[j + 1], values[j], out=diffs[j])
+        group.decouple(sub, diag, sup)
+        systems = zip(steps.tolist(), sub, diag, sup)
+        for i, (j, sub_j, diag_j, sup_j) in enumerate(systems):
+            y, new = values[j], values[j + 1]
+            solution = new[1:-1]
+            rhs(i, y, history.term(j), solution)
+            _solve_core(sub_j, diag_j, sup_j, solution)
+            np.subtract(new, y, diffs[j])
+        _check_pivots(diag)
 
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])

@@ -33,6 +33,7 @@ def test_registry_ids():
     for problem_id in PROBLEM_IDS:
         named = get_problem(problem_id, order)
         assert named.problem_id == problem_id
+        assert (named.spec is None) == (problem_id == "caputo-monomial")
     with pytest.raises(KeyError):
         get_problem("no-such-problem", order)
 

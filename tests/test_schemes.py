@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from subdiff import schemes
+from subdiff import schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
 from subdiff.kernels import (
     L1,
@@ -27,6 +27,7 @@ from subdiff.schemes import (
     run_compact,
     run_second_order,
 )
+from subdiff.tridiag import SingularSystemError
 
 
 def _poly_problem(order: FractionalOrder) -> ProblemSpec:
@@ -146,16 +147,19 @@ def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
 
 class _DirectHistory:
     """Test oracle with the interface of ``_CausalConvolution``: the direct
-    contraction ``acc[j] = sum_{1 <= s < j} lags[j-s] * src[s]``, recomputed
-    in full at each step."""
+    contraction ``tail[j] * src[0] + sum_{1 <= s < j} lags[j-s] * src[s]``,
+    recomputed in full at each step."""
 
-    def __init__(self, lags, src):
+    def __init__(self, lags, tail, src):
         self.lags = lags
+        self.tail = tail
         self.src = src
-        self.acc = np.zeros_like(src)
 
-    def add(self, j):
-        self.acc[j] = np.dot(self.lags[j - 1 : 0 : -1], self.src[1:j])
+    def term(self, j):
+        if j == 0:
+            return np.zeros(self.src.shape[1])
+        history = np.dot(self.lags[j - 1 : 0 : -1], self.src[1:j])
+        return self.tail[j] * self.src[0] + history
 
 
 def _direct_run(monkeypatch, runner, *args):
@@ -168,19 +172,19 @@ def _direct_run(monkeypatch, runner, *args):
 @pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 129, 300, 1000])
 @pytest.mark.parametrize("columns", [1, 7, 40])
 def test_causal_convolution_matches_direct_sum(nt, columns):
-    """Dense and FFT blocks, clipped at ``nt``, add every pair once; with 40
-    columns the block of L = 512 is transformed in two column chunks.  The
-    data are positive, as the L2-1sigma lags are, so each sum is compared
-    entry by entry."""
+    """Window sums, dense and FFT blocks, clipped at ``nt``, add every pair
+    once; with 40 columns the block of L = 512 is transformed in two column
+    chunks.  The data are positive, as the L2-1sigma lags are, so each sum is
+    compared entry by entry."""
     rng = np.random.default_rng(nt * 10 + columns)
     lags = rng.uniform(0.1, 1.0, size=(1 << (nt - 1).bit_length()) + 1)
+    tail = rng.uniform(0.1, 1.0, size=nt)
     src = rng.uniform(0.1, 1.0, size=(nt, columns))
-    fast = _CausalConvolution(lags, src)
-    direct = _DirectHistory(lags, src)
-    for j in range(1, nt):
-        fast.add(j)
-        direct.add(j)
-    np.testing.assert_allclose(fast.acc, direct.acc, rtol=1e-13, atol=0.0)
+    fast = _CausalConvolution(lags, tail, src)
+    direct = _DirectHistory(lags, tail, src)
+    ours = np.array([fast.term(j) for j in range(nt)])
+    theirs = np.array([direct.term(j) for j in range(nt)])
+    np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
 
 
 def test_compact_group_matches_direct_history(monkeypatch):
@@ -211,6 +215,9 @@ def _assert_group_matches_single_runs(runner, problem, order, nxs, nt):
         assert np.array_equal(history.times, single.times)
         np.testing.assert_allclose(history.values, single.values, rtol=1e-14, atol=0.0)
         assert history.source_norm_sq == pytest.approx(single.source_norm_sq, rel=1e-14)
+        # The boundary nodes inside the group are identity rows of the solve.
+        boundary = history.values[:, [0, -1]]
+        assert np.all(boundary == 0.0) and not np.signbit(boundary).any()
 
 
 def test_grouped_compact_matches_single_runs():
@@ -474,6 +481,67 @@ def test_diffusivity_guard_names_the_step_in_a_later_block(runner, monkeypatch):
         r"below the declared floor c1=1\.0$",
     ):
         runner(problem, order, 8, 8)
+
+
+def _wide_cell_problem():
+    """Unit diffusivity on a domain of length 20 over a horizon of 100:
+    every diagonal entry of the systems stays below one."""
+    return ProblemSpec(
+        k=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+        q=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float) / 20.0),
+        length=20.0,
+        horizon=100.0,
+        c1=1.0,
+        k_time=lambda t: 1.0,
+        q_time=lambda t: 0.0,
+    )
+
+
+def _smallest_pivot_and_diagonal(monkeypatch, runner, *args):
+    """The smallest factored pivot and the smallest diagonal entry, in
+    magnitude, over every system a run solves."""
+    smallest = {"pivot": np.inf, "diag": np.inf}
+    solve = schemes._solve_core
+
+    def spy(sub, diag, sup, rhs):
+        smallest["diag"] = min(smallest["diag"], float(np.abs(diag).min()))
+        solution = solve(sub, diag, sup, rhs)
+        smallest["pivot"] = min(smallest["pivot"], float(np.abs(diag).min()))
+        return solution
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes, "_solve_core", spy)
+        runner(*args)
+    return smallest["pivot"], smallest["diag"]
+
+
+@pytest.mark.parametrize(
+    "runner, nx, steps",
+    [
+        (run_second_order, 8, None),
+        (run_compact, (4, 8, 16), None),
+        (run_compact, (4, 8, 16), 1),
+    ],
+)
+def test_pivot_check_reads_the_factored_pivots_of_a_run(runner, nx, steps, monkeypatch):
+    """A pivot floor above the smallest pivot of the U factor but below
+    every diagonal entry (the identity rows' 1 included) trips only a check
+    of the factored pivots, which the march runs once per block."""
+    order = FractionalOrder(0.5)
+    problem = _wide_cell_problem()
+    if steps is not None:
+        _block_length(monkeypatch, nx, steps)
+    pivot, diag = _smallest_pivot_and_diagonal(
+        monkeypatch, runner, problem, order, nx, 6
+    )
+    floor = 0.5 * (pivot + diag)
+    assert pivot < floor < diag <= 1.0
+    monkeypatch.setattr(tridiag, "_PIVOT_FLOOR", floor)
+    with pytest.raises(SingularSystemError) as excinfo:
+        runner(problem, order, nx, 6)
+    assert 0.0 < excinfo.value.pivot <= floor
 
 
 #: Functions written for a scalar ``t``, all >= 1: a ``math`` call and a

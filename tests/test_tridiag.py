@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from subdiff.tridiag import SingularSystemError, TridiagonalSystem, solve_tridiagonal
+from subdiff.tridiag import (
+    SingularSystemError,
+    TridiagonalSystem,
+    _solve_core,
+    solve_tridiagonal,
+)
 
 
 def _random_dominant_system(rng, n):
@@ -64,6 +69,22 @@ def test_residual_is_small():
     solution = solve_tridiagonal(system)
     residual = _dense(system) @ solution - system.rhs
     assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(system.rhs).max())
+
+
+def test_solve_core_writes_into_strided_arrays():
+    """LAPACK copies an array that is not contiguous; the solution and the
+    pivots must still land in the arrays passed in."""
+    rng = np.random.default_rng(3)
+    system = _random_dominant_system(rng, 9)
+    expected = solve_tridiagonal(system)
+    parts = [np.zeros((9, 2)) for _ in range(4)]
+    for part, values in zip(parts, (system.sub, system.diag, system.sup, system.rhs)):
+        part[:, 0] = values
+    sub, diag, sup, rhs = (part[:, 0] for part in parts)
+    solution = _solve_core(sub, diag, sup, rhs)
+    assert solution is rhs
+    np.testing.assert_array_equal(rhs, expected)
+    assert np.abs(diag).min() > 0.0 and not np.array_equal(diag, system.diag)
 
 
 def test_zero_pivot_raises():
