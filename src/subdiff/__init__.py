@@ -29,8 +29,6 @@ from .kernels import (
     WeightVector,
     apply,
     audit_weight_family,
-    caputo_power_rule,
-    caputo_reference,
     energy_inequality_probe,
     weights,
     weights_l1,
@@ -81,8 +79,6 @@ __all__ = [
     "a_priori_bound",
     "apply",
     "audit_weight_family",
-    "caputo_power_rule",
-    "caputo_reference",
     "convergence_order",
     "emit",
     "energy_inequality_probe",

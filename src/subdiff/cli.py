@@ -75,7 +75,7 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     runner = run_second_order if args.scheme == "second" else run_compact
     try:
-        history = runner(named.spec, order, args.nx, args.nt)
+        history = runner((named.spec,), (order,), (args.nx,), args.nt)[0][0]
     except SchemeCompatibilityError as exc:
         parser.error(str(exc))
 

@@ -92,28 +92,39 @@ class ErrorSummary:
     sup: float
 
 
+#: The error norms sample the exact solution in blocks of layers of about
+#: this many bytes, so that no copy of a whole history is made.
+_BLOCK_BYTES = 1 << 20
+
+
 def error_norms(
     history: SolutionHistory,
     exact: Callable[[np.ndarray, float], np.ndarray],
 ) -> ErrorSummary:
     """Measure ``max_n ||y^n - u(., t_n)||_L2`` and ``max |y - u|`` over the
-    whole space-time mesh.  The exact solution is sampled once on the mesh,
-    as ``exact(x[None, :], times[:, None])``, so it must broadcast over
-    ``t``; a ``ValueError`` naming ``exact`` is raised when it does not."""
+    whole space-time mesh.  The exact solution is sampled on blocks of
+    layers, as ``exact(x[None, :], times[:, None])`` with the block's times,
+    so it must broadcast over ``t``; a ``ValueError`` naming ``exact`` is
+    raised when it does not."""
     grid = history.grid
-    values = history.values
-    try:
-        exact_values = np.broadcast_to(
-            exact(grid.nodes()[None, :], history.times[:, None]), values.shape
-        )
-    except (TypeError, ValueError) as error:
-        raise ValueError(
-            f"exact(x, t) must broadcast over an array of times t: {error}"
-        ) from error
-    z = values - exact_values
-    interior = z[:, 1:-1]
-    l2_layers = np.sqrt(grid.h * np.sum(interior * interior, axis=1))
-    return ErrorSummary(l2max=float(l2_layers.max()), sup=float(np.abs(z).max()))
+    x = grid.nodes()[None, :]
+    layers = max(2, _BLOCK_BYTES // (8 * x.size))
+    l2_max, sup = [], []
+    for first in range(0, len(history), layers):
+        values = history.values[first : first + layers]
+        try:
+            exact_values = np.broadcast_to(
+                exact(x, history.times[first : first + layers, None]), values.shape
+            )
+        except (TypeError, ValueError) as error:
+            raise ValueError(
+                f"exact(x, t) must broadcast over an array of times t: {error}"
+            ) from error
+        z = values - exact_values
+        interior = z[:, 1:-1]
+        l2_max.append(np.sqrt(grid.h * np.sum(interior * interior, axis=1)).max())
+        sup.append(np.abs(z).max())
+    return ErrorSummary(l2max=float(np.max(l2_max)), sup=float(np.max(sup)))
 
 
 def convergence_order(levels: Sequence[tuple[float, float]]) -> list[float]:

@@ -3,10 +3,10 @@
 A ``StudyPlan`` fixes the experiment geometry for one of the seven bundled
 study tables (which fractional orders, which grid levels, which norms, and
 whether the convergence order is measured against the time step or the mesh
-size).  ``run_study`` executes every (alpha, level) cell, marching the levels
-of one alpha that share a time grid together, attaches observed convergence
-orders and a priori stability verdicts, and ``emit`` renders the report as CSV
-or markdown.
+size).  ``run_study`` executes every (alpha, level) cell, marching all the
+cells that share a time grid together, whatever their alpha, attaches
+observed convergence orders and a priori stability verdicts, and ``emit``
+renders the report as CSV or markdown.
 """
 
 from __future__ import annotations
@@ -197,37 +197,40 @@ def monomial_error(
     return abs(approx - case.exact_value), tau
 
 
-def _run_group(
-    plan: StudyPlan, alpha: float, cells: list[tuple[int, LevelSpec]]
-) -> list[ReportRow]:
-    """Run the cells of one alpha that share ``nt``; a PDE scheme marches
-    their grids together.  Each row's ``seconds`` is the group's wall time
-    split evenly over its cells."""
-    order = FractionalOrder(alpha)
-    nt = cells[0][1].nt
+def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[ReportRow]:
+    """Run every alpha of the plan on the levels that share ``nt``; a PDE
+    scheme marches all of these cells together.  The rows come alpha by
+    alpha, and each row's ``seconds`` is the group's wall time split evenly
+    over its cells."""
+    nt = levels[0][1].nt
+    orders = [FractionalOrder(alpha) for alpha in plan.alphas]
     start = time.perf_counter()
-    # (h, tau, err_l2max, err_sup, apriori_ok) of each cell.
+    # (h, tau, err_l2max, err_sup, apriori_ok) of each cell, alpha by alpha.
     outcomes: list[tuple] = []
     if plan.scheme == "kernel":
-        error, tau = monomial_error(order, nt)
-        outcomes = [(None, tau, error, error, None)] * len(cells)
+        for order in orders:
+            error, tau = monomial_error(order, nt)
+            outcomes += [(None, tau, error, error, None)] * len(levels)
     else:
-        problem = get_problem(plan.problem_id, order).spec
+        problems = [get_problem(plan.problem_id, order).spec for order in orders]
         runner = {"second": run_second_order, "compact": run_compact}[plan.scheme]
-        histories = runner(problem, order, tuple(level.nx for _, level in cells), nt)
-        for (_, level), history in zip(cells, histories):
-            summary = error_norms(history, problem.exact)
-            lhs, rhs = a_priori_bound(problem, order, history)
-            outcomes.append(
-                (
-                    problem.length / level.nx,
-                    problem.horizon / nt,
-                    summary.l2max if "l2max" in plan.norms else None,
-                    summary.sup if "sup" in plan.norms else None,
-                    bool(lhs <= rhs),
+        nxs = tuple(level.nx for _, level in levels)
+        histories = runner(problems, orders, nxs, nt)
+        for problem, order, row in zip(problems, orders, histories):
+            for (_, level), history in zip(levels, row):
+                summary = error_norms(history, problem.exact)
+                lhs, rhs = a_priori_bound(problem, order, history)
+                outcomes.append(
+                    (
+                        problem.length / level.nx,
+                        problem.horizon / nt,
+                        summary.l2max if "l2max" in plan.norms else None,
+                        summary.sup if "sup" in plan.norms else None,
+                        bool(lhs <= rhs),
+                    )
                 )
-            )
-    seconds = (time.perf_counter() - start) / len(cells)
+    seconds = (time.perf_counter() - start) / len(outcomes)
+    cells = [(alpha, index, level) for alpha in plan.alphas for index, level in levels]
     return [
         ReportRow(
             alpha=alpha,
@@ -243,7 +246,7 @@ def _run_group(
             seconds=seconds,
             apriori_ok=apriori_ok,
         )
-        for (index, level), (h, tau, err_l2max, err_sup, apriori_ok) in zip(
+        for (alpha, index, level), (h, tau, err_l2max, err_sup, apriori_ok) in zip(
             cells, outcomes
         )
     ]
@@ -271,39 +274,25 @@ def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
 
 
 def run_study(plan: StudyPlan, threads: int = 1) -> ConvergenceReport:
-    """Execute every cell of the plan.  The cells of one alpha that share
-    ``nt`` form a group whose grids march together; groups are independent,
-    so they may run on a thread pool, and the report always preserves plan
-    order."""
+    """Execute every cell of the plan.  The cells that share ``nt``, over
+    every alpha, form a group whose cells march together; groups are
+    independent, so they may run on a thread pool, and the report always
+    preserves plan order (alpha by alpha, level by level)."""
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    cells = [
-        (alpha, index, level)
-        for alpha in plan.alphas
-        for index, level in enumerate(plan.levels)
-    ]
-    groups: dict[tuple[float, int], list[int]] = {}
-    for position, (alpha, _, level) in enumerate(cells):
-        groups.setdefault((alpha, level.nt), []).append(position)
-    jobs = [
-        (alpha, [cells[position][1:] for position in positions])
-        for (alpha, _), positions in groups.items()
-    ]
+    groups: dict[int, list[tuple[int, LevelSpec]]] = {}
+    for index, level in enumerate(plan.levels):
+        groups.setdefault(level.nt, []).append((index, level))
     if threads == 1:
-        results = [_run_group(plan, alpha, members) for alpha, members in jobs]
+        results = [_run_group(plan, levels) for levels in groups.values()]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_group, plan, alpha, members)
-                for alpha, members in jobs
-            ]
+            futures = [pool.submit(_run_group, plan, levels) for levels in groups.values()]
             results = [future.result() for future in futures]
-    placed = {
-        position: row
-        for positions, group_rows in zip(groups.values(), results)
-        for position, row in zip(positions, group_rows)
-    }
-    rows = [placed[position] for position in range(len(cells))]
+    rows = sorted(
+        (row for group_rows in results for row in group_rows),
+        key=lambda row: (plan.alphas.index(row.alpha), row.level),
+    )
     return ConvergenceReport(table_id=plan.table_id, rows=_fill_orders(plan, rows))
 
 

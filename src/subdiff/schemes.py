@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.fft
@@ -52,8 +52,9 @@ SpaceTimeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 TimeFn = Callable[[np.ndarray], np.ndarray]
 #: ``(sub, diag, sup)`` of the systems of a block of steps, one row per step.
 TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: Writes the right-hand side of step ``i`` of a block, from ``y^j`` and the
-#: history term at every node, into the rows: ``rhs(i, y, conv, out)``.
+#: Writes the right-hand side of step ``i`` of a block into ``out``, the rows
+#: of ``new``, from ``y^j`` and the history term, which ``new`` holds at every
+#: node on entry: ``rhs(i, y, new, out)``.
 StepRhs = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 #: A spatial assembler: for a block of collocation times it returns the rows
 #: of every step, the source each step's right-hand side takes in, and the
@@ -83,7 +84,7 @@ class ProblemSpec:
     ``q`` and ``f`` once per block of steps with ``x`` of shape ``(1, m)``
     and ``t`` of shape ``(steps, 1)``, and ``k_time``/``q_time`` with ``t`` of
     shape ``(steps,)``; :func:`subdiff.grids.error_norms` samples ``exact``
-    once on the whole mesh with ``t`` of shape ``(layers, 1)``.  A result
+    on blocks of layers with ``t`` of shape ``(layers, 1)``.  A result
     that only depends on some of the axes, or a constant, is broadcast to the
     full shape.
     """
@@ -160,52 +161,64 @@ def _coefficient_guard(
 
 
 class _GridGroup:
-    """Grids on one domain laid end to end, so that each step of a run
-    serves all of them with one set of callbacks, one stencil pass and one
+    """Every (order, grid) cell of a run laid end to end on one node vector,
+    so that each step serves all of them with one stencil pass and one
     tridiagonal solve.
 
-    ``x`` concatenates each grid's ``n+1`` nodes and ``midpoints`` its ``n``
-    half-integer nodes.  Every node but the first and the last is a row of
-    one block-diagonal system, row ``r`` being node ``r+1``, so a three-point
-    stencil over the node vector lands on the rows without a gather.  The
-    boundary nodes inside the group are identity rows (``edges``): diagonal
-    1, no couplings and a right-hand side of zero, so they keep their zero.
-    The couplings into them, from each grid's first and last interior row
-    (``firsts``, ``lasts``), are zeroed too, and ``dgtsv`` eliminates each
-    grid's block exactly as it would alone.
+    A *slab* is the grids of ``nxs`` on one domain laid end to end, ``width``
+    nodes in all, and the node vector is ``slabs`` slabs, one per fractional
+    order.  ``x``, ``midpoints`` and ``x_int`` hold one slab's nodes,
+    half-integer nodes and interior nodes, where each order samples its own
+    callbacks.  ``grids``, ``h`` and ``spans`` list every cell of the node
+    vector, slab by slab.
+
+    Every node but the first and the last is a row of one block-diagonal
+    system, row ``r`` being node ``r+1``, so a three-point stencil over the
+    node vector lands on the rows without a gather.  The boundary nodes inside
+    the vector are identity rows (``edges``): diagonal 1, no couplings and a
+    right-hand side of zero, so they keep their zero.  The couplings into
+    them, from each grid's first and last interior row (``firsts``,
+    ``lasts``), are zeroed too, and ``dgtsv`` eliminates each cell's block
+    exactly as it would alone.
 
     Once per block of steps the assemblers spread what they sample over the
-    rows: ``live`` lists the rows of the grids' interior nodes ``x_int``, and
-    ``intervals`` the grids' own intervals among the differences of the node
-    vector (difference ``i`` joins nodes ``i`` and ``i+1``); those across two
-    grids are left out.  ``h_sq`` holds each row's ``h*h`` (1 on an identity
-    row).  With one grid there are no identity rows, and the rows are the
-    interior nodes a one-grid code solves for.
+    rows: ``live`` lists the rows of the interior nodes (each slab's
+    ``x_int`` in turn), ``intervals`` the grids' own intervals among the
+    differences of the node vector (difference ``i`` joins nodes ``i`` and
+    ``i+1``; those across two grids are left out), and :meth:`spread` puts a
+    value per order on each row of its slab.  ``h_sq`` holds each row's
+    ``h*h`` (1 on an identity row).  With one grid and one order there are
+    no identity rows, and the rows are the interior nodes a one-grid code
+    solves for.
     """
 
-    def __init__(self, length: float, nxs: tuple[int, ...]):
-        if not nxs:
-            raise ValueError("need at least one grid")
-        self.grids = tuple(SpaceGrid(n=nx, length=length) for nx in nxs)
+    def __init__(self, length: float, nxs: tuple[int, ...], slabs: int):
+        slab = tuple(SpaceGrid(n=nx, length=length) for nx in nxs)
+        self.x = np.concatenate([grid.nodes() for grid in slab])
+        self.midpoints = np.concatenate([grid.midpoints() for grid in slab])
+        self.x_int = np.concatenate([grid.nodes()[1:-1] for grid in slab])
+        self.width = self.x.size
+        self.grids = slab * slabs
         self.h = np.array([grid.h for grid in self.grids])
         ends = np.cumsum([grid.n + 1 for grid in self.grids])
         begins = np.concatenate(([0], ends[:-1]))
         self.spans = tuple(zip(begins.tolist(), ends.tolist()))
-        self.x = np.concatenate([grid.nodes() for grid in self.grids])
-        self.midpoints = np.concatenate([grid.midpoints() for grid in self.grids])
+        nodes = int(ends[-1])
         #: Row ``begin`` is node ``begin+1``, the first interior node of a
         #: grid; row ``end-3`` is node ``end-2``, its last.
         self.firsts = begins
         self.lasts = ends - 3
         self.edges = np.concatenate((ends[:-1] - 2, ends[:-1] - 1))
-        self.live = np.flatnonzero(~np.isin(np.arange(self.x.size - 2), self.edges))
-        self.x_int = self.x[self.live + 1]
-        self.intervals = np.flatnonzero(
-            ~np.isin(np.arange(self.x.size - 1), ends[:-1] - 1)
-        )
-        self.h_sq = np.ones(self.x.size - 2)
+        self.live = np.flatnonzero(~np.isin(np.arange(nodes - 2), self.edges))
+        self.intervals = np.flatnonzero(~np.isin(np.arange(nodes - 1), ends[:-1] - 1))
+        self.h_sq = np.ones(nodes - 2)
         for grid, begin, end in zip(self.grids, begins, ends):
             self.h_sq[begin : end - 2] = grid.h * grid.h
+
+    def spread(self, per_order: np.ndarray) -> np.ndarray:
+        """The ``(steps, slabs)`` values of each order on every row of its
+        slab, as a ``(steps, rows)`` array."""
+        return np.repeat(per_order, self.width, axis=1)[:, 1:-1]
 
     def decouple(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
         """Make the identity rows of a block of steps' systems and zero the
@@ -218,58 +231,66 @@ class _GridGroup:
 
 
 def _second_order_block(
-    problem: ProblemSpec,
+    problems: Sequence[ProblemSpec],
     group: _GridGroup,
     times: np.ndarray,
-    sigma: float,
-    scale: float,
-    c0: np.ndarray,
+    sigmas: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
-    """Assemble a block of steps of the second-order scheme, step ``i`` at
-    ``t = times[i]`` with weight ``c0[i]``.
+    """Assemble a block of steps of the second-order scheme: in the slab of
+    order ``o``, step ``i`` collocates at ``t = times[i, o]`` with the blend
+    ``sigmas[o]`` and the scaled weight ``weights[i, o]`` of ``y^{j+1} -
+    y^j``.
 
     The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``.
     Returns the rows of every step, the source at every row (zero on the
-    identity rows), and the right-hand side of step ``i``, where ``conv`` is
-    the history term ``scale * sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` at every
-    node (zero on the boundary).
+    identity rows), and the right-hand side of step ``i``, which takes the
+    history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` (scaled) at every
+    node from ``new`` (zero on the boundary).
     """
-    t = times[:, None]
-    a_half = _sample(problem.k, "k", group.midpoints[None, :], t)
-    d_int = _sample(problem.q, "q", group.x_int[None, :], t)
-    phi_int = _sample(problem.f, "f", group.x_int[None, :], t)
-    _coefficient_guard(problem, times, a_half.min(axis=1), d_int.min(axis=1))
-    steps, rows = times.size, group.x.size - 2
+    steps, rows = times.shape[0], group.h_sq.size
     # The diffusivity on every difference of the node vector (zero across
     # two grids), and the reaction and the source on every row.
     a = np.zeros((steps, rows + 1))
-    a[:, group.intervals] = a_half
     d = np.zeros((steps, rows))
-    d[:, group.live] = d_int
     phi = np.zeros((steps, rows))
-    phi[:, group.live] = phi_int
+    intervals = group.intervals.reshape(len(problems), -1)
+    live = group.live.reshape(len(problems), -1)
+    for o, problem in enumerate(problems):
+        t = times[:, o, None]
+        k = _sample(problem.k, "k", group.midpoints[None, :], t)
+        q = _sample(problem.q, "q", group.x_int[None, :], t)
+        phi[:, live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
+        _coefficient_guard(problem, times[:, o], k.min(axis=1), q.min(axis=1))
+        a[:, intervals[o]] = k
+        d[:, live[o]] = q
     h_sq = group.h_sq
+    sigma = group.spread(sigmas[None, :])[0]
+    c0 = group.spread(weights)
     a_left, a_right = a[:, :-1], a[:, 1:]
-    diag = (scale * c0)[:, None] + sigma * (a_left + a_right) / h_sq + sigma * d
+    diag = c0 + sigma * (a_left + a_right) / h_sq + sigma * d
     sub = -sigma * a_left / h_sq
     sup = -sigma * a_right / h_sq
     # Per-row weights of y^j and of the flux differences; the latter vanish
     # on the identity rows, where y^j, the history term and phi are zero.
-    y_weight = (scale * c0)[:, None] - (1.0 - sigma) * d
+    y_weight = c0 - (1.0 - sigma) * d
     flux_weight = (1.0 - sigma) / h_sq
     flux_weight[group.edges] = 0.0
     flux = np.empty(rows + 1)
+    flux_left, flux_right = flux[:-1], flux[1:]
+    stencil = np.empty(rows)
     scratch = np.empty(rows)
 
     # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
-    def rhs(i: int, y: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+    # ``out`` holds the history term until the second last call reads it.
+    def rhs(i: int, y: np.ndarray, new: np.ndarray, out: np.ndarray) -> None:
         np.subtract(y[1:], y[:-1], flux)
         np.multiply(flux, a[i], flux)
-        np.subtract(flux[1:], flux[:-1], out)
-        np.multiply(out, flux_weight, out)
+        np.subtract(flux_right, flux_left, stencil)
+        np.multiply(stencil, flux_weight, stencil)
         np.multiply(y_weight[i], y[1:-1], scratch)
-        np.add(out, scratch, out)
-        np.subtract(out, conv[1:-1], out)
+        np.add(stencil, scratch, stencil)
+        np.subtract(stencil, out, out)
         np.add(out, phi[i], out)
 
     return (sub, diag, sup), phi, rhs
@@ -282,52 +303,61 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
 
 
 def _compact_block(
-    problem: ProblemSpec,
+    problems: Sequence[ProblemSpec],
     group: _GridGroup,
     times: np.ndarray,
-    sigma: float,
-    scale: float,
-    c0: np.ndarray,
+    sigmas: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
     """Assemble a block of steps of the compact scheme from the time-only
-    coefficients ``k_time(t)``, ``q_time(t)``.  The source and the history
-    term enter under the mass operator, which reads ``f`` at the boundary
-    nodes as well; the mass-averaged source is returned with the rows."""
-    a = _sample(problem.k_time, "k_time", times)
-    d = _sample(problem.q_time, "q_time", times)
-    phi_full = _sample(problem.f, "f", group.x[None, :], times[:, None])
-    _coefficient_guard(problem, times, a, d)
+    coefficients ``k_time(t)``, ``q_time(t)``, with the arguments of
+    :func:`_second_order_block`.  The source and the history term enter
+    under the mass operator, which reads ``f`` at the boundary nodes as
+    well; the mass-averaged source is returned with the rows."""
+    a, d = np.empty(times.shape), np.empty(times.shape)
+    phi_full = np.empty((times.shape[0], group.width * len(problems)))
+    for o, problem in enumerate(problems):
+        t = times[:, o]
+        a[:, o] = _sample(problem.k_time, "k_time", t)
+        d[:, o] = _sample(problem.q_time, "q_time", t)
+        phi_full[:, o * group.width : (o + 1) * group.width] = _sample(
+            problem.f, "f", group.x[None, :], t[:, None]
+        )
+        _coefficient_guard(problem, t, a[:, o], d[:, o])
     h_sq = group.h_sq
     mass_phi = _mass_average(phi_full)
     mass_phi[:, group.edges] = 0.0
 
-    reaction = (scale * c0 + sigma * d)[:, None]
-    diag = reaction * (10.0 / 12.0) + 2.0 * sigma * a[:, None] / h_sq
-    sub = reaction / 12.0 - sigma * a[:, None] / h_sq
+    reaction = group.spread(weights + sigmas * d)
+    diag = reaction * (10.0 / 12.0) + group.spread(2.0 * sigmas * a) / h_sq
+    sub = reaction / 12.0 - group.spread(sigmas * a) / h_sq
     # The right-hand side is M(w) + g L(y^j) + M(phi) with the mass operator
     # M, the second difference L and w = y_weight * y^j - conv.  The weights
     # are arrays, which numpy multiplies by faster than by a Python float;
     # those per row vanish on the identity rows.
-    y_weight = np.repeat((scale * c0 - (1.0 - sigma) * d)[:, None], group.x.size, axis=1)
-    laplace_weight = (1.0 - sigma) * a[:, None] / h_sq
+    y_weight = np.repeat(weights - (1.0 - sigmas) * d, group.width, axis=1)
+    laplace_weight = group.spread((1.0 - sigmas) * a) / h_sq
     laplace_weight[:, group.edges] = 0.0
     mass_weight = np.full(h_sq.size, 1.0 / 12.0)
     mass_weight[group.edges] = 0.0
     ten = np.full(h_sq.size, 10.0)
-    w = np.empty(group.x.size)
+    w = np.empty(y_weight.shape[1])
+    w_left, w_mid, w_right = w[:-2], w[1:-1], w[2:]
     laplace = np.empty(h_sq.size)
 
     # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
-    def rhs(i: int, y: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+    # ``new`` holds the history term conv until the second call reads it.
+    def rhs(i: int, y: np.ndarray, new: np.ndarray, out: np.ndarray) -> None:
         np.multiply(y, y_weight[i], w)
-        np.subtract(w, conv, w)
-        np.multiply(w[1:-1], ten, out)
-        np.add(out, w[:-2], out)
-        np.add(out, w[2:], out)
+        np.subtract(w, new, w)
+        np.multiply(w_mid, ten, out)
+        np.add(out, w_left, out)
+        np.add(out, w_right, out)
         np.multiply(out, mass_weight, out)
+        y_mid = y[1:-1]
         np.add(y[:-2], y[2:], laplace)
-        np.subtract(laplace, y[1:-1], laplace)
-        np.subtract(laplace, y[1:-1], laplace)
+        np.subtract(laplace, y_mid, laplace)
+        np.subtract(laplace, y_mid, laplace)
         np.multiply(laplace, laplace_weight[i], laplace)
         np.add(out, laplace, out)
         np.add(out, mass_phi[i], out)
@@ -357,14 +387,13 @@ def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndar
 
 
 #: Each step sums the sources of its own window of this many steps directly;
-#: the older ones arrive in dyadic blocks of at least this many.
+#: the older ones arrive in dyadic blocks of at least this many.  A block of
+#: exactly this many is one dense Toeplitz product with the window's ring of
+#: sources; a larger one goes through an FFT of twice its length.  Larger
+#: dense blocks would keep the Toeplitz matrices in memory (8 MB for a block
+#: of 1024) and hand OpenBLAS products large enough to start its second
+#: thread, for no gain in wall time on the study tables.
 _WINDOW = 64
-#: Blocks of up to this many sources go through one dense Toeplitz product;
-#: larger ones through an FFT of twice their length.  A larger bound would
-#: keep the Toeplitz matrices in memory (8 MB for a block of 1024) and hand
-#: OpenBLAS products large enough to start its second thread, for no gain in
-#: wall time on the study tables.
-_DENSE_BLOCK_MAX = 64
 #: Working-set budget in bytes: the padded block one FFT pass transforms
 #: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
 #: block of sampled data (the steps are taken in blocks that fit it).
@@ -372,164 +401,219 @@ _CHUNK_BYTES = 1 << 18
 
 
 class _CausalConvolution:
-    """The history sums ``acc[t] = tail[t] * src[0] + sum_{1 <= s < t}
-    lags[t-s] * src[s]`` over the rows of ``src``, built while the rows are
-    filled one by one (the dyadic scheme of Hairer, Lubich & Schlichte, SIAM
-    J. Sci. Stat. Comput. 6, 1985).
+    """The history sums ``acc[t] = tail[o, t] * src[0] + sum_{1 <= s < t}
+    lags[o, t-s] * src[s]``, with ``src[s] = values[s+1] - values[s]``, over
+    the columns of each order's slab ``o`` of the layer array ``values``,
+    built while a march fills the layers one by one (the dyadic scheme of
+    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
 
-    ``term(j)`` returns ``acc[j]`` once rows ``0 .. j-1`` are filled; it is
-    called for ``j = 0, 1, 2, ...`` in turn.  Source 0 enters every target
-    at once, when ``term(1)`` is called.  A pair ``1 <= s < t`` inside one
-    window of ``_WINDOW`` steps is summed by target ``t`` itself, in one
-    product with the lags of its window.  Any other pair is added exactly
-    once, at the highest bit where ``s`` and ``t`` differ: at ``j = t`` with
-    that bit and the ones below it cleared, ``term(j)`` adds the
-    ``L = j & -j >= _WINDOW`` sources ``[j-L, j)`` into the targets
-    ``[j, j+L)``.  A block of ``L <= _DENSE_BLOCK_MAX`` is one product with
-    the Toeplitz matrix of lags ``1 .. 2L-1``; a larger one is a circular
-    convolution of length ``2L`` through ``scipy.fft``, over column chunks of
-    at most ``_CHUNK_BYTES``.  The matrices and lag spectra are cached per
-    ``L``.  A block always computes its full ``L`` target rows and drops those
-    past the last row only when adding them, so ``acc[t]`` does not depend on
-    the number of rows.  ``lags`` must reach lag ``2L-1`` of the largest
-    block, ``L <= len(src) - 1``, and ``tail`` must reach ``len(src) - 1``.
-    Cost ``O(n log^2 n + n * _WINDOW)`` per column for ``n`` rows.
+    The sums live in the layer array itself: ``acc[t]`` is kept in row
+    ``t+1``, which nothing else touches until step ``t`` solves into it.
+    ``term(j)`` is called for ``j = 0, 1, 2, ...`` in turn, once rows ``0 ..
+    j`` hold solved layers; it completes ``acc[j]`` in row ``j+1``.  It first
+    takes the newest difference ``src[j-1]`` into a ring of the ``_WINDOW``
+    latest, row ``s % _WINDOW``, so that the sources of the current window,
+    ``[j - j % _WINDOW, j)``, are a prefix of the ring.  Source 0 enters
+    every target at once, when ``term(1)`` is called.  A pair ``1 <= s < t``
+    inside one window is summed by target ``t`` itself, in one batched
+    product of each order's lags with its window.  Any other pair is added
+    exactly once, at the highest bit where ``s`` and ``t`` differ: at ``j =
+    t`` with that bit and the ones below it cleared, ``term(j)`` adds the
+    ``L = j & -j >= _WINDOW`` sources ``[j-L, j)`` into the targets ``[j,
+    j+L)``.  A block of ``L = _WINDOW`` is the whole ring, taken in one
+    batched product with each order's Toeplitz matrix of lags ``1 ..
+    2L-1``; a larger one is a circular convolution of length ``2L`` through
+    ``scipy.fft`` with each order's lag spectrum, its sources subtracted
+    from the layers straight into the padded block, over chunks of at most
+    ``_CHUNK_BYTES``.  The matrices and spectra are cached per ``L``.  A
+    block always computes its full ``L`` target rows and drops those past
+    the last row only when adding them, so ``acc[t]`` does not depend on the
+    number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
+    ``L <= len(values) - 2``, and ``tail`` must reach ``len(values) - 2``.
+    Cost ``O(n log^2 n + n * _WINDOW)`` per column for ``n`` rows, and memory
+    beyond the layers of ``_WINDOW`` rows and one chunk.
     """
 
-    def __init__(self, lags: np.ndarray, tail: np.ndarray, src: np.ndarray):
+    def __init__(self, lags: np.ndarray, tail: np.ndarray, values: np.ndarray):
         self.lags = lags
         self.tail = tail
-        self.src = src
-        self.acc = np.zeros_like(src)
-        #: Lags ``_WINDOW-1 .. 1``: the last ``m`` of them weigh the ``m``
-        #: sources before a target.
-        self._near = lags[1:_WINDOW][::-1].copy()
+        self._values = values
+        orders = lags.shape[0]
+        self._steps = values.shape[0] - 1
+        #: The layers as ``(layer, order, column)``.
+        self._layers = values.reshape(values.shape[0], orders, -1)
+        # A run of fewer steps than a window needs fewer rows.
+        self._ring = np.zeros((min(_WINDOW, self._steps), values.shape[1]))
+        #: The ring as ``(order, row, column)``.
+        self._sources = self._ring.reshape(len(self._ring), orders, -1).transpose(1, 0, 2)
+        #: Lags ``_WINDOW-1 .. 1`` of each order: the last ``m`` of them
+        #: weigh the ``m`` sources before a target.
+        self._near = lags[:, None, _WINDOW - 1 : 0 : -1].copy()
+        self._product = np.empty((orders, 1, self._layers.shape[2]))
+        self._flat_product = self._product.reshape(-1)
         self._blocks: dict[int, np.ndarray] = {}
 
     def _block(self, size: int) -> np.ndarray:
-        """The ``size x size`` Toeplitz matrix of lags, or its ``rfft`` over
-        a period of ``2*size`` (lag 0 set to zero)."""
+        """Each order's ``size x size`` Toeplitz matrix of lags, or its
+        ``rfft`` over a period of ``2*size`` (lag 0 set to zero)."""
         block = self._blocks.get(size)
         if block is None:
-            if size <= _DENSE_BLOCK_MAX:
+            if size == _WINDOW:
                 offsets = np.arange(size)
-                block = self.lags[size + offsets[:, None] - offsets[None, :]]
+                block = self.lags[:, size + offsets[:, None] - offsets[None, :]]
             else:
-                period = np.zeros(2 * size)
-                period[1:] = self.lags[1 : 2 * size]
-                block = scipy.fft.rfft(period)
+                period = np.zeros((self.lags.shape[0], 2 * size))
+                period[:, 1:] = self.lags[:, 1 : 2 * size]
+                block = scipy.fft.rfft(period, axis=1)
             self._blocks[size] = block
         return block
 
-    def term(self, j: int) -> np.ndarray:
-        """``acc[j]``, complete once rows ``0 .. j-1`` of ``src`` are filled."""
+    def term(self, j: int) -> None:
+        """Complete ``acc[j]`` in layer ``j+1``; layers ``0 .. j`` must be
+        solved."""
+        values = self._values
+        if j:
+            np.subtract(values[j], values[j - 1], self._ring[(j - 1) % _WINDOW])
         if j == 1:
             # Nothing has reached the accumulator yet.
-            rows = self.src.shape[0]
-            np.multiply.outer(self.tail[1:rows], self.src[0], out=self.acc[1:])
+            np.multiply(
+                self.tail[:, 1 : self._steps].T[:, :, None],
+                self._sources[:, 0],
+                self._layers[2:],
+            )
         elif j and not j % _WINDOW:
             self._add_block(j)
-        target = self.acc[j]
-        near = min(j % _WINDOW, j - 1)
+        end = j % _WINDOW
+        near = min(end, j - 1)
         if near > 0:
-            np.add(target, np.dot(self._near[-near:], self.src[j - near : j]), target)
-        return target
+            np.matmul(
+                self._near[:, :, -near:], self._sources[:, end - near : end], self._product
+            )
+            np.add(values[j + 1], self._flat_product, values[j + 1])
+
+    def _chunks(self, size: int) -> Iterator[tuple[slice, slice]]:
+        """The ``(orders, columns)`` slices a block of ``size`` sources is
+        taken in: whole slabs while they fit ``_CHUNK_BYTES``, else columns
+        of one slab.  A dense block takes whole slabs, so that each slab's
+        product is one BLAS call, rounded alike whatever the budget."""
+        orders, width = self._layers.shape[1:]
+        columns = max(1, _CHUNK_BYTES // (16 * size))
+        if size == _WINDOW:
+            columns = max(columns, width)
+        per_chunk = max(1, columns // width)
+        columns = min(columns, width)
+        for begin_order in range(0, orders, per_chunk):
+            for begin in range(0, width, columns):
+                yield (
+                    slice(begin_order, begin_order + per_chunk),
+                    slice(begin, begin + columns),
+                )
 
     def _add_block(self, j: int) -> None:
         size = j & -j
         first = j - size
-        kept = min(size, self.src.shape[0] - j)
-        targets = self.acc[j : j + kept]
-        if size <= _DENSE_BLOCK_MAX:
-            skip = 1 if first == 0 else 0
-            block = self._block(size)[:, skip:] @ self.src[first + skip : j]
-            targets += block[:kept]
-            return
-        spectrum = self._block(size)[:, None]
-        width = max(1, _CHUNK_BYTES // (16 * size))
-        for begin in range(0, self.src.shape[1], width):
-            columns = slice(begin, begin + width)
-            padded = np.zeros((2 * size, min(width, self.src.shape[1] - begin)))
-            padded[:size] = self.src[first:j, columns]
-            if first == 0:
-                padded[0] = 0.0
-            transform = scipy.fft.rfft(padded, axis=0, overwrite_x=True)
-            transform *= spectrum
-            targets[:, columns] += scipy.fft.irfft(
-                transform, 2 * size, axis=0, overwrite_x=True
-            )[size : size + kept]
+        kept = min(size, self._steps - j)
+        targets = self._layers[j + 1 : j + 1 + kept]
+        block = self._block(size)
+        for slab, chunk in self._chunks(size):
+            if size == _WINDOW:
+                skip = 1 if first == 0 else 0
+                sums = np.matmul(
+                    block[slab, :, skip:], self._sources[slab, skip:, chunk]
+                ).transpose(1, 0, 2)
+            else:
+                sources = self._layers[first : j + 1, slab, chunk]
+                padded = np.zeros((2 * size,) + sources.shape[1:])
+                np.subtract(sources[1:], sources[:-1], padded[:size])
+                if first == 0:
+                    padded[0] = 0.0
+                transform = scipy.fft.rfft(padded, axis=0, overwrite_x=True)
+                transform *= block[slab].T[:, :, None]
+                sums = scipy.fft.irfft(transform, 2 * size, axis=0, overwrite_x=True)
+                sums = sums[size:]
+            targets[:, slab, chunk] += sums[:kept]
 
 
 def _march(
-    problem: ProblemSpec,
-    order: FractionalOrder,
+    problems: Sequence[ProblemSpec],
+    orders: Sequence[FractionalOrder],
     nxs: tuple[int, ...],
     nt: int,
     scheme: str,
-) -> tuple[SolutionHistory, ...]:
+) -> tuple[tuple[SolutionHistory, ...], ...]:
     """March the L2-1sigma scheme with ``nt`` time steps covering
-    ``[0, horizon]`` on every grid of ``nxs`` space subintervals at once;
+    ``[0, horizon]``, for every order of ``orders`` with its problem of
+    ``problems``, on every grid of ``nxs`` space subintervals at once;
     ``scheme`` names the spatial assembler in ``_ASSEMBLERS``.  Returns one
-    history per grid.
+    history per order and grid, ``histories[o][g]``.
 
-    Step ``j -> j+1`` collocates at ``t_{j+sigma} = (j+sigma)*tau``.  Its
-    weights ``c_0 .. c_j`` share the lag weights ``c_1 .. c_{j-1}`` with
-    every other step, so one lag table serves the run; only ``c_0`` and the
-    tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.  The lag
-    table and the tail carry the derivative's scale ``tau^-alpha /
-    Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nx)``: the history term is
-    built by :class:`_CausalConvolution`, which sums each step's own window
-    of the last few differences directly and adds older ones in dyadic
-    blocks.
+    Step ``j -> j+1`` of order ``o`` collocates at ``t_{j+sigma} =
+    (j+sigma)*tau`` with that order's ``sigma``.  Its weights ``c_0 .. c_j``
+    share the lag weights ``c_1 .. c_{j-1}`` with every other step, so one
+    lag table per order serves the run; only ``c_0`` (``a_0`` at ``j = 0``)
+    and the tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.
+    The lag tables and the tails carry each order's derivative scale
+    ``tau^-alpha / Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nodes)``: the
+    history term is built by :class:`_CausalConvolution`, which sums each
+    step's own window of the last few differences directly and adds older
+    ones in dyadic blocks, in the layer array itself.
 
     Nothing but the right-hand side depends on the solution, so the steps
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the assembler
-    samples the callbacks once per block, on an array of the block's
-    collocation times, checks ``k >= c1`` and ``q >= 0`` and builds the rows,
-    the source and per-row weights for every step of the block.  Each step
-    then writes its right-hand side from ``y^j`` and the history term into
-    ``values[j+1]``, where ``dgtsv`` solves in place, and takes the
-    difference to ``y^j`` for the history.  The factored pivots land in the
-    block's diagonal and are checked once per block, so a zero or denormal
-    pivot raises :class:`~subdiff.tridiag.SingularSystemError` at the end of
-    its block.
+    samples each order's callbacks once per block, on an array of that
+    order's collocation times, checks ``k >= c1`` and ``q >= 0`` against
+    that problem's ``c1``, and builds the rows, the source and per-row
+    weights for every step of the block.  Each step then completes the
+    history term in ``values[j+1]``, writes its right-hand side from ``y^j``
+    and that term into the rows of ``values[j+1]``, and ``dgtsv`` solves
+    there in place.  The factored pivots land in the block's diagonal and
+    are checked once per block, so a zero or denormal pivot raises
+    :class:`~subdiff.tridiag.SingularSystemError` at the end of its block,
+    and so does the first layer that holds a non-finite value.
 
-    The grids share the time grid, the callbacks, the history contraction
-    and the solve: every node but the first and the last of the group is a
-    row of one block-diagonal system (see :class:`_GridGroup`), in which the
-    grids' boundary nodes are identity rows.  Each history records the
-    scheme and ``max_j h ||phi^j||^2`` of the source as its assembler formed
-    it.
+    The cells share the time grid, the history contraction and the solve:
+    the node vector is one slab of the grids of ``nxs`` per order, and every
+    node but its first and last is a row of one block-diagonal system (see
+    :class:`_GridGroup`), in which the grids' boundary nodes are identity
+    rows.  The two outer boundary nodes are not rows; they carry the
+    history term's zero boundary entries during the march and are reset to
+    zero after it.  Each history records the scheme and ``max_j h
+    ||phi^j||^2`` of the source as its assembler formed it.
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
     assemble = _ASSEMBLERS[scheme]
-    group = _GridGroup(problem.length, nxs)
-    tau = problem.horizon / nt
-    sigma = order.sigma
-    scale = _derivative_scale(order, tau)
+    group = _GridGroup(problems[0].length, nxs, len(orders))
+    tau = problems[0].horizon / nt
+    sigmas = np.array([order.sigma for order in orders])
+    scales = np.array([_derivative_scale(order, tau) for order in orders])
     # Lags up to 2L-1 of the largest block L <= nt-1, and the tail up to nt-1.
     n_table = 1 << (nt - 1).bit_length()
-    a_table = coeff_a_array(order, n_table)
-    b_table = coeff_b_array(order, n_table)
-    lags = _assemble_l21sigma(a_table, b_table, n_table)
+    a_tables = np.array([coeff_a_array(order, n_table) for order in orders])
+    b_tables = np.array([coeff_b_array(order, n_table) for order in orders])
+    lags = np.array(
+        [_assemble_l21sigma(a, b, n_table) for a, b in zip(a_tables, b_tables)]
+    )
 
-    values = np.zeros((nt + 1, group.x.size))
-    initial = np.asarray(problem.u0(group.x), dtype=float)
-    for begin, end in group.spans:
-        values[0, begin:end] = _validate_initial_layer(initial[begin:end], problem)
-    # diffs[s] = y^{s+1} - y^s at every node; the boundary columns stay zero,
-    # and so do those of the history term.
-    diffs = np.zeros((nt, group.x.size))
-    history = _CausalConvolution(scale * lags, scale * (a_table - b_table), diffs)
+    values = np.zeros((nt + 1, group.width * len(orders)))
+    for o, problem in enumerate(problems):
+        initial = np.asarray(problem.u0(group.x), dtype=float)
+        for begin, end in group.spans[: len(nxs)]:
+            values[0, o * group.width + begin : o * group.width + end] = (
+                _validate_initial_layer(initial[begin:end], problem)
+            )
+    history = _CausalConvolution(
+        scales[:, None] * lags, scales[:, None] * (a_tables - b_tables), values
+    )
+    rows = values[:, 1:-1]
     source_norm_sq = np.zeros(len(group.grids))
-    block_steps = max(1, _CHUNK_BYTES // (8 * group.x.size))
+    block_steps = max(1, _CHUNK_BYTES // (8 * values.shape[1]))
 
     for first in range(0, nt, block_steps):
         steps = np.arange(first, min(first + block_steps, nt))
-        c0 = np.where(steps == 0, a_table[0], lags[0])
+        c0 = np.where(steps[:, None] == 0, a_tables[:, 0], lags[:, 0])
         (sub, diag, sup), phi, rhs = assemble(
-            problem, group, (steps + sigma) * tau, sigma, scale, c0
+            problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
         )
         # Each grid's rows run from its first row to the next grid's; the
         # identity rows among them carry no source.
@@ -539,22 +623,29 @@ def _march(
             out=source_norm_sq,
         )
         group.decouple(sub, diag, sup)
-        systems = zip(steps.tolist(), sub, diag, sup)
-        for i, (j, sub_j, diag_j, sup_j) in enumerate(systems):
-            y, new = values[j], values[j + 1]
-            solution = new[1:-1]
-            rhs(i, y, history.term(j), solution)
-            _solve_core(sub_j, diag_j, sup_j, solution)
-            np.subtract(new, y, diffs[j])
+        for i, j in enumerate(steps.tolist()):
+            history.term(j)
+            solution = rows[j + 1]
+            rhs(i, values[j], values[j + 1], solution)
+            _solve_core(sub[i], diag[i], sup[i], solution)
         _check_pivots(diag)
+        finite = np.isfinite(values[first + 1 : first + 1 + steps.size]).all(axis=1)
+        if not finite.all():
+            bad = first + 1 + int(np.argmin(finite))
+            raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
+        # Free the block's arrays before the next block is assembled.
+        del sub, diag, sup, phi, rhs
 
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-        raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
+    values[:, 0] = 0.0
+    values[:, -1] = 0.0
     times = np.arange(nt + 1) * tau
-    return tuple(
+    histories = [
         SolutionHistory(grid, values[:, begin:end], times, float(norm_sq), scheme)
         for grid, (begin, end), norm_sq in zip(group.grids, group.spans, source_norm_sq)
+    ]
+    return tuple(
+        tuple(histories[begin : begin + len(nxs)])
+        for begin in range(0, len(histories), len(nxs))
     )
 
 
@@ -563,51 +654,61 @@ def _is_int(value: object) -> bool:
 
 
 def _run(
-    problem: ProblemSpec,
-    order: FractionalOrder,
-    nx: Union[int, tuple[int, ...]],
+    problems: Sequence[ProblemSpec],
+    orders: Sequence[FractionalOrder],
+    nxs: tuple[int, ...],
     nt: int,
     scheme: str,
-) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
-    """One history for an integer ``nx``, one per grid for a tuple of
-    integers; any other ``nx``, and an ``nt`` that is not an integer, is
-    rejected."""
-    sizes = nx if isinstance(nx, tuple) else (nx,)
-    if not all(_is_int(n) for n in sizes):
-        raise ValueError(f"nx must be an int or a tuple of ints, got {nx!r}")
+) -> tuple[tuple[SolutionHistory, ...], ...]:
+    """Check the arguments of a run and march it.  The problems must share
+    the domain and the horizon, and come one per order; ``nxs`` must be a
+    nonempty tuple of integers and ``nt`` an integer.  The compact scheme
+    needs time-only coefficients."""
+    problems, orders = tuple(problems), tuple(orders)
+    if len(problems) != len(orders) or not orders:
+        raise ValueError(
+            f"need one problem per order, got {len(problems)} problems "
+            f"and {len(orders)} orders"
+        )
+    for name in ("length", "horizon"):
+        if len({getattr(problem, name) for problem in problems}) > 1:
+            raise ValueError(f"problems marched together must share the {name}")
+    if not isinstance(nxs, tuple) or not all(_is_int(n) for n in nxs):
+        raise ValueError(f"nxs must be a tuple of ints, got {nxs!r}")
+    if not nxs:
+        raise ValueError("nxs must name at least one grid")
     if not _is_int(nt):
         raise ValueError(f"nt must be an int, got {nt!r}")
-    histories = _march(problem, order, sizes, nt, scheme)
-    return histories if isinstance(nx, tuple) else histories[0]
-
-
-def run_second_order(
-    problem: ProblemSpec,
-    order: FractionalOrder,
-    nx: Union[int, tuple[int, ...]],
-    nt: int,
-) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
-    """Run the second-order scheme on ``nx`` space subintervals and ``nt``
-    time steps covering ``[0, horizon]``.  A tuple ``nx`` marches those grids
-    together and returns one history per grid."""
-    return _run(problem, order, nx, nt, "second")
-
-
-def run_compact(
-    problem: ProblemSpec,
-    order: FractionalOrder,
-    nx: Union[int, tuple[int, ...]],
-    nt: int,
-) -> Union[SolutionHistory, tuple[SolutionHistory, ...]]:
-    """Run the compact scheme on ``nx`` space subintervals and ``nt`` time
-    steps covering ``[0, horizon]``.  Requires time-only coefficients.  A
-    tuple ``nx`` marches those grids together and returns one history per
-    grid."""
-    if not problem.has_time_only_coefficients:
+    if scheme == "compact" and not all(p.has_time_only_coefficients for p in problems):
         raise SchemeCompatibilityError(
             "compact scheme requires time-only coefficients (k_time and q_time)"
         )
-    return _run(problem, order, nx, nt, "compact")
+    return _march(problems, orders, nxs, nt, scheme)
+
+
+def run_second_order(
+    problems: Sequence[ProblemSpec],
+    orders: Sequence[FractionalOrder],
+    nxs: tuple[int, ...],
+    nt: int,
+) -> tuple[tuple[SolutionHistory, ...], ...]:
+    """Run the second-order scheme with ``nt`` time steps covering ``[0,
+    horizon]``, for each order of ``orders`` with its problem of
+    ``problems``, on every grid of ``nxs`` (a tuple of space subinterval
+    counts).  All the cells march together; ``histories[o][g]`` is the run
+    of order ``o`` on grid ``g``."""
+    return _run(problems, orders, nxs, nt, "second")
+
+
+def run_compact(
+    problems: Sequence[ProblemSpec],
+    orders: Sequence[FractionalOrder],
+    nxs: tuple[int, ...],
+    nt: int,
+) -> tuple[tuple[SolutionHistory, ...], ...]:
+    """Run the compact scheme with the arguments and the result of
+    :func:`run_second_order`.  Requires time-only coefficients."""
+    return _run(problems, orders, nxs, nt, "compact")
 
 
 def a_priori_bound(

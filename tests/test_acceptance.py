@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import caputo_reference
 from reference_tables import (
     TABLE1,
     TABLE2,
@@ -26,7 +27,6 @@ from subdiff.kernels import (
     FractionalOrder,
     apply,
     audit_weight_family,
-    caputo_reference,
     energy_inequality_probe,
     weights,
 )
@@ -304,7 +304,7 @@ def test_criterion_11_a_priori_stability(table_runs):
         problem = _random_smooth_problem(rng)
         scheme = "second" if index % 2 == 0 else "compact"
         runner = run_second_order if scheme == "second" else run_compact
-        history = runner(problem, order, 64, 64)
+        history = runner((problem,), (order,), (64,), 64)[0][0]
         lhs, rhs = a_priori_bound(problem, order, history)
         if not lhs <= rhs:
             violations.append(

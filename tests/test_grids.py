@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from subdiff import grids
 from subdiff.grids import (
     ErrorSummary,
     SolutionHistory,
@@ -96,8 +97,8 @@ def test_error_norms_detects_perturbation():
 
 
 def test_error_norms_rejects_an_exact_solution_that_does_not_broadcast():
-    """The exact solution is sampled once on the whole mesh; one written for
-    a scalar ``t`` must fail with an error naming ``exact``."""
+    """The exact solution is sampled on blocks of layers; one written for a
+    scalar ``t`` must fail with an error naming ``exact``."""
     grid = SpaceGrid(n=4, length=1.0)
     history = SolutionHistory(grid, np.zeros((3, 5)), np.array([0.0, 0.5, 1.0]))
 
@@ -110,6 +111,22 @@ def test_error_norms_rejects_an_exact_solution_that_does_not_broadcast():
     for exact in (scalar_time, wrong_shape):
         with pytest.raises(ValueError, match=r"exact\(x, t\) must broadcast"):
             error_norms(history, exact)
+
+
+def test_error_norms_do_not_depend_on_the_block_of_layers(monkeypatch):
+    """Blocks of two and of three layers give the one-block norms bitwise."""
+    grid = SpaceGrid(n=6, length=1.0)
+    times = np.linspace(0.0, 1.0, 11)
+    values = np.random.default_rng(3).standard_normal((11, 7))
+
+    def exact(xs, t):
+        return np.sin(np.pi * xs) * np.exp(t)
+
+    history = SolutionHistory(grid, values, times)
+    whole = error_norms(history, exact)
+    for layers in (2, 3):
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * 7 * layers)
+        assert error_norms(history, exact) == whole
 
 
 def test_convergence_order_recovers_exact_power():

@@ -116,8 +116,9 @@ def test_run_study_deterministic_and_thread_invariant():
 
 
 def test_levels_sharing_nt_march_together_in_plan_order():
-    """Levels 1 and 3 share nt and form one group per alpha; the report keeps
-    plan order, is thread invariant, and matches one-grid runs."""
+    """Levels 1 and 3 share nt and form one group with both alphas; the
+    report keeps plan order, is thread invariant, and matches one-grid
+    runs."""
     plan = StudyPlan(
         table_id="T5",
         problem_id="timecoeff-compact",
@@ -142,7 +143,8 @@ def test_levels_sharing_nt_march_together_in_plan_order():
     for row in report.rows:
         order = FractionalOrder(row.alpha)
         problem = get_problem(plan.problem_id, order).spec
-        single = error_norms(run_compact(problem, order, row.nx, row.nt), problem.exact)
+        single = run_compact((problem,), (order,), (row.nx,), row.nt)[0][0]
+        single = error_norms(single, problem.exact)
         assert row.err_l2max == pytest.approx(single.l2max, rel=1e-13)
         assert row.err_sup == pytest.approx(single.sup, rel=1e-13)
         assert row.apriori_ok

@@ -6,14 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import caputo_power_rule, caputo_reference
 from subdiff.kernels import (
     L1,
     FractionalOrder,
     WeightVector,
     apply,
     audit_weight_family,
-    caputo_power_rule,
-    caputo_reference,
     coeff_a_array,
     coeff_b_array,
     weights,

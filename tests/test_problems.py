@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from subdiff.kernels import FractionalOrder, caputo_reference
+from oracles import caputo_reference
+from subdiff.kernels import FractionalOrder
 from subdiff.problems import (
     PROBLEM_IDS,
     get_problem,

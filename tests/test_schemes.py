@@ -4,6 +4,7 @@ probes."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ from subdiff.schemes import (
     run_second_order,
 )
 from subdiff.tridiag import SingularSystemError
+
+
+def _one(runner, problem, order, nx, nt):
+    """The history of one order on one grid."""
+    return runner((problem,), (order,), (nx,), nt)[0][0]
 
 
 def _poly_problem(order: FractionalOrder) -> ProblemSpec:
@@ -72,7 +78,7 @@ def test_second_order_exact_on_polynomial_data(alpha):
     order = FractionalOrder(alpha)
     problem = _poly_problem(order)
     for nx in (12, 2):  # nx = 2 leaves a single interior row
-        history = run_second_order(problem, order, nx=nx, nt=9)
+        history = _one(run_second_order, problem, order, nx, 9)
         summary = error_norms(history, problem.exact)
         assert summary.sup <= 1e-11
 
@@ -82,7 +88,7 @@ def test_compact_exact_on_polynomial_data(alpha):
     order = FractionalOrder(alpha)
     problem = _poly_problem(order)
     for nx in (12, 2):  # nx = 2 leaves a single interior row
-        history = run_compact(problem, order, nx=nx, nt=9)
+        history = _one(run_compact, problem, order, nx, 9)
         summary = error_norms(history, problem.exact)
         assert summary.sup <= 1e-11
 
@@ -103,11 +109,11 @@ COMPACT_FINAL = [
 
 def test_runs_reproduce_recorded_final_layers():
     order = FractionalOrder(0.4)
-    history = run_second_order(problem_varcoeff_2nd(order), order, 10, 7)
+    history = _one(run_second_order, problem_varcoeff_2nd(order), order, 10, 7)
     np.testing.assert_allclose(history.values[-1], SECOND_ORDER_FINAL, rtol=1e-14)
 
     order = FractionalOrder(0.6)
-    history = run_compact(problem_timecoeff_compact(order), order, 10, 7)
+    history = _one(run_compact, problem_timecoeff_compact(order), order, 10, 7)
     np.testing.assert_allclose(history.values[-1], COMPACT_FINAL, rtol=1e-14)
 
 
@@ -116,10 +122,10 @@ def _replays_prefix_bitwise(runner, problem, order, nx, nt):
     """A run over half the horizon with half the steps keeps the step size,
     so the full run must replay its layers exactly: step ``j -> j+1`` reads
     only layers ``0..j`` (same assembly, same arithmetic)."""
-    short = runner(
-        dataclasses.replace(problem, horizon=0.5 * problem.horizon), order, nx, nt
+    short = _one(
+        runner, dataclasses.replace(problem, horizon=0.5 * problem.horizon), order, nx, nt
     )
-    longer = runner(problem, order, nx, 2 * nt)
+    longer = _one(runner, problem, order, nx, 2 * nt)
     assert np.array_equal(longer.times[: nt + 1], short.times)
     assert np.array_equal(longer.values[: nt + 1], short.values)
 
@@ -147,19 +153,25 @@ def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
 
 class _DirectHistory:
     """Test oracle with the interface of ``_CausalConvolution``: the direct
-    contraction ``tail[j] * src[0] + sum_{1 <= s < j} lags[j-s] * src[s]``,
-    recomputed in full at each step."""
+    contraction ``tail[o, j] * src[0] + sum_{1 <= s < j} lags[o, j-s] *
+    src[s]`` over the slab of each order ``o``, with ``src[s] = values[s+1] -
+    values[s]``, recomputed in full at each step and written into
+    ``values[j+1]``."""
 
-    def __init__(self, lags, tail, src):
+    def __init__(self, lags, tail, values):
         self.lags = lags
         self.tail = tail
-        self.src = src
+        self.values = values
+        self.layers = values.reshape(values.shape[0], lags.shape[0], -1)
 
     def term(self, j):
         if j == 0:
-            return np.zeros(self.src.shape[1])
-        history = np.dot(self.lags[j - 1 : 0 : -1], self.src[1:j])
-        return self.tail[j] * self.src[0] + history
+            self.values[1] = 0.0
+            return
+        src = self.layers[1 : j + 1] - self.layers[:j]
+        for o, (lags, tail) in enumerate(zip(self.lags, self.tail)):
+            history = np.dot(lags[j - 1 : 0 : -1], src[1:j, o])
+            self.layers[j + 1, o] = tail[j] * src[0, o] + history
 
 
 def _direct_run(monkeypatch, runner, *args):
@@ -169,68 +181,99 @@ def _direct_run(monkeypatch, runner, *args):
         return runner(*args)
 
 
+def _history_terms(history_class, lags, tail, layers):
+    """``acc[j]`` for every ``j`` as a march sees it: the history completes
+    the term in layer ``j+1``, which is then read and overwritten with the
+    next layer of ``layers``."""
+    values = np.zeros_like(layers)
+    values[0] = layers[0]
+    history = history_class(lags, tail, values)
+    terms = []
+    for j in range(len(layers) - 1):
+        history.term(j)
+        terms.append(values[j + 1].copy())
+        values[j + 1] = layers[j + 1]
+    return np.array(terms)
+
+
+def _assert_history_matches_direct_sum(orders, nt, columns, seed):
+    """Positive differences and positive lags, as the L2-1sigma lags are, so
+    each sum is compared entry by entry."""
+    rng = np.random.default_rng(seed)
+    lags = rng.uniform(0.1, 1.0, size=(orders, (1 << (nt - 1).bit_length()) + 1))
+    tail = rng.uniform(0.1, 1.0, size=(orders, nt))
+    layers = np.cumsum(rng.uniform(0.1, 1.0, size=(nt + 1, orders * columns)), axis=0)
+    ours = _history_terms(_CausalConvolution, lags, tail, layers)
+    theirs = _history_terms(_DirectHistory, lags, tail, layers)
+    np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 129, 300, 1000])
 @pytest.mark.parametrize("columns", [1, 7, 40])
 def test_causal_convolution_matches_direct_sum(nt, columns):
     """Window sums, dense and FFT blocks, clipped at ``nt``, add every pair
     once; with 40 columns the block of L = 512 is transformed in two column
-    chunks.  The data are positive, as the L2-1sigma lags are, so each sum is
-    compared entry by entry."""
-    rng = np.random.default_rng(nt * 10 + columns)
-    lags = rng.uniform(0.1, 1.0, size=(1 << (nt - 1).bit_length()) + 1)
-    tail = rng.uniform(0.1, 1.0, size=nt)
-    src = rng.uniform(0.1, 1.0, size=(nt, columns))
-    fast = _CausalConvolution(lags, tail, src)
-    direct = _DirectHistory(lags, tail, src)
-    ours = np.array([fast.term(j) for j in range(nt)])
-    theirs = np.array([direct.term(j) for j in range(nt)])
-    np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
+    chunks."""
+    _assert_history_matches_direct_sum(1, nt, columns, nt * 10 + columns)
+
+
+@pytest.mark.parametrize("nt", [300, 1000])
+@pytest.mark.parametrize("columns", [7, 40])
+def test_causal_convolution_of_several_orders_matches_direct_sum(nt, columns):
+    """Each order's slab takes its own lags and tail.  From nt = 300 on the
+    run holds dense blocks (L = 64) and FFT blocks (L = 128, 256); with 40
+    columns per slab the FFT chunks hold whole slabs at L = 128 and part of
+    one slab from L = 256 on."""
+    _assert_history_matches_direct_sum(3, nt, columns, nt * 10 + columns + 1)
 
 
 def test_compact_group_matches_direct_history(monkeypatch):
-    order = FractionalOrder(0.6)
-    problem = problem_timecoeff_compact(order)
-    fast = run_compact(problem, order, (4, 8, 16), 300)
-    direct = _direct_run(monkeypatch, run_compact, problem, order, (4, 8, 16), 300)
-    for ours, theirs in zip(fast, direct):
+    orders = (FractionalOrder(0.6), FractionalOrder(0.2))
+    problems = tuple(problem_timecoeff_compact(order) for order in orders)
+    fast = run_compact(problems, orders, (4, 8, 16), 300)
+    direct = _direct_run(monkeypatch, run_compact, problems, orders, (4, 8, 16), 300)
+    for ours, theirs in zip(sum(fast, ()), sum(direct, ())):
         np.testing.assert_allclose(ours.values, theirs.values, rtol=1e-13, atol=0.0)
 
 
 def test_second_order_matches_direct_history(monkeypatch):
     order = FractionalOrder(0.4)
     problem = problem_varcoeff_2nd(order)
-    fast = run_second_order(problem, order, 16, 300)
-    direct = _direct_run(monkeypatch, run_second_order, problem, order, 16, 300)
+    fast = _one(run_second_order, problem, order, 16, 300)
+    direct = _direct_run(monkeypatch, _one, run_second_order, problem, order, 16, 300)
     np.testing.assert_allclose(fast.values, direct.values, rtol=1e-13, atol=0.0)
 
 
-def _assert_group_matches_single_runs(runner, problem, order, nxs, nt):
-    """Grids marched together reproduce their one-grid runs; the wider
-    history contraction may round differently in the last bit."""
-    histories = runner(problem, order, nxs, nt)
-    assert len(histories) == len(nxs)
-    for nx, history in zip(nxs, histories):
-        single = runner(problem, order, nx, nt)
-        assert history.grid == single.grid
-        assert np.array_equal(history.times, single.times)
-        np.testing.assert_allclose(history.values, single.values, rtol=1e-14, atol=0.0)
-        assert history.source_norm_sq == pytest.approx(single.source_norm_sq, rel=1e-14)
-        # The boundary nodes inside the group are identity rows of the solve.
-        boundary = history.values[:, [0, -1]]
-        assert np.all(boundary == 0.0) and not np.signbit(boundary).any()
+def _assert_merged_runs_match_single_runs(runner, make_problem, alphas, nxs, nt):
+    """The cells of several orders and grids marched together reproduce
+    their one-order, one-grid runs; the wider history contraction may round
+    differently in the last bit."""
+    orders = tuple(FractionalOrder(alpha) for alpha in alphas)
+    problems = tuple(make_problem(order) for order in orders)
+    merged = runner(problems, orders, nxs, nt)
+    assert [len(row) for row in merged] == [len(nxs)] * len(orders)
+    for problem, order, row in zip(problems, orders, merged):
+        for nx, history in zip(nxs, row):
+            single = _one(runner, problem, order, nx, nt)
+            assert history.grid == single.grid
+            assert np.array_equal(history.times, single.times)
+            np.testing.assert_allclose(history.values, single.values, rtol=1e-14, atol=0.0)
+            assert history.source_norm_sq == pytest.approx(single.source_norm_sq, rel=1e-14)
+            # The boundary nodes inside the node vector are identity rows of
+            # the solve; the outer two carry the history term's zeros.
+            boundary = history.values[:, [0, -1]]
+            assert np.all(boundary == 0.0) and not np.signbit(boundary).any()
 
 
 def test_grouped_compact_matches_single_runs():
-    order = FractionalOrder(0.6)
-    _assert_group_matches_single_runs(
-        run_compact, problem_timecoeff_compact(order), order, (4, 8, 16, 32), 300
+    _assert_merged_runs_match_single_runs(
+        run_compact, problem_timecoeff_compact, (0.6, 0.1, 0.9), (4, 8, 16, 32), 300
     )
 
 
 def test_grouped_second_order_matches_single_runs():
-    order = FractionalOrder(0.4)
-    _assert_group_matches_single_runs(
-        run_second_order, problem_varcoeff_2nd(order), order, (6, 10), 300
+    _assert_merged_runs_match_single_runs(
+        run_second_order, problem_varcoeff_2nd, (0.4, 0.99, 0.1, 0.5), (6, 10), 300
     )
 
 
@@ -269,7 +312,7 @@ def test_second_order_degenerates_to_crank_nicolson():
     Crank-Nicolson with the midpoint blend."""
     order = FractionalOrder(1.0 - 1e-6)
     problem = problem_varcoeff_2nd(order)
-    history = run_second_order(problem, order, nx=16, nt=8)
+    history = _one(run_second_order, problem, order, 16, 8)
     mine = history.values[-1]
     reference = _crank_nicolson_final_layer(problem, 16, 8)
     scale = max(1.0, float(np.abs(reference).max()))
@@ -310,7 +353,7 @@ def test_zero_data_stays_exactly_zero():
         q_time=lambda t: 0.0,
     )
     for runner, scheme in ((run_second_order, "second"), (run_compact, "compact")):
-        history = runner(problem, order, 8, 5)
+        history = _one(runner, problem, order, 8, 5)
         assert np.all(history.values == 0.0), scheme
 
 
@@ -318,7 +361,7 @@ def test_compact_rejects_space_dependent_coefficients():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)
     with pytest.raises(SchemeCompatibilityError):
-        run_compact(problem, order, 8, 4)
+        run_compact((problem,), (order,), (8,), 4)
 
 
 def test_initial_layer_must_vanish_at_endpoints():
@@ -334,7 +377,7 @@ def test_initial_layer_must_vanish_at_endpoints():
         c1=problem.c1,
     )
     with pytest.raises(ValueError):
-        run_second_order(bad, order, 8, 4)
+        _one(run_second_order, bad, order, 8, 4)
 
 
 def test_dominance_guard_trips_on_negative_reaction():
@@ -359,9 +402,9 @@ def test_dominance_guard_trips_on_negative_reaction():
     )
     message = r"reaction coefficient sampled at t=0\.1875 has minimum -50\.0, below zero"
     with pytest.raises(ValueError, match=message):
-        run_second_order(problem, order, 8, 4)
+        _one(run_second_order, problem, order, 8, 4)
     with pytest.raises(ValueError, match=message):
-        run_compact(problem, order, 8, 4)
+        _one(run_compact, problem, order, 8, 4)
 
 
 def _constant_problem(k_value, f=None):
@@ -387,7 +430,7 @@ def test_diffusivity_below_declared_floor_is_rejected(runner):
     reported with the time and the offending minimum."""
     order = FractionalOrder(0.5)
     with pytest.raises(ValueError, match=r"t=0\.1875.*minimum 0\.5.*c1=1\.0"):
-        runner(_constant_problem(0.5), order, 8, 4)
+        _one(runner, _constant_problem(0.5), order, 8, 4)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -396,14 +439,69 @@ def test_grouped_runs_keep_the_guards(runner):
     group of grids as it does on one grid."""
     order = FractionalOrder(0.5)
     with pytest.raises(ValueError, match=r"t=0\.1875.*minimum 0\.5.*c1=1\.0"):
-        runner(_constant_problem(0.5), order, (8, 4, 16), 4)
+        runner((_constant_problem(0.5),), (order,), (8, 4, 16), 4)
     problem = dataclasses.replace(
         _constant_problem(1.0),
         q=lambda x, t: -50.0 * np.ones_like(np.asarray(x, dtype=float)),
         q_time=lambda t: -50.0,
     )
     with pytest.raises(ValueError, match=r"t=0\.1875 has minimum -50\.0, below zero"):
-        runner(problem, order, (8, 4, 16), 4)
+        runner((problem,), (order,), (8, 4, 16), 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_merged_runs_keep_each_orders_guard(runner):
+    """Each order samples its own callbacks at its own collocation times
+    and checks them against its own ``c1``: at nt = 4 the first step of
+    alpha = 0.5 is at t = 0.1875 and that of alpha = 0.25 at t = 0.21875."""
+    orders = (FractionalOrder(0.5), FractionalOrder(0.25))
+    fine = _constant_problem(1.0)
+    with pytest.raises(ValueError, match=r"^diffusivity sampled at t=0\.21875 has minimum 0\.5, "
+                       r"below the declared floor c1=1\.0$"):
+        runner((fine, _constant_problem(0.5)), orders, (8, 4), 4)
+    high_floor = dataclasses.replace(_constant_problem(1.5), c1=2.0)
+    with pytest.raises(ValueError, match=r"t=0\.21875 has minimum 1\.5, .* c1=2\.0$"):
+        runner((fine, high_floor), orders, (8, 4), 4)
+    negative = dataclasses.replace(
+        _constant_problem(1.0),
+        q=lambda x, t: -50.0 * np.ones_like(np.asarray(x, dtype=float)),
+        q_time=lambda t: -50.0,
+    )
+    with pytest.raises(ValueError, match=r"^reaction coefficient sampled at t=0\.21875 "
+                       r"has minimum -50\.0, below zero$"):
+        runner((fine, negative), orders, (8, 4), 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_merged_runs_check_their_inputs(runner):
+    order = FractionalOrder(0.5)
+    problem = _constant_problem(1.0)
+    for name in ("length", "horizon"):
+        other = dataclasses.replace(problem, **{name: 2.0})
+        with pytest.raises(ValueError, match=f"must share the {name}"):
+            runner((problem, other), (order, order), (8,), 4)
+    with pytest.raises(ValueError, match="one problem per order, got 2 problems and 1 orders"):
+        runner((problem, problem), (order,), (8,), 4)
+    with pytest.raises(ValueError, match="one problem per order, got 0 problems and 0 orders"):
+        runner((), (), (8,), 4)
+
+
+def test_history_lives_in_the_layer_array():
+    """The history sums and the window's differences live in the layers
+    and a ring of 64 rows, so a march at nt = 4096 (FFT blocks up to
+    L = 2048) peaks at well under twice its layer array; full ``(nt,
+    nodes)`` arrays for the sums and the differences would triple it."""
+    orders = tuple(FractionalOrder(alpha) for alpha in (0.1, 0.5, 0.9))
+    problems = tuple(problem_timecoeff_compact(order) for order in orders)
+    tracemalloc.start()
+    try:
+        histories = run_compact(problems, orders, (8, 16, 32, 64), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layers = histories[0][0].values.base
+    assert layers.shape == (4097, 3 * (9 + 17 + 33 + 65))
+    assert peak < 1.6 * layers.nbytes
 
 
 def _late_switch(early, late):
@@ -421,17 +519,21 @@ def test_reaction_turning_negative_late_is_rejected(runner):
     )
     message = r"^reaction coefficient sampled at t=0\.71875 has minimum -1\.0, below zero"
     with pytest.raises(ValueError, match=message):
-        runner(problem, order, 8, 8)
+        _one(runner, problem, order, 8, 8)
+
+
+def _as_tuple(nx):
+    return nx if isinstance(nx, tuple) else (nx,)
 
 
 def _nodes(nx):
-    return sum(n + 1 for n in (nx if isinstance(nx, tuple) else (nx,)))
+    return sum(n + 1 for n in _as_tuple(nx))
 
 
-def _block_length(patch, nx, steps):
-    """Make a march over the grids ``nx`` take its steps in blocks of
-    ``steps``."""
-    patch.setattr(schemes, "_CHUNK_BYTES", 8 * _nodes(nx) * steps)
+def _block_length(patch, nx, steps, orders=1):
+    """Make a march of ``orders`` orders over the grids ``nx`` take its
+    steps in blocks of ``steps``."""
+    patch.setattr(schemes, "_CHUNK_BYTES", 8 * orders * _nodes(nx) * steps)
 
 
 @pytest.mark.parametrize(
@@ -449,18 +551,37 @@ def test_block_boundaries_do_not_change_the_numbers(
     """The callbacks are sampled once per block of steps.  By default the
     200 steps fit one block; blocks of 1 and 3 steps must give every layer
     and the recorded source norm bitwise."""
-    order = FractionalOrder(0.5)
-    problem = make_problem(order)
-    assert schemes._CHUNK_BYTES // (8 * _nodes(nx)) >= 200
-    default = runner(problem, order, nx, 200)
+    _assert_blocks_do_not_change_the_numbers(
+        runner, make_problem, (0.5,), _as_tuple(nx), steps, monkeypatch
+    )
+
+
+def _assert_blocks_do_not_change_the_numbers(
+    runner, make_problem, alphas, nxs, steps, monkeypatch
+):
+    orders = tuple(FractionalOrder(alpha) for alpha in alphas)
+    problems = tuple(make_problem(order) for order in orders)
+    assert schemes._CHUNK_BYTES // (8 * len(orders) * _nodes(nxs)) >= 200
+    default = runner(problems, orders, nxs, 200)
     with monkeypatch.context() as patch:
-        _block_length(patch, nx, steps)
-        blocked = runner(problem, order, nx, 200)
-    if not isinstance(nx, tuple):
-        default, blocked = (default,), (blocked,)
-    for ours, theirs in zip(blocked, default):
+        _block_length(patch, nxs, steps, len(orders))
+        blocked = runner(problems, orders, nxs, 200)
+    for ours, theirs in zip(sum(blocked, ()), sum(default, ())):
         assert np.array_equal(ours.values, theirs.values)
         assert ours.source_norm_sq == theirs.source_norm_sq
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem",
+    [(run_second_order, problem_varcoeff_2nd), (run_compact, problem_timecoeff_compact)],
+)
+@pytest.mark.parametrize("steps", [1, 3])
+def test_block_boundaries_do_not_change_merged_runs(runner, make_problem, steps, monkeypatch):
+    """The same with three orders on two grids: each order samples its own
+    callbacks once per block."""
+    _assert_blocks_do_not_change_the_numbers(
+        runner, make_problem, (0.5, 0.2, 0.9), (4, 8), steps, monkeypatch
+    )
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -480,7 +601,7 @@ def test_diffusivity_guard_names_the_step_in_a_later_block(runner, monkeypatch):
         match=r"^diffusivity sampled at t=0\.71875 has minimum 0\.5, "
         r"below the declared floor c1=1\.0$",
     ):
-        runner(problem, order, 8, 8)
+        _one(runner, problem, order, 8, 8)
 
 
 def _wide_cell_problem():
@@ -529,18 +650,15 @@ def test_pivot_check_reads_the_factored_pivots_of_a_run(runner, nx, steps, monke
     """A pivot floor above the smallest pivot of the U factor but below
     every diagonal entry (the identity rows' 1 included) trips only a check
     of the factored pivots, which the march runs once per block."""
-    order = FractionalOrder(0.5)
-    problem = _wide_cell_problem()
+    args = ((_wide_cell_problem(),), (FractionalOrder(0.5),), _as_tuple(nx), 6)
     if steps is not None:
         _block_length(monkeypatch, nx, steps)
-    pivot, diag = _smallest_pivot_and_diagonal(
-        monkeypatch, runner, problem, order, nx, 6
-    )
+    pivot, diag = _smallest_pivot_and_diagonal(monkeypatch, runner, *args)
     floor = 0.5 * (pivot + diag)
     assert pivot < floor < diag <= 1.0
     monkeypatch.setattr(tridiag, "_PIVOT_FLOOR", floor)
     with pytest.raises(SingularSystemError) as excinfo:
-        runner(problem, order, nx, 6)
+        runner(*args)
     assert 0.0 < excinfo.value.pivot <= floor
 
 
@@ -570,7 +688,7 @@ def test_callbacks_that_do_not_broadcast_are_rejected(runner, name, style):
     # nt = 1 samples a block of one step, where a size-one t passes a branch.
     for nt in (4, 1):
         with pytest.raises(ValueError, match=re.escape(message)):
-            runner(problem, order, 8, nt)
+            _one(runner, problem, order, 8, nt)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -585,8 +703,8 @@ def test_constant_callbacks_are_broadcast(runner):
         k_time=lambda t: 1.0,
         q_time=lambda t: 0.0,
     )
-    ours = runner(constant, order, 8, 6)
-    theirs = runner(_constant_problem(1.0), order, 8, 6)
+    ours = _one(runner, constant, order, 8, 6)
+    theirs = _one(runner, _constant_problem(1.0), order, 8, 6)
     assert np.array_equal(ours.values, theirs.values)
     assert ours.source_norm_sq == theirs.source_norm_sq == 0.0
 
@@ -595,8 +713,17 @@ def test_constant_callbacks_are_broadcast(runner):
 @pytest.mark.parametrize("nx", [[4, 8], 8.0, (4, 8.0), True])
 def test_runs_reject_sizes_that_are_neither_int_nor_tuple(runner, nx):
     order = FractionalOrder(0.5)
-    with pytest.raises(ValueError, match="nx must be an int or a tuple of ints"):
-        runner(_constant_problem(1.0), order, nx, 4)
+    with pytest.raises(ValueError, match="nxs must be a tuple of ints"):
+        runner((_constant_problem(1.0),), (order,), nx, 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_runs_take_the_grids_as_a_nonempty_tuple(runner):
+    order = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="nxs must be a tuple of ints, got 8"):
+        runner((_constant_problem(1.0),), (order,), 8, 4)
+    with pytest.raises(ValueError, match="nxs must name at least one grid"):
+        runner((_constant_problem(1.0),), (order,), (), 4)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -604,7 +731,7 @@ def test_runs_reject_sizes_that_are_neither_int_nor_tuple(runner, nx):
 def test_runs_reject_step_counts_that_are_not_int(runner, nt):
     order = FractionalOrder(0.5)
     with pytest.raises(ValueError, match="nt must be an int"):
-        runner(_constant_problem(1.0), order, 8, nt)
+        _one(runner, _constant_problem(1.0), order, 8, nt)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -617,7 +744,7 @@ def test_non_finite_layer_is_rejected(runner):
         return np.where(t > 0.5, np.nan, 0.0)
 
     with pytest.raises(ValueError, match=r"layer 3 \(t=0\.75\)"):
-        runner(_constant_problem(1.0, f), order, 8, 4)
+        _one(runner, _constant_problem(1.0, f), order, 8, 4)
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -631,9 +758,9 @@ def test_non_finite_layer_is_rejected_past_fft_blocks(runner, monkeypatch):
 
     problem = _constant_problem(1.0, f)
     with pytest.raises(ValueError, match=r"layer 257 ") as fast:
-        runner(problem, order, 8, 512)
+        _one(runner, problem, order, 8, 512)
     with pytest.raises(ValueError) as direct:
-        _direct_run(monkeypatch, runner, problem, order, 8, 512)
+        _direct_run(monkeypatch, _one, runner, problem, order, 8, 512)
     assert str(fast.value) == str(direct.value)
 
 
@@ -721,7 +848,7 @@ def test_a_priori_bound_holds_on_manufactured_runs(scheme, runner):
         if scheme == "second"
         else problem_timecoeff_compact(order)
     )
-    history = runner(problem, order, 16, 16)
+    history = _one(runner, problem, order, 16, 16)
     lhs, rhs = a_priori_bound(problem, order, history)
     assert lhs <= rhs
 
@@ -769,7 +896,8 @@ def test_a_priori_bound_reuses_the_recorded_source(scheme, runner):
         return base.f(x, t)
 
     problem = dataclasses.replace(base, f=counting_f)
-    histories = (runner(problem, order, 12, 20),) + runner(problem, order, (6, 9), 20)
+    histories = (_one(runner, problem, order, 12, 20),)
+    histories += runner((problem,), (order,), (6, 9), 20)[0]
     for history in histories:
         expected = _resampled_a_priori_bound(base, order, history, scheme)
         calls.clear()
@@ -782,7 +910,7 @@ def test_a_priori_bound_reuses_the_recorded_source(scheme, runner):
 def test_a_priori_bound_needs_a_recorded_source_norm():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)
-    run = run_second_order(problem, order, 8, 4)
+    run = _one(run_second_order, problem, order, 8, 4)
     hand_built = SolutionHistory(run.grid, run.values, run.times)
     with pytest.raises(ValueError, match="source norm"):
         a_priori_bound(problem, order, hand_built)
@@ -791,7 +919,7 @@ def test_a_priori_bound_needs_a_recorded_source_norm():
 def test_a_priori_bound_rejects_unknown_scheme():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)
-    run = run_second_order(problem, order, 8, 4)
+    run = _one(run_second_order, problem, order, 8, 4)
     hand_built = SolutionHistory(
         run.grid, run.values, run.times, source_norm_sq=1.0, scheme="bogus"
     )
