@@ -49,7 +49,7 @@ from .schemes import (
     run_compact,
     run_second_order,
 )
-from .tridiag import SingularSystemError, TridiagonalSystem, solve_tridiagonal
+from .tridiag import SingularSystemError
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "SolutionHistory",
     "SpaceGrid",
     "StudyPlan",
-    "TridiagonalSystem",
     "WeightAudit",
     "WeightVector",
     "__version__",
@@ -91,7 +90,6 @@ __all__ = [
     "run_compact",
     "run_second_order",
     "run_study",
-    "solve_tridiagonal",
     "study_plan",
     "weights",
     "weights_l1",

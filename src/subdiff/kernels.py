@@ -100,10 +100,18 @@ def _derivative_scale(order: FractionalOrder, tau: float) -> float:
 # resulting cancellation noise would exceed the true (decaying) margins that
 # the inequality audits measure at large indices.
 _B_SERIES_CUTOFF = 4.0
-# Binomial-series length for the ``b_l`` tail.  The series variable satisfies
-# ``u = 1/lo <= 1/4``, so 40 terms drive the truncation error far below one
-# ulp of the leading ``u^2`` term.
+# Cap on the binomial-series length for the ``b_l`` tail.  The series
+# variable satisfies ``u = 1/lo <= 1/4``, so 40 terms drive the truncation
+# error far below one ulp of the leading ``u^2`` term; each call stops
+# earlier, at the last term that can still change a bit of the 40-term sum
+# (see :func:`_b_series_length`).
 _B_SERIES_TERMS = 40
+# Indices per block of the weight tables and the family audit.  A float64
+# array of a block takes 64 KB, below glibc's 128 KB mmap threshold, so the
+# temporaries of one block reuse the heap memory of the last; blocks of 2^15
+# (256 KB arrays) take fresh pages instead, about 67,000 page faults and
+# 1.6x the time for one audit at ``j_max = 3*10^6``.
+_BLOCK = 1 << 13
 
 
 def _power_difference(p: float, lo):
@@ -127,17 +135,55 @@ def _b_series_coefficients(p: float) -> np.ndarray:
     return coeffs
 
 
-def _b_series(alpha: float, lo):
-    """Series form of ``b_l``, accurate for ``lo >= _B_SERIES_CUTOFF`` (works
-    on scalars and arrays)."""
+def _b_series_length(coeffs: np.ndarray, u_max: float) -> int:
+    """The last term ``M`` of the series that can change a bit of its
+    ``_B_SERIES_TERMS``-term forward sum at any ``u <= u_max``.
+
+    Let ``r_m = |c_m/c_2| u_max^(m-2)`` and ``R = sum_{m=3}^{40} r_m``.  Then
+    ``M`` is the first index with ``sum_{m>M} r_m < 2^-56 (1 - R)``, or 40
+    when there is none.  Why dropping the terms after ``M`` changes no bit:
+
+    * The partial sum ``S = sum_{m<=M} c_m u^m`` is at least
+      ``|c_2| u^2 (1 - R)`` in magnitude, because the later terms take at
+      most ``R`` of the first.
+    * Each dropped term ``c_m u^m`` is at most
+      ``|c_2| u^2 sum_{m>M} r_m < 2^-56 (1 - R) |c_2| u^2 <= 2^-56 |S|``.
+    * If ``2^e <= |S| < 2^(e+1)``, the doubles next to ``S`` are at least
+      ``2^(e-53)`` away: that is the spacing just below the power of two
+      ``2^e``, and the spacing above it is twice that.  Rounding to nearest
+      therefore returns ``S`` for any added term below ``2^(e-54)``, which
+      exceeds ``2^-55 |S|``.
+
+    The factor two between ``2^-56`` and ``2^-55`` absorbs the relative
+    rounding of the computed powers, of the computed partial sum and of this
+    estimate: at most 40 roundings of ``2^-53`` each, scaled by
+    ``(1 + R)/(1 - R) < 2`` because ``R < 1/3`` for ``lo >= 4``, so below
+    ``2^-46``.  So every dropped term leaves the floating-point partial sum
+    unchanged, one after the other, and the result is bitwise the 40-term
+    sum.  ``r_m`` grows with ``u``, so the bound at ``u_max`` holds for every
+    smaller ``u``.
+    """
+    exponents = np.arange(1.0, _B_SERIES_TERMS - 1)  # m - 2 for m = 3 .. 40
+    ratios = np.abs(coeffs[3:] / coeffs[2]) * u_max**exponents
+    dropped = np.cumsum(ratios[::-1])[::-1]  # dropped[i] = sum_{m >= i+3} r_m
+    return 2 + int(np.count_nonzero(dropped >= 2.0**-56 * (1.0 - dropped[0])))
+
+
+def _b_series(alpha: float, lo: np.ndarray) -> np.ndarray:
+    """Series form of ``b_l``, accurate for ``lo >= _B_SERIES_CUTOFF``, on a
+    nonempty ascending array ``lo``; the sum stops at the last term that can
+    change a bit (:func:`_b_series_length` of ``u = 1/lo[0]``), so the result
+    is bitwise that of all ``_B_SERIES_TERMS`` terms."""
     coeffs = _b_series_coefficients(1.0 - alpha)
     u = 1.0 / lo
-    total = 0.0
     u_pow = u * u
-    for m in range(2, _B_SERIES_TERMS + 1):
-        total = total + coeffs[m] * u_pow
-        u_pow = u_pow * u
-    return lo ** (1.0 - alpha) * total
+    total = coeffs[2] * u_pow
+    term = np.empty_like(u)
+    for m in range(3, _b_series_length(coeffs, float(u[0])) + 1):
+        u_pow *= u
+        np.multiply(coeffs[m], u_pow, out=term)
+        np.add(total, term, out=total)
+    return np.multiply(lo ** (1.0 - alpha), total, out=total)
 
 
 def _b_direct(alpha: float, lo):
@@ -148,35 +194,62 @@ def _b_direct(alpha: float, lo):
     ) / 2.0
 
 
-def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
-    """Vectorized ``a_0 .. a_n``."""
+def _lo(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
+    """``lo = l - 1 + sigma`` for ``1 <= start <= l < stop``.  It is built from
+    an integer range, which is exact below ``2**53``, so a block's ``lo`` are
+    the doubles of the whole table's."""
+    return np.arange(start - 1, stop - 1, dtype=float) + order.sigma
+
+
+def _a_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
+    """``a_start .. a_{stop-1}``, bitwise the same slice of
+    :func:`coeff_a_array`."""
+    p = 1.0 - order.alpha
+    a = np.empty(stop - start)
+    first = 1 if start == 0 else 0
+    a[:first] = order.sigma**p
+    a[first:] = _power_difference(p, _lo(order, start + first, stop))
+    return a
+
+
+def _b_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
+    """``b_start .. b_{stop-1}`` (``b_0`` is NaN), bitwise the same slice of
+    :func:`coeff_b_array`."""
+    alpha = order.alpha
+    b = np.empty(stop - start)
+    first = 1 if start == 0 else 0
+    b[:first] = np.nan
+    lo = _lo(order, start + first, stop)
+    # ``lo`` ascends, so the closed form takes a prefix and the series the rest.
+    split = int(np.searchsorted(lo, _B_SERIES_CUTOFF))
+    if split:
+        b[first : first + split] = _b_direct(alpha, lo[:split])
+    if split < lo.size:
+        b[first + split :] = _b_series(alpha, lo[split:])
+    return b
+
+
+def _coeff_table(block, order: FractionalOrder, n: int) -> np.ndarray:
+    """Indices ``0 .. n`` of ``block`` (:func:`_a_block` or
+    :func:`_b_block`), built block by block so that the series of ``b_l``
+    stops early on every block after the first."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    alpha, sigma = order.alpha, order.sigma
     out = np.empty(n + 1)
-    out[0] = sigma ** (1.0 - alpha)
-    if n >= 1:
-        lo = np.arange(0, n, dtype=float) + sigma
-        out[1:] = _power_difference(1.0 - alpha, lo)
+    for start in range(0, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        out[start:stop] = block(order, start, stop)
     return out
+
+
+def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
+    """Vectorized ``a_0 .. a_n``."""
+    return _coeff_table(_a_block, order, n)
 
 
 def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
     """Vectorized ``b_1 .. b_n``; slot 0 is NaN because ``b_0`` is undefined."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    alpha, sigma = order.alpha, order.sigma
-    out = np.full(n + 1, np.nan)
-    if n >= 1:
-        lo = np.arange(0, n, dtype=float) + sigma
-        values = np.empty(n)
-        small = lo < _B_SERIES_CUTOFF
-        if np.any(small):
-            values[small] = _b_direct(alpha, lo[small])
-        if not np.all(small):
-            values[~small] = _b_series(alpha, lo[~small])
-        out[1:] = values
-    return out
+    return _coeff_table(_b_block, order, n)
 
 
 def _assemble_l21sigma(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
@@ -210,11 +283,15 @@ def weights(order: FractionalOrder, j: int, tau: float) -> WeightVector:
     )
 
 
-def _l1_coefficients(order: FractionalOrder, j: int) -> np.ndarray:
-    """Lag-ordered piecewise-linear weights ``c_0 .. c_j``: ``c_0 = 1`` and
-    ``c_m = (m+1)^(1-alpha) - m^(1-alpha)``, evaluated without cancellation."""
-    c = np.ones(j + 1)
-    c[1:] = _power_difference(1.0 - order.alpha, np.arange(1, j + 1, dtype=float))
+def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
+    """Lag-ordered piecewise-linear weights ``c_start .. c_{stop-1}``:
+    ``c_0 = 1`` and ``c_m = (m+1)^(1-alpha) - m^(1-alpha)``, evaluated without
+    cancellation."""
+    c = np.ones(stop - start)
+    first = 1 if start == 0 else 0
+    c[first:] = _power_difference(
+        1.0 - order.alpha, np.arange(start + first, stop, dtype=float)
+    )
     return c
 
 
@@ -226,7 +303,7 @@ def weights_l1(order: FractionalOrder, j: int, tau: float) -> WeightVector:
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
     return WeightVector(
-        coefficients=_l1_coefficients(order, j), scale=_derivative_scale(order, tau)
+        coefficients=_l1_block(order, 0, j + 1), scale=_derivative_scale(order, tau)
     )
 
 
@@ -282,11 +359,34 @@ def _finish_check(name: str, margins: np.ndarray | float) -> AuditCheck:
     return AuditCheck(name=name, passed=margin > -AUDIT_TOLERANCE, margin=margin)
 
 
+class _RunningMinima:
+    """The worst margin of each check over the blocks seen so far.  The
+    minimum of the block minima is the minimum of the whole family, NaN
+    included, so each margin is the double a whole-array check would give."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = tuple(names)
+        self.minima: dict[str, list[float]] = {name: [] for name in self.names}
+
+    def add(self, name: str, margins: np.ndarray | float) -> None:
+        if np.size(margins):
+            self.minima[name].append(np.min(margins))
+
+    def audit(self) -> WeightAudit:
+        return WeightAudit(
+            checks=tuple(
+                _finish_check(name, np.array(self.minima[name]))
+                for name in self.names
+            )
+        )
+
+
 def audit_weight_family(
     order: FractionalOrder, j_max: int, kind: str = L21SIGMA
 ) -> WeightAudit:
     """Check the provable inequalities on every weight vector with target
-    index ``j <= j_max`` at once, in ``O(j_max)`` time.
+    index ``j <= j_max`` at once, in ``O(j_max)`` time and ``O(_BLOCK)``
+    memory.
 
     For ``l21sigma``: positivity, strict decrease, the tail lower bound
     ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the blend gate
@@ -297,52 +397,81 @@ def audit_weight_family(
     Of the ``l21sigma`` vector for index ``j``, only the tail entry ``c_j``
     depends on ``j``; the entries before it are shared by every longer
     vector, so the worst margins reduce to a handful of vectorized
-    comparisons.
+    comparisons.  They are made on blocks of ``_BLOCK`` indices, carrying
+    one value across each block edge, and every margin is bitwise that of
+    the same comparisons on whole arrays.
     """
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
     if kind == L1:
-        c = _l1_coefficients(order, j_max)
-        return WeightAudit(
-            checks=(
-                _finish_check("positivity", c),
-                _finish_check("monotone_decrease", c[:-1] - c[1:]),
-            )
-        )
+        worst = _RunningMinima(("positivity", "monotone_decrease"))
+        previous = None  # c_{start-1}
+        for start in range(0, j_max + 1, _BLOCK):
+            c = _l1_block(order, start, min(start + _BLOCK, j_max + 1))
+            worst.add("positivity", c)
+            if previous is not None:
+                worst.add("monotone_decrease", previous - c[0])
+            worst.add("monotone_decrease", c[:-1] - c[1:])
+            previous = c[-1]
+        return worst.audit()
     if kind != L21SIGMA:
         raise ValueError(f"unknown weight family {kind!r}")
 
     alpha, sigma = order.alpha, order.sigma
-    a = coeff_a_array(order, j_max)
-    b = coeff_b_array(order, j_max)
-    # shared[s] holds c_s of every index j > s; tail[j-1] holds c_j of index j.
-    shared = _assemble_l21sigma(a, b, j_max)[:j_max]
-    tail = a[1:] - b[1:]
-    j = np.arange(1, j_max + 1, dtype=float)
-    tail_margins = np.concatenate(
+    floor_scale = 0.5 * (1.0 - alpha)
+    worst = _RunningMinima(
         (
-            [a[0] - 0.5 * (1.0 - alpha) * sigma ** (-alpha)],  # j = 0: c_0 = a_0
-            tail - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
+            "positivity",
+            "monotone_decrease",
+            "tail_lower_bound",
+            "blend_gate",
+            "correction_ratio_lower",
+            "correction_ratio_upper",
         )
     )
-    # c_1 is tail[0] for j = 1 and shared[1] for every j >= 2.
-    gate = (2.0 * sigma - 1.0) * shared[:1] - sigma * np.concatenate(
-        (tail[:1], shared[1:2])
-    )
-    kappa = b[1:] / a[1:] + 0.5
-    return WeightAudit(
-        checks=(
-            _finish_check("positivity", np.concatenate(([a[0]], shared, tail))),
-            _finish_check(
-                "monotone_decrease",
-                np.concatenate((shared - tail, shared[:-1] - shared[1:])),
-            ),
-            _finish_check("tail_lower_bound", tail_margins),
-            _finish_check("blend_gate", gate),
-            _finish_check("correction_ratio_lower", kappa - 0.5),
-            _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
-        )
-    )
+    previous = None  # shared[start-1]
+    c_1 = []  # c_1 of index 1 (tail), then of every index >= 2 (shared)
+    for start in range(0, j_max + 1, _BLOCK):
+        end = min(start + _BLOCK, j_max + 1)
+        # One index past the block: shared[s] takes b_{s+1}.
+        stop = min(end + 1, j_max + 1)
+        a, b = _a_block(order, start, stop), _b_block(order, start, stop)
+        # shared[i] holds c_s, s = start + i, of every index j > s; tail[i]
+        # holds c_j of index j = start + i.
+        count = min(end, j_max) - start
+        shared = a[:count] + b[1 : count + 1] - b[:count]
+        tail = a - b
+        first = 0
+        if start == 0:
+            first = 1
+            worst.add("positivity", a[0])
+            # j = 0: c_0 = a_0
+            worst.add("tail_lower_bound", a[0] - floor_scale * sigma ** (-alpha))
+            if count:
+                shared[0] = c_0 = a[0] + b[1]
+                c_1.append(tail[1])
+        if start <= 1 < start + count:
+            c_1.append(shared[1 - start])
+        own = slice(first, end - start)
+        worst.add("positivity", shared)
+        worst.add("positivity", tail[own])
+        worst.add("monotone_decrease", shared - tail[1 : count + 1])
+        if previous is not None and count:
+            worst.add("monotone_decrease", previous - shared[0])
+        worst.add("monotone_decrease", shared[:-1] - shared[1:])
+        j = np.arange(start + first, end, dtype=float)
+        j += sigma
+        worst.add("tail_lower_bound", tail[own] - floor_scale * j ** (-alpha))
+        kappa = b[own] / a[own] + 0.5
+        worst.add("correction_ratio_lower", kappa - 0.5)
+        worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa)
+        if count:
+            previous = shared[-1]
+        # Free this block's arrays before the next block is built.
+        del a, b, shared, tail, j, kappa
+    if c_1:
+        worst.add("blend_gate", (2.0 * sigma - 1.0) * c_0 - sigma * np.array(c_1))
+    return worst.audit()
 
 
 @dataclass(frozen=True)

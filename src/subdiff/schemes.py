@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 import scipy.fft
 
-from .grids import SolutionHistory, SpaceGrid
+from .grids import _BLOCK_BYTES, SolutionHistory, SpaceGrid
 from .kernels import (
     FractionalOrder,
     _assemble_l21sigma,
@@ -740,15 +740,21 @@ def a_priori_bound(
     alpha = order.alpha
 
     values = history.values
-    if history.scheme == "compact":
-        transformed = _mass_average(values)
+    compact = history.scheme == "compact"
+    if compact:
         source_consts = problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / problem.c1
     else:
-        transformed = values[:, 1:-1]
         source_consts = (
             problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
         )
-    layer_norms_sq = history.grid.h * np.sum(transformed * transformed, axis=1)
+    # Summed over blocks of layers, so that no copy of a whole history is made.
+    layers = max(2, _BLOCK_BYTES // (8 * values.shape[1]))
+    sums = np.empty(len(history))
+    for first in range(0, len(history), layers):
+        block = values[first : first + layers]
+        transformed = _mass_average(block) if compact else block[:, 1:-1]
+        sums[first : first + layers] = np.sum(transformed * transformed, axis=1)
+    layer_norms_sq = history.grid.h * sums
 
     lhs = float(layer_norms_sq.max())
     rhs = float(layer_norms_sq[0] + source_consts * history.source_norm_sq)

@@ -15,12 +15,10 @@ per block of steps with :func:`_check_pivots`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-__all__ = ["SingularSystemError", "TridiagonalSystem", "solve_tridiagonal"]
+__all__ = ["SingularSystemError"]
 
 #: Pivots at or below this magnitude (zero or denormal) abort the elimination.
 _PIVOT_FLOOR = float(np.finfo(float).tiny)
@@ -33,43 +31,6 @@ class SingularSystemError(ValueError):
         self.row = row
         self.pivot = pivot
         super().__init__(f"singular system: pivot {pivot!r} at row {row}")
-
-
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Coefficients of ``A x = rhs`` with ``A`` tridiagonal of size ``n``.
-
-    ``sub[i]``, ``diag[i]``, ``sup[i]`` are the row-``i`` coefficients;
-    ``sub[0]`` and ``sup[n-1]`` are ignored.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = {}
-        size = None
-        for name in ("sub", "diag", "sup", "rhs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional, got {arr.shape}")
-            if size is None:
-                size = arr.size
-            elif arr.size != size:
-                raise ValueError(
-                    f"{name} has {arr.size} entries, expected {size}"
-                )
-            arrays[name] = arr
-        if size == 0:
-            raise ValueError("system must have at least one row")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
 
 
 def _solve_core(
@@ -103,14 +64,3 @@ def _check_pivots(pivots: np.ndarray) -> None:
     if magnitude.min() <= _PIVOT_FLOOR:
         first = np.argwhere(magnitude <= _PIVOT_FLOOR)[0]
         raise SingularSystemError(int(first[-1]), float(pivots[tuple(first)]))
-
-
-def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve ``A x = rhs``; raises :class:`SingularSystemError` naming the
-    pivot row if elimination breaks down.  The system is left unchanged."""
-    sub, diag, sup, rhs = (
-        np.array(part) for part in (system.sub, system.diag, system.sup, system.rhs)
-    )
-    x = _solve_core(sub, diag, sup, rhs)
-    _check_pivots(diag)
-    return x

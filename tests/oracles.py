@@ -1,14 +1,35 @@
-"""Test oracles for the Caputo derivative: the closed form of a power of
-``t`` and an adaptive quadrature of the defining integral.  The solver does
-not use them; the tests check the discrete operators and the manufactured
-problems against them."""
+"""Test oracles.
+
+For the Caputo derivative: the closed form of a power of ``t`` and an
+adaptive quadrature of the defining integral.  The tests check the discrete
+operators and the manufactured problems against them.
+
+For the weights: the full 40-term series of ``b_l`` and the weight-family
+audit on whole arrays.  The solver streams the audit in blocks and stops the
+series at the last term that can change a bit; the tests check that both
+give the same doubles as these.
+
+The solver does not use any of them."""
 
 import math
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
-from subdiff.kernels import FractionalOrder
+from subdiff.kernels import (
+    _B_SERIES_TERMS,
+    L1,
+    L21SIGMA,
+    FractionalOrder,
+    WeightAudit,
+    _assemble_l21sigma,
+    _b_series_coefficients,
+    _finish_check,
+    _l1_block,
+    coeff_a_array,
+    coeff_b_array,
+)
 
 
 def caputo_power_rule(order: FractionalOrder, p: float, t_star: float) -> float:
@@ -64,3 +85,67 @@ def caputo_reference(
             f"estimated error={abserr!r}"
         )
     return value
+
+
+def b_series_all_terms(alpha: float, lo):
+    """Series form of ``b_l`` summed over all ``_B_SERIES_TERMS`` terms
+    (works on scalars and arrays)."""
+    coeffs = _b_series_coefficients(1.0 - alpha)
+    u = 1.0 / lo
+    total = 0.0
+    u_pow = u * u
+    for m in range(2, _B_SERIES_TERMS + 1):
+        total = total + coeffs[m] * u_pow
+        u_pow = u_pow * u
+    return lo ** (1.0 - alpha) * total
+
+
+def audit_weight_family_whole(
+    order: FractionalOrder, j_max: int, kind: str = L21SIGMA
+) -> WeightAudit:
+    """The weight-family audit of :func:`subdiff.kernels.audit_weight_family`
+    on whole arrays of ``j_max + 1`` weights."""
+    if j_max < 0:
+        raise ValueError(f"family bound must be nonnegative, got {j_max}")
+    if kind == L1:
+        c = _l1_block(order, 0, j_max + 1)
+        return WeightAudit(
+            checks=(
+                _finish_check("positivity", c),
+                _finish_check("monotone_decrease", c[:-1] - c[1:]),
+            )
+        )
+    if kind != L21SIGMA:
+        raise ValueError(f"unknown weight family {kind!r}")
+
+    alpha, sigma = order.alpha, order.sigma
+    a = coeff_a_array(order, j_max)
+    b = coeff_b_array(order, j_max)
+    # shared[s] holds c_s of every index j > s; tail[j-1] holds c_j of index j.
+    shared = _assemble_l21sigma(a, b, j_max)[:j_max]
+    tail = a[1:] - b[1:]
+    j = np.arange(1, j_max + 1, dtype=float)
+    tail_margins = np.concatenate(
+        (
+            [a[0] - 0.5 * (1.0 - alpha) * sigma ** (-alpha)],  # j = 0: c_0 = a_0
+            tail - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
+        )
+    )
+    # c_1 is tail[0] for j = 1 and shared[1] for every j >= 2.
+    gate = (2.0 * sigma - 1.0) * shared[:1] - sigma * np.concatenate(
+        (tail[:1], shared[1:2])
+    )
+    kappa = b[1:] / a[1:] + 0.5
+    return WeightAudit(
+        checks=(
+            _finish_check("positivity", np.concatenate(([a[0]], shared, tail))),
+            _finish_check(
+                "monotone_decrease",
+                np.concatenate((shared - tail, shared[:-1] - shared[1:])),
+            ),
+            _finish_check("tail_lower_bound", tail_margins),
+            _finish_check("blend_gate", gate),
+            _finish_check("correction_ratio_lower", kappa - 0.5),
+            _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
+        )
+    )

@@ -1,14 +1,22 @@
 """Unit tests for the discrete Caputo kernels and their audits."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import caputo_power_rule, caputo_reference
+from oracles import (
+    audit_weight_family_whole,
+    b_series_all_terms,
+    caputo_power_rule,
+    caputo_reference,
+)
+from subdiff import kernels
 from subdiff.kernels import (
     L1,
+    L21SIGMA,
     FractionalOrder,
     WeightVector,
     apply,
@@ -272,6 +280,104 @@ def test_audit_weight_family_l1():
         assert audit.passed, (alpha, audit.checks)
         names = {check.name for check in audit.checks}
         assert "positivity" in names and "monotone_decrease" in names
+
+
+_BLOCK = kernels._BLOCK
+_EXTREME_ALPHAS = [1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-12]
+
+
+def _assert_same_audit(mine, expected):
+    """Same checks, verdicts and margins, as doubles (NaN equal to NaN)."""
+    assert [(c.name, c.passed) for c in mine.checks] == [
+        (c.name, c.passed) for c in expected.checks
+    ]
+    assert np.array_equal(
+        [c.margin for c in mine.checks],
+        [c.margin for c in expected.checks],
+        equal_nan=True,
+    )
+
+
+@pytest.mark.parametrize("kind", [L21SIGMA, L1])
+@pytest.mark.parametrize("alpha", _EXTREME_ALPHAS)
+def test_streamed_audit_matches_whole_array_audit(kind, alpha):
+    """The audit streamed in blocks gives every margin of the whole-array
+    audit bitwise, on both sides of each block edge."""
+    order = FractionalOrder(alpha)
+    for j_max in (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 300_000):
+        _assert_same_audit(
+            audit_weight_family(order, j_max, kind),
+            audit_weight_family_whole(order, j_max, kind),
+        )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_streamed_audit_carries_values_across_block_edges(monkeypatch, block):
+    """Blocks shorter than the blend gate's ``c_0, c_1`` and the shared
+    differences: every value carried across an edge lands where the
+    whole-array audit has it."""
+    expected = {
+        (alpha, j_max, kind): audit_weight_family_whole(
+            FractionalOrder(alpha), j_max, kind
+        )
+        for alpha in (0.1, 0.5, 0.9)
+        for j_max in range(24)
+        for kind in (L21SIGMA, L1)
+    }
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    for (alpha, j_max, kind), whole in expected.items():
+        _assert_same_audit(
+            audit_weight_family(FractionalOrder(alpha), j_max, kind), whole
+        )
+
+
+def test_blocks_are_slices_of_the_tables():
+    order = FractionalOrder(0.3)
+    n = _BLOCK + 2
+    a_table, b_table = coeff_a_array(order, n), coeff_b_array(order, n)
+    for start, stop in ((0, 1), (0, 5), (1, 4), (3, 40), (_BLOCK - 1, n + 1)):
+        a_block = kernels._a_block(order, start, stop)
+        b_block = kernels._b_block(order, start, stop)
+        assert np.array_equal(a_block, a_table[start:stop])
+        assert np.array_equal(b_block, b_table[start:stop], equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12])
+def test_coeff_b_array_matches_the_all_term_series(alpha):
+    """The series stops at the last term that can change a bit, so the
+    table is bitwise the one summed over all terms.  Built block by block,
+    ``a`` is bitwise the whole-array formula too."""
+    order = FractionalOrder(alpha)
+    n = 2**20
+    lo = np.arange(0, n, dtype=float) + order.sigma
+    assert np.array_equal(
+        coeff_a_array(order, n)[1:], kernels._power_difference(1.0 - alpha, lo)
+    )
+    series = lo >= kernels._B_SERIES_CUTOFF
+    b = coeff_b_array(order, n)[1:]
+    assert np.array_equal(b[series], b_series_all_terms(alpha, lo[series]))
+    assert np.array_equal(b[~series], kernels._b_direct(alpha, lo[~series]))
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.5, 1.0 - 1e-12])
+def test_b_series_stops_early_at_large_lo(alpha):
+    coeffs = kernels._b_series_coefficients(1.0 - alpha)
+    assert kernels._b_series_length(coeffs, 1.0 / kernels._B_SERIES_CUTOFF) < 40
+    # From the second block on, lo >= _BLOCK - 1 + sigma.
+    assert kernels._b_series_length(coeffs, 1.0 / (_BLOCK - 1)) <= 6
+
+
+@pytest.mark.parametrize("kind", [L21SIGMA, L1])
+def test_audit_memory_is_one_block(kind):
+    """The streamed audit holds a few blocks, not arrays of ``j_max``
+    weights (the whole-array audit peaks near 90 MB here)."""
+    tracemalloc.start()
+    try:
+        audit_weight_family(FractionalOrder(0.5), 10**6, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_audit_weight_family_j0():

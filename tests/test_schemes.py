@@ -907,6 +907,70 @@ def test_a_priori_bound_reuses_the_recorded_source(scheme, runner):
         assert rhs == pytest.approx(expected[1], rel=1e-12)
 
 
+def _whole_history_bound(problem, order, history):
+    """The a priori bound with the layer norms summed over the whole history
+    at once."""
+    alpha = order.alpha
+    values = history.values
+    if history.scheme == "compact":
+        transformed = schemes._mass_average(values)
+        const = problem.length**2 * float(history.times[-1]) ** alpha * math.gamma(1.0 - alpha) / problem.c1
+    else:
+        transformed = values[:, 1:-1]
+        const = (
+            problem.length**2 * float(history.times[-1]) ** alpha * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
+        )
+    norms_sq = history.grid.h * np.sum(transformed * transformed, axis=1)
+    return float(norms_sq.max()), float(norms_sq[0] + const * history.source_norm_sq)
+
+
+@pytest.mark.parametrize(
+    "scheme,runner", [("second", run_second_order), ("compact", run_compact)]
+)
+@pytest.mark.parametrize("block_bytes", [None, 8 * 10 * 7])
+def test_a_priori_bound_does_not_depend_on_the_block_of_layers(
+    monkeypatch, scheme, runner, block_bytes
+):
+    """Summing the layer norms over blocks of layers gives the bitwise
+    bound of whole-history sums, on one-order runs and on the slabs of a
+    merged run."""
+    orders = (FractionalOrder(0.3), FractionalOrder(0.8))
+    make = problem_varcoeff_2nd if scheme == "second" else problem_timecoeff_compact
+    problems = tuple(make(order) for order in orders)
+    runs = [(problems[0], orders[0], _one(runner, problems[0], orders[0], 9, 40))]
+    merged = runner(problems, orders, (6, 9), 40)
+    runs += [
+        (problem, order, history)
+        for problem, order, row in zip(problems, orders, merged)
+        for history in row
+    ]
+    if block_bytes is not None:
+        monkeypatch.setattr(schemes, "_BLOCK_BYTES", block_bytes)
+    for problem, order, history in runs:
+        assert a_priori_bound(problem, order, history) == _whole_history_bound(
+            problem, order, history
+        )
+
+
+@pytest.mark.parametrize("scheme", ["second", "compact"])
+def test_a_priori_bound_stays_near_its_layer_array(scheme):
+    """The bound sums blocks of layers; it makes no copy of the history."""
+    order = FractionalOrder(0.5)
+    problem = problem_varcoeff_2nd(order)
+    grid = SpaceGrid(511, 1.0)
+    values = np.random.default_rng(11).standard_normal((4000, 512))
+    history = SolutionHistory(
+        grid, values, np.linspace(0.0, 1.0, 4000), source_norm_sq=1.0, scheme=scheme
+    )
+    tracemalloc.start()
+    try:
+        a_priori_bound(problem, order, history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * values.nbytes
+
+
 def test_a_priori_bound_needs_a_recorded_source_norm():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)

@@ -1,14 +1,19 @@
-"""Unit tests for the tridiagonal solver."""
+"""Unit tests for the tridiagonal solver: ``_solve_core`` followed by
+``_check_pivots``, as the marching loop calls them."""
 
 import numpy as np
 import pytest
 
-from subdiff.tridiag import (
-    SingularSystemError,
-    TridiagonalSystem,
-    _solve_core,
-    solve_tridiagonal,
-)
+from subdiff.tridiag import SingularSystemError, _check_pivots, _solve_core
+
+
+def _solve(sub, diag, sup, rhs):
+    """Solve ``A x = rhs`` on copies of the coefficients and check the
+    pivots; the arrays passed in are left unchanged."""
+    sub, diag, sup, rhs = (np.array(part, dtype=float) for part in (sub, diag, sup, rhs))
+    x = _solve_core(sub, diag, sup, rhs)
+    _check_pivots(diag)
+    return x
 
 
 def _random_dominant_system(rng, n):
@@ -19,36 +24,34 @@ def _random_dominant_system(rng, n):
     signs = rng.choice([-1.0, 1.0], n)
     diag = signs * (np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 1.5, n))
     rhs = rng.standard_normal(n)
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return sub, diag, sup, rhs
 
 
-def _dense(system):
-    n = system.size
+def _dense(sub, diag, sup):
+    n = diag.size
     matrix = np.zeros((n, n))
     for i in range(n):
-        matrix[i, i] = system.diag[i]
+        matrix[i, i] = diag[i]
         if i > 0:
-            matrix[i, i - 1] = system.sub[i]
+            matrix[i, i - 1] = sub[i]
         if i < n - 1:
-            matrix[i, i + 1] = system.sup[i]
+            matrix[i, i + 1] = sup[i]
     return matrix
 
 
 def test_single_equation():
-    system = TridiagonalSystem(
-        sub=np.zeros(1), diag=np.array([4.0]), sup=np.zeros(1), rhs=np.array([2.0])
-    )
-    np.testing.assert_allclose(solve_tridiagonal(system), [0.5])
+    x = _solve(np.zeros(1), np.array([4.0]), np.zeros(1), np.array([2.0]))
+    np.testing.assert_allclose(x, [0.5])
 
 
 def test_known_three_by_three():
-    system = TridiagonalSystem(
-        sub=np.array([0.0, -1.0, -1.0]),
-        diag=np.array([2.0, 2.0, 2.0]),
-        sup=np.array([-1.0, -1.0, 0.0]),
-        rhs=np.array([1.0, 0.0, 1.0]),
+    x = _solve(
+        np.array([0.0, -1.0, -1.0]),
+        np.array([2.0, 2.0, 2.0]),
+        np.array([-1.0, -1.0, 0.0]),
+        np.array([1.0, 0.0, 1.0]),
     )
-    np.testing.assert_allclose(solve_tridiagonal(system), [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -56,19 +59,19 @@ def test_matches_dense_solver(seed):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         n = int(rng.integers(1, 40))
-        system = _random_dominant_system(rng, n)
-        mine = solve_tridiagonal(system)
-        dense = np.linalg.solve(_dense(system), system.rhs)
+        sub, diag, sup, rhs = _random_dominant_system(rng, n)
+        mine = _solve(sub, diag, sup, rhs)
+        dense = np.linalg.solve(_dense(sub, diag, sup), rhs)
         scale = max(1.0, float(np.abs(dense).max()))
         assert np.abs(mine - dense).max() <= 1e-12 * scale
 
 
 def test_residual_is_small():
     rng = np.random.default_rng(7)
-    system = _random_dominant_system(rng, 200)
-    solution = solve_tridiagonal(system)
-    residual = _dense(system) @ solution - system.rhs
-    assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(system.rhs).max())
+    sub, diag, sup, rhs = _random_dominant_system(rng, 200)
+    solution = _solve(sub, diag, sup, rhs)
+    residual = _dense(sub, diag, sup) @ solution - rhs
+    assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
 def test_solve_core_writes_into_strided_arrays():
@@ -76,65 +79,38 @@ def test_solve_core_writes_into_strided_arrays():
     pivots must still land in the arrays passed in."""
     rng = np.random.default_rng(3)
     system = _random_dominant_system(rng, 9)
-    expected = solve_tridiagonal(system)
+    expected = _solve(*system)
     parts = [np.zeros((9, 2)) for _ in range(4)]
-    for part, values in zip(parts, (system.sub, system.diag, system.sup, system.rhs)):
+    for part, values in zip(parts, system):
         part[:, 0] = values
     sub, diag, sup, rhs = (part[:, 0] for part in parts)
     solution = _solve_core(sub, diag, sup, rhs)
     assert solution is rhs
     np.testing.assert_array_equal(rhs, expected)
-    assert np.abs(diag).min() > 0.0 and not np.array_equal(diag, system.diag)
+    assert np.abs(diag).min() > 0.0 and not np.array_equal(diag, system[1])
 
 
 def test_zero_pivot_raises():
-    system = TridiagonalSystem(
-        sub=np.zeros(2),
-        diag=np.array([0.0, 1.0]),
-        sup=np.zeros(2),
-        rhs=np.ones(2),
-    )
     with pytest.raises(SingularSystemError) as excinfo:
-        solve_tridiagonal(system)
+        _solve(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), np.ones(2))
     assert excinfo.value.row == 0
 
 
 def test_denormal_pivot_raises():
     """A denormal pivot is treated as singular, like an exact zero."""
-    system = TridiagonalSystem(
-        sub=np.zeros(2),
-        diag=np.array([1e-310, 1.0]),
-        sup=np.zeros(2),
-        rhs=np.ones(2),
-    )
     with pytest.raises(SingularSystemError) as excinfo:
-        solve_tridiagonal(system)
+        _solve(np.zeros(2), np.array([1e-310, 1.0]), np.zeros(2), np.ones(2))
     assert excinfo.value.row == 0
     assert excinfo.value.pivot == 1e-310
 
 
 def test_elimination_induced_singularity():
     """Rows are individually nonzero but elimination hits a zero pivot."""
-    system = TridiagonalSystem(
-        sub=np.array([0.0, 1.0]),
-        diag=np.array([1.0, 1.0]),
-        sup=np.array([1.0, 0.0]),
-        rhs=np.array([1.0, 1.0]),
-    )
     with pytest.raises(SingularSystemError) as excinfo:
-        solve_tridiagonal(system)
+        _solve(
+            np.array([0.0, 1.0]),
+            np.array([1.0, 1.0]),
+            np.array([1.0, 0.0]),
+            np.array([1.0, 1.0]),
+        )
     assert excinfo.value.row == 1
-
-
-def test_validation_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        TridiagonalSystem(
-            sub=np.zeros(3), diag=np.zeros(2), sup=np.zeros(3), rhs=np.zeros(3)
-        )
-
-
-def test_validation_rejects_empty():
-    with pytest.raises(ValueError):
-        TridiagonalSystem(
-            sub=np.zeros(0), diag=np.zeros(0), sup=np.zeros(0), rhs=np.zeros(0)
-        )
