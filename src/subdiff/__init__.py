@@ -31,7 +31,6 @@ from .kernels import (
     audit_weight_family,
     energy_inequality_probe,
     weights,
-    weights_l1,
 )
 from .problems import (
     PROBLEM_IDS,
@@ -92,5 +91,4 @@ __all__ = [
     "run_study",
     "study_plan",
     "weights",
-    "weights_l1",
 ]

@@ -20,14 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import convergence_order, error_norms
-from .kernels import (
-    L1,
-    L21SIGMA,
-    FractionalOrder,
-    apply,
-    weights,
-    weights_l1,
-)
+from .kernels import L21SIGMA, FractionalOrder, _collocation_offset, apply, weights
 from .problems import get_problem, problem_caputo_monomial
 from .schemes import a_priori_bound, run_compact, run_second_order
 
@@ -185,14 +178,8 @@ def monomial_error(
     if m < 2:
         raise ValueError(f"need at least two steps, got {m}")
     case = problem_caputo_monomial(order)
-    if formula == L21SIGMA:
-        tau = 1.0 / (m - 1 + order.sigma)
-        weight_vector = weights(order, m - 1, tau)
-    elif formula == L1:
-        tau = 1.0 / m
-        weight_vector = weights_l1(order, m - 1, tau)
-    else:
-        raise ValueError(f"unknown formula {formula!r}")
+    tau = 1.0 / (m - 1 + _collocation_offset(order, formula))
+    weight_vector = weights(order, m - 1, tau, formula)
     approx = apply(weight_vector, case.u(np.arange(m + 1) * tau))
     return abs(approx - case.exact_value), tau
 

@@ -14,7 +14,10 @@ Both express the derivative approximation as
     scale = tau^(-alpha) / Gamma(2 - alpha),
 
 where coefficients are stored lag-ordered: ``coefficients[m]`` multiplies the
-backward difference ``m`` intervals before the newest one.
+backward difference ``m`` intervals before the newest one.  In both
+families ``c_0 .. c_{j-1}`` are shared by every longer vector and only the
+tail ``c_j`` is index ``j``'s own; :func:`weights`, the family audit and the
+energy probe all read the ``l21sigma`` weights from :func:`_l21sigma_layout`.
 
 The stability of the schemes rests on two properties of these weights: the
 coefficient inequalities, checked for a whole family by
@@ -44,7 +47,6 @@ __all__ = [
     "coeff_b_array",
     "energy_inequality_probe",
     "weights",
-    "weights_l1",
 ]
 
 L21SIGMA = "l21sigma"
@@ -252,35 +254,29 @@ def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
     return _coeff_table(_b_block, order, n)
 
 
+def _l21sigma_layout(
+    a: np.ndarray, b: np.ndarray, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lags, tails)`` of the entries ``start, start+1, ...`` of ``a``, ``b``.
+
+    ``lags[i]`` is ``c_s``, ``s = start + i``, of every target index ``j > s``:
+    ``c_0 = a_0 + b_1`` and ``c_s = a_s + b_{s+1} - b_s``.  ``tails[i]`` is
+    ``c_j = a_j - b_j`` of index ``j = start + i``, and ``c_0 = a_0`` of index
+    0.  A block ``c`` of ``l1`` weights is its own layout: ``lags = c[:-1]``
+    and ``tails = c``."""
+    lags = a[:-1] + b[1:]
+    lags -= b[:-1]
+    tails = a - b
+    if start == 0:  # b_0 does not exist
+        lags[:1] = a[0] + b[1:2]
+        tails[0] = a[0]
+    return lags, tails
+
+
 def _assemble_l21sigma(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
-    """Build ``c_0 .. c_j`` from precomputed ``a``/``b`` tables.
-
-    Shared by :func:`weights`, :func:`energy_inequality_probe` and the
-    marching loop so all three produce bit-identical coefficients.
-    """
-    if j == 0:
-        return a[:1].copy()
-    c = np.empty(j + 1)
-    c[0] = a[0] + b[1]
-    c[1:j] = a[1:j] + b[2 : j + 1] - b[1:j]
-    c[j] = a[j] - b[j]
-    return c
-
-
-def weights(order: FractionalOrder, j: int, tau: float) -> WeightVector:
-    """Shifted-collocation weights for target index ``j`` (collocation at
-    ``t_{j+sigma}``): ``c_0 = a_0`` when ``j = 0``; otherwise
-    ``c_0 = a_0 + b_1``, ``c_s = a_s + b_{s+1} - b_s`` for ``1 <= s <= j-1``,
-    and ``c_j = a_j - b_j``."""
-    if j < 0:
-        raise ValueError(f"target index must be nonnegative, got {j}")
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    a = coeff_a_array(order, j)
-    b = coeff_b_array(order, j)
-    return WeightVector(
-        coefficients=_assemble_l21sigma(a, b, j), scale=_derivative_scale(order, tau)
-    )
+    """``c_0 .. c_j`` of target index ``j`` from the ``a``/``b`` tables."""
+    lags, tails = _l21sigma_layout(a[: j + 1], b[: j + 1], 0)
+    return np.append(lags, tails[-1])
 
 
 def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
@@ -295,16 +291,33 @@ def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
     return c
 
 
-def weights_l1(order: FractionalOrder, j: int, tau: float) -> WeightVector:
-    """Piecewise-linear weights for target index ``j`` (collocation at
-    ``t_{j+1}``): lag ``m`` carries ``(m+1)^(1-alpha) - m^(1-alpha)``."""
+def _collocation_offset(order: FractionalOrder, kind: str) -> float:
+    """Where a family collocates the derivative of target index ``j``, as
+    ``t_{j + offset}``: ``sigma`` for ``l21sigma`` and 1 for ``l1``."""
+    if kind == L21SIGMA:
+        return order.sigma
+    if kind == L1:
+        return 1.0
+    raise ValueError(f"unknown weight family {kind!r}")
+
+
+def weights(
+    order: FractionalOrder, j: int, tau: float, kind: str = L21SIGMA
+) -> WeightVector:
+    """Weights ``c_0 .. c_j`` of family ``kind`` for target index ``j``:
+    ``l21sigma`` collocates at ``t_{j+sigma}`` (the weights are those of
+    :func:`_l21sigma_layout`), ``l1`` at ``t_{j+1}`` (see :func:`_l1_block`)."""
     if j < 0:
         raise ValueError(f"target index must be nonnegative, got {j}")
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
-    return WeightVector(
-        coefficients=_l1_block(order, 0, j + 1), scale=_derivative_scale(order, tau)
-    )
+    if kind == L21SIGMA:
+        c = _assemble_l21sigma(coeff_a_array(order, j), coeff_b_array(order, j), j)
+    elif kind == L1:
+        c = _l1_block(order, 0, j + 1)
+    else:
+        raise ValueError(f"unknown weight family {kind!r}")
+    return WeightVector(coefficients=c, scale=_derivative_scale(order, tau))
 
 
 def apply(weight_vector: WeightVector, series: Sequence[float]) -> float:
@@ -360,25 +373,20 @@ def _finish_check(name: str, margins: np.ndarray | float) -> AuditCheck:
 
 
 class _RunningMinima:
-    """The worst margin of each check over the blocks seen so far.  The
-    minimum of the block minima is the minimum of the whole family, NaN
-    included, so each margin is the double a whole-array check would give."""
+    """The worst margin of each check over the blocks seen so far.
+    ``np.minimum`` keeps a NaN, so each margin is the double a whole-array
+    check would give."""
 
     def __init__(self, names: Sequence[str]) -> None:
-        self.names = tuple(names)
-        self.minima: dict[str, list[float]] = {name: [] for name in self.names}
+        self.minima = dict.fromkeys(names, math.inf)
 
-    def add(self, name: str, margins: np.ndarray | float) -> None:
-        if np.size(margins):
-            self.minima[name].append(np.min(margins))
+    def add(self, name: str, margins: np.ndarray) -> None:
+        if margins.size:
+            self.minima[name] = np.minimum(self.minima[name], np.min(margins))
 
     def audit(self) -> WeightAudit:
-        return WeightAudit(
-            checks=tuple(
-                _finish_check(name, np.array(self.minima[name]))
-                for name in self.names
-            )
-        )
+        checks = (_finish_check(name, m) for name, m in self.minima.items())
+        return WeightAudit(checks=tuple(checks))
 
 
 def audit_weight_family(
@@ -388,89 +396,71 @@ def audit_weight_family(
     index ``j <= j_max`` at once, in ``O(j_max)`` time and ``O(_BLOCK)``
     memory.
 
-    For ``l21sigma``: positivity, strict decrease, the tail lower bound
-    ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the blend gate
-    ``(2*sigma-1)*c_0 - sigma*c_1 > 0``, and the correction-ratio bounds
-    ``1/2 < b_s/a_s + 1/2 < 1/(2-alpha)``.  For ``l1``: positivity and strict
-    decrease only.  Each check reports its worst margin over the family.
+    For both families: positivity and strict decrease.  For ``l21sigma``
+    also the tail lower bound ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the
+    blend gate ``(2*sigma-1)*c_0 - sigma*c_1 > 0``, and the correction-ratio
+    bounds ``1/2 < b_s/a_s + 1/2 < 1/(2-alpha)``.  Each check reports its
+    worst margin over the family.
 
-    Of the ``l21sigma`` vector for index ``j``, only the tail entry ``c_j``
-    depends on ``j``; the entries before it are shared by every longer
-    vector, so the worst margins reduce to a handful of vectorized
-    comparisons.  They are made on blocks of ``_BLOCK`` indices, carrying
-    one value across each block edge, and every margin is bitwise that of
-    the same comparisons on whole arrays.
+    Of the vector for index ``j``, only the tail entry ``c_j`` depends on
+    ``j``; the entries before it are shared by every longer vector (see
+    :func:`_l21sigma_layout`), so the worst margins reduce to a handful of
+    vectorized comparisons.  They are made on blocks of ``_BLOCK`` indices,
+    each read with one more index on either side, and every margin is
+    bitwise that of the same comparisons on whole arrays.
     """
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
-    if kind == L1:
-        worst = _RunningMinima(("positivity", "monotone_decrease"))
-        previous = None  # c_{start-1}
-        for start in range(0, j_max + 1, _BLOCK):
-            c = _l1_block(order, start, min(start + _BLOCK, j_max + 1))
-            worst.add("positivity", c)
-            if previous is not None:
-                worst.add("monotone_decrease", previous - c[0])
-            worst.add("monotone_decrease", c[:-1] - c[1:])
-            previous = c[-1]
-        return worst.audit()
-    if kind != L21SIGMA:
-        raise ValueError(f"unknown weight family {kind!r}")
-
     alpha, sigma = order.alpha, order.sigma
     floor_scale = 0.5 * (1.0 - alpha)
-    worst = _RunningMinima(
-        (
-            "positivity",
-            "monotone_decrease",
-            "tail_lower_bound",
-            "blend_gate",
-            "correction_ratio_lower",
-            "correction_ratio_upper",
+    if kind == L1:
+        worst = _RunningMinima(("positivity", "monotone_decrease"))
+    elif kind == L21SIGMA:
+        worst = _RunningMinima(
+            (
+                "positivity",
+                "monotone_decrease",
+                "tail_lower_bound",
+                "blend_gate",
+                "correction_ratio_lower",
+                "correction_ratio_upper",
+            )
         )
-    )
-    previous = None  # shared[start-1]
-    c_1 = []  # c_1 of index 1 (tail), then of every index >= 2 (shared)
+        stop = min(3, j_max + 1)
+        lags, tails = _l21sigma_layout(
+            _a_block(order, 0, stop), _b_block(order, 0, stop), 0
+        )
+        # c_1 is the tail of index 1 and shared by every index j >= 2.
+        c_1 = np.concatenate((tails[1:2], lags[1:2]))
+        worst.add("blend_gate", (2.0 * sigma - 1.0) * lags[:1] - sigma * c_1)
+        # c_0 = a_0 of index 0
+        worst.add("tail_lower_bound", tails[:1] - floor_scale * sigma ** (-alpha))
+    else:
+        raise ValueError(f"unknown weight family {kind!r}")
+
     for start in range(0, j_max + 1, _BLOCK):
-        end = min(start + _BLOCK, j_max + 1)
-        # One index past the block: shared[s] takes b_{s+1}.
-        stop = min(end + 1, j_max + 1)
-        a, b = _a_block(order, start, stop), _b_block(order, start, stop)
-        # shared[i] holds c_s, s = start + i, of every index j > s; tail[i]
-        # holds c_j of index j = start + i.
-        count = min(end, j_max) - start
-        shared = a[:count] + b[1 : count + 1] - b[:count]
-        tail = a - b
-        first = 0
-        if start == 0:
-            first = 1
-            worst.add("positivity", a[0])
-            # j = 0: c_0 = a_0
-            worst.add("tail_lower_bound", a[0] - floor_scale * sigma ** (-alpha))
-            if count:
-                shared[0] = c_0 = a[0] + b[1]
-                c_1.append(tail[1])
-        if start <= 1 < start + count:
-            c_1.append(shared[1 - start])
-        own = slice(first, end - start)
-        worst.add("positivity", shared)
-        worst.add("positivity", tail[own])
-        worst.add("monotone_decrease", shared - tail[1 : count + 1])
-        if previous is not None and count:
-            worst.add("monotone_decrease", previous - shared[0])
-        worst.add("monotone_decrease", shared[:-1] - shared[1:])
-        j = np.arange(start + first, end, dtype=float)
-        j += sigma
-        worst.add("tail_lower_bound", tail[own] - floor_scale * j ** (-alpha))
-        kappa = b[own] / a[own] + 0.5
-        worst.add("correction_ratio_lower", kappa - 0.5)
-        worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa)
-        if count:
-            previous = shared[-1]
-        # Free this block's arrays before the next block is built.
-        del a, b, shared, tail, j, kappa
-    if c_1:
-        worst.add("blend_gate", (2.0 * sigma - 1.0) * c_0 - sigma * np.array(c_1))
+        # c_{start-1} and the tail of index start + _BLOCK join the block.
+        lo, hi = max(start - 1, 0), min(start + _BLOCK + 1, j_max + 1)
+        if kind == L1:
+            c = _l1_block(order, lo, hi)
+            lags, tails = c[:-1], c
+        else:
+            a, b = _a_block(order, lo, hi), _b_block(order, lo, hi)
+            lags, tails = _l21sigma_layout(a, b, lo)
+        worst.add("positivity", lags)
+        worst.add("positivity", tails)
+        worst.add("monotone_decrease", lags - tails[1:])
+        worst.add("monotone_decrease", lags[:-1] - lags[1:])
+        if kind == L21SIGMA:
+            first = 1 if lo == 0 else 0  # index 0 is above; b_0 does not exist
+            j = np.arange(lo + first, hi, dtype=float)
+            j += sigma
+            worst.add("tail_lower_bound", tails[first:] - floor_scale * j ** (-alpha))
+            kappa = b[first:] / a[first:] + 0.5
+            worst.add("correction_ratio_lower", kappa - 0.5)
+            worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa)
+            # Free this block's arrays before the next block is built.
+            del a, b, lags, tails, j, kappa
     return worst.audit()
 
 
@@ -515,8 +505,11 @@ def energy_inequality_probe(
     count = v.size - 1
     sigma = order.sigma
     scale = _derivative_scale(order, tau)
-    a = coeff_a_array(order, count - 1)
-    b = coeff_b_array(order, count - 1)
+    lags, tails = _l21sigma_layout(
+        coeff_a_array(order, count - 1), coeff_b_array(order, count - 1), 0
+    )
+    lags = scale * lags[::-1]  # lags[-1 - s] = scale * c_s
+    tails = scale * tails
     newest = np.empty(count)
     previous = np.empty(count)
     blended = np.empty(count)
@@ -524,8 +517,9 @@ def energy_inequality_probe(
     diffs = np.diff(v)
     diffs_sq = np.diff(v * v)
     for j in range(count):
-        # g[s] weights v^{s+1} - v^s, so g[-1] multiplies the newest difference.
-        g = scale * _assemble_l21sigma(a, b, j)[::-1]
+        # g[s] weights v^{s+1} - v^s: scale * (c_j of index j, c_{j-1}, ...,
+        # c_0), so g[-1] multiplies the newest difference.
+        g = np.append(tails[j], lags[count - 1 - j :])
         dv = float(np.dot(g, diffs[: j + 1]))
         dv_sq = float(np.dot(g, diffs_sq[: j + 1]))
         g_new = float(g[-1])

@@ -101,12 +101,15 @@ class ProblemSpec:
     q_time: Optional[TimeFn] = None
 
     def __post_init__(self) -> None:
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"time horizon must be positive, got {self.horizon}")
-        if not self.c1 > 0.0:
-            raise ValueError(f"diffusivity floor c1 must be positive, got {self.c1}")
+        for name, value in (
+            ("domain length", self.length),
+            ("time horizon", self.horizon),
+            ("diffusivity floor c1", self.c1),
+        ):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def has_time_only_coefficients(self) -> bool:
@@ -374,6 +377,9 @@ _ASSEMBLERS: dict[str, Assembler] = {
 
 
 def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndarray:
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"initial profile u0 must be finite, got {bad[0]!r}")
     tolerance = 1e-12 * max(1.0, float(np.abs(values).max()))
     if abs(values[0]) > tolerance or abs(values[-1]) > tolerance:
         raise ValueError(

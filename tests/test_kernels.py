@@ -24,7 +24,6 @@ from subdiff.kernels import (
     coeff_a_array,
     coeff_b_array,
     weights,
-    weights_l1,
 )
 from subdiff.harness import monomial_error
 from subdiff.problems import problem_caputo_monomial
@@ -59,7 +58,7 @@ def test_time_grid_uniform_nodes():
     assert tau == 0.25
     case = problem_caputo_monomial(order)
     nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    approx = apply(weights_l1(order, 3, 0.25), case.u(nodes))
+    approx = apply(weights(order, 3, 0.25, L1), case.u(nodes))
     assert error == abs(approx - case.exact_value)
 
 
@@ -171,7 +170,7 @@ def test_l1_weights_exact_on_linear():
     tau = 0.05
     j = 9
     nodes = np.arange(j + 2) * tau
-    approx = apply(weights_l1(order, j, tau), nodes)
+    approx = apply(weights(order, j, tau, L1), nodes)
     t_target = (j + 1) * tau
     exact = t_target ** (1.0 - 0.6) / math.gamma(2.0 - 0.6)
     assert approx == pytest.approx(exact, rel=1e-13)
@@ -388,3 +387,27 @@ def test_audit_weight_family_j0():
 def test_weights_rejects_negative_index():
     with pytest.raises(ValueError):
         weights(FractionalOrder(0.5), -1, 0.1)
+
+
+def test_weights_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown weight family"):
+        weights(FractionalOrder(0.5), 3, 0.1, kind="nope")
+
+
+@pytest.mark.parametrize("start", [0, 1, _BLOCK - 1, _BLOCK])
+def test_layout_blocks_are_slices_of_the_whole_table(start):
+    """A block's lags are the doubles of the same lags in the whole-table
+    assembly, and its tails are ``c_j = a_j - b_j`` (``a_0`` at ``j = 0``),
+    the last weight of each index's vector."""
+    order = FractionalOrder(0.3)
+    n = 2 * _BLOCK + 2
+    a, b = coeff_a_array(order, n), coeff_b_array(order, n)
+    stop = start + _BLOCK
+    lags, tails = kernels._l21sigma_layout(a[start:stop], b[start:stop], start)
+    assert np.array_equal(lags, kernels._assemble_l21sigma(a, b, n)[start : stop - 1])
+    expected_tails = a[start:stop] - b[start:stop]
+    if start == 0:
+        expected_tails[0] = a[0]
+    assert np.array_equal(tails, expected_tails)
+    for j in (start, start + 1, stop - 1):
+        assert tails[j - start] == kernels._assemble_l21sigma(a, b, j)[-1]

@@ -778,6 +778,36 @@ def test_problem_spec_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, name",
+    [("length", "domain length"), ("horizon", "time horizon"), ("c1", "c1")],
+)
+def test_problem_spec_rejects_infinite_data_by_name(field, name):
+    """An infinite length, horizon or floor would otherwise surface later as
+    a NaN diffusivity minimum."""
+    data = {"length": 1.0, "horizon": 1.0, "c1": 1.0, field: math.inf}
+
+    def zero(x, t):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+        ProblemSpec(k=zero, q=zero, f=zero, u0=lambda x: x, **data)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_initial_profile_is_rejected_by_name(runner, value):
+    """A NaN or inf inside ``u0`` would otherwise pass the endpoint check and
+    surface as a non-finite layer 1."""
+    order = FractionalOrder(0.5)
+    problem = dataclasses.replace(
+        _constant_problem(1.0),
+        u0=lambda x: np.where(np.isclose(x, 0.5), value, np.sin(np.pi * x)),
+    )
+    with pytest.raises(ValueError, match=r"initial profile u0 must be finite"):
+        _one(runner, problem, order, 8, 4)
+
+
 @pytest.mark.parametrize("alpha", [1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-12])
 def test_stability_conditions_hold_for_l21sigma(alpha):
     audit = audit_weight_family(FractionalOrder(alpha), 200, L21SIGMA)
