@@ -9,6 +9,10 @@ audit on whole arrays.  The solver streams the audit in blocks and stops the
 series at the last term that can change a bit; the tests check that both
 give the same doubles as these.
 
+For the schemes: one step of either scheme, assembled densely from the
+paper's formula and solved with ``numpy.linalg.solve``.  The tests check the
+first layers of a marched run against it.
+
 The solver does not use any of them."""
 
 import math
@@ -29,7 +33,9 @@ from subdiff.kernels import (
     _l1_block,
     coeff_a_array,
     coeff_b_array,
+    weights,
 )
+from subdiff.schemes import ProblemSpec
 
 
 def caputo_power_rule(order: FractionalOrder, p: float, t_star: float) -> float:
@@ -149,3 +155,73 @@ def audit_weight_family_whole(
             _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
         )
     )
+
+
+def dense_l21sigma_step(
+    problem: ProblemSpec,
+    order: FractionalOrder,
+    nx: int,
+    tau: float,
+    layers: np.ndarray,
+    scheme: str,
+) -> np.ndarray:
+    """Layer ``j+1`` of one L2-1sigma step on the grid of ``nx`` intervals,
+    from the layers ``y^0 .. y^j`` (rows of ``layers``, boundary nodes
+    included), assembled densely and solved with ``numpy.linalg.solve``.
+
+    With ``c_0 .. c_j`` the scaled weights of :func:`subdiff.kernels.weights`
+    and ``t = (j + sigma) tau``, the step reads
+
+        M [c_0 (y^{j+1} - y^j) + sum_{s<j} c_{j-s} (y^{s+1} - y^s)]
+            = Lambda(sigma y^{j+1} + (1 - sigma) y^j) + M f(t).
+
+    ``scheme="second"``: ``M`` is the identity, ``Lambda y = (k_{i+1/2}
+    (y_{i+1} - y_i) - k_{i-1/2} (y_i - y_{i-1})) / h^2 - q_i y_i`` with ``k``
+    at the half-integer nodes, and ``q``, ``f`` at the interior nodes.
+    ``scheme="compact"``: ``M v = (v_{i-1} + 10 v_i + v_{i+1}) / 12`` over
+    every node (``f`` included), ``Lambda y = k(t) (y_{i+1} - 2 y_i +
+    y_{i-1}) / h^2 - q(t) M y``."""
+    j = len(layers) - 1
+    h = problem.length / nx
+    x = np.linspace(0.0, problem.length, nx + 1)
+    t = (j + order.sigma) * tau
+    vector = weights(order, j, tau)
+    c = vector.scale * vector.coefficients
+    differences = np.diff(layers, axis=0)
+    history = sum(c[j - s] * differences[s] for s in range(j))
+    memory = np.zeros(nx + 1) + history
+    y = layers[-1]
+    n = nx - 1
+    # Every operator maps the nodes 0 .. nx onto the interior rows 1 .. nx-1.
+    rows = np.arange(n)
+    if scheme == "second":
+        mass = np.zeros((n, nx + 1))
+        mass[rows, rows + 1] = 1.0
+        k = np.broadcast_to(np.asarray(problem.k(x[:-1] + 0.5 * h, t), float), (nx,))
+        q = np.broadcast_to(np.asarray(problem.q(x[1:-1], t), float), (n,))
+        stiffness = np.zeros((n, nx + 1))
+        stiffness[rows, rows] = k[:-1] / h**2
+        stiffness[rows, rows + 1] = -(k[:-1] + k[1:]) / h**2
+        stiffness[rows, rows + 2] = k[1:] / h**2
+        operator = stiffness - q[:, None] * mass
+        source = np.broadcast_to(np.asarray(problem.f(x[1:-1], t), float), (n,))
+    elif scheme == "compact":
+        mass = np.zeros((n, nx + 1))
+        mass[rows, rows] = 1.0 / 12.0
+        mass[rows, rows + 1] = 10.0 / 12.0
+        mass[rows, rows + 2] = 1.0 / 12.0
+        laplace = np.zeros((n, nx + 1))
+        laplace[rows, rows] = 1.0 / h**2
+        laplace[rows, rows + 1] = -2.0 / h**2
+        laplace[rows, rows + 2] = 1.0 / h**2
+        operator = float(problem.k_time(t)) * laplace - float(problem.q_time(t)) * mass
+        source = mass @ np.broadcast_to(np.asarray(problem.f(x, t), float), (nx + 1,))
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    sigma = order.sigma
+    inner = slice(1, -1)
+    lhs = c[0] * mass[:, inner] - sigma * operator[:, inner]
+    rhs = mass @ (c[0] * y - memory) + (1.0 - sigma) * (operator @ y) + source
+    layer = np.zeros(nx + 1)
+    layer[inner] = np.linalg.solve(lhs, rhs)
+    return layer

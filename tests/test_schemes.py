@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import dense_l21sigma_step
 
 from subdiff import schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
@@ -115,6 +116,37 @@ def test_runs_reproduce_recorded_final_layers():
     order = FractionalOrder(0.6)
     history = _one(run_compact, problem_timecoeff_compact(order), order, 10, 7)
     np.testing.assert_allclose(history.values[-1], COMPACT_FINAL, rtol=1e-14)
+
+
+def _compact_problem_with_profile(order):
+    """The compact problem started from a nonzero profile, so that the first
+    step's terms in ``y^0`` count."""
+    return dataclasses.replace(
+        problem_timecoeff_compact(order), u0=lambda x: x * (1.0 - x) * (2.0 + x)
+    )
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem, scheme",
+    [
+        (run_second_order, problem_varcoeff_2nd, "second"),
+        (run_compact, _compact_problem_with_profile, "compact"),
+    ],
+)
+def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
+    """Layers 1 and 2 of a run of two orders on two grids marched together
+    are the paper's step solved densely: ``j = 0`` with ``c_0 = a_0`` and no
+    history, ``j = 1`` with the history ``c_1 (y^1 - y^0)``."""
+    orders = (FractionalOrder(0.3), FractionalOrder(0.8))
+    problems = tuple(make_problem(order) for order in orders)
+    nxs, nt = (5, 8), 4
+    for problem, order, row in zip(problems, orders, runner(problems, orders, nxs, nt)):
+        for nx, history in zip(nxs, row):
+            for j in (0, 1):
+                dense = dense_l21sigma_step(
+                    problem, order, nx, problem.horizon / nt, history.values[: j + 1], scheme
+                )
+                np.testing.assert_allclose(history.values[j + 1], dense, rtol=1e-12, atol=0.0)
 
 
 
@@ -376,7 +408,8 @@ def test_initial_layer_must_vanish_at_endpoints():
         horizon=1.0,
         c1=problem.c1,
     )
-    with pytest.raises(ValueError):
+    message = r"must vanish at both endpoints, got u0\(0\)=1\.0, u0\(1\.0\)=-1\.0$"
+    with pytest.raises(ValueError, match=message):
         _one(run_second_order, bad, order, 8, 4)
 
 
