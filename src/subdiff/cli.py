@@ -44,6 +44,8 @@ def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"--m expects comma-separated integers, got {args.m!r}")
     if not steps or any(m < 2 for m in steps):
         parser.error(f"--m expects integers >= 2, got {args.m!r}")
+    if any(finer <= coarser for coarser, finer in zip(steps, steps[1:])):
+        parser.error(f"--m expects strictly increasing step counts, got {args.m!r}")
 
     results = [monomial_error(order, m, formula=args.formula) for m in steps]
     orders: list[Optional[float]] = [None]

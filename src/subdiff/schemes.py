@@ -376,15 +376,18 @@ _ASSEMBLERS: dict[str, Assembler] = {
 }
 
 
-def _validate_initial_layer(values: np.ndarray, problem: ProblemSpec) -> np.ndarray:
+def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
+    """``values``, the initial profile on one grid of ``(0, length)``, with
+    its endpoints pinned to zero; a non-finite value, or an endpoint that
+    does not vanish, raises a ``ValueError``."""
     bad = values[~np.isfinite(values)]
     if bad.size:
-        raise ValueError(f"initial profile u0 must be finite, got {bad[0]!r}")
+        raise ValueError(f"initial profile u0 must be finite, got {float(bad[0])!r}")
     tolerance = 1e-12 * max(1.0, float(np.abs(values).max()))
     if abs(values[0]) > tolerance or abs(values[-1]) > tolerance:
         raise ValueError(
             "initial profile must vanish at both endpoints, got "
-            f"u0(0)={values[0]!r}, u0(l)={values[-1]!r}"
+            f"u0(0)={float(values[0])!r}, u0({length!r})={float(values[-1])!r}"
         )
     pinned = values.copy()
     pinned[0] = 0.0
@@ -606,7 +609,7 @@ def _march(
         initial = np.asarray(problem.u0(group.x), dtype=float)
         for begin, end in group.spans[: len(nxs)]:
             values[0, o * group.width + begin : o * group.width + end] = (
-                _validate_initial_layer(initial[begin:end], problem)
+                _validate_initial_layer(initial[begin:end], problem.length)
             )
     history = _CausalConvolution(
         scales[:, None] * lags, scales[:, None] * (a_tables - b_tables), values

@@ -46,6 +46,12 @@ def test_caputo_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("m", ["20,10", "10,10", "10,40,20"])
+def test_caputo_rejects_step_counts_that_do_not_increase(m, capsys):
+    assert main(["caputo", "--alpha", "0.5", "--m", m]) == 2
+    assert "--m expects strictly increasing step counts" in capsys.readouterr().err
+
+
 def test_solve_prints_error_norms(capsys):
     code = main(
         [
