@@ -10,8 +10,11 @@ Two schemes are provided: a second-order scheme (``O(h^2 + tau^2)``) for
 space-and-time-dependent coefficients, and a compact fourth-order scheme
 (``O(h^4 + tau^2)``) for time-only coefficients.  Both collocate the time
 operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
-``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and differ
-only in the spatial assembler it calls for each block of steps.
+``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and one
+step formula.  They differ only in how a block of steps samples the
+diffusivity, the reaction and the source, and in the mass operator ``M`` on
+the time term and the source: the identity for the second-order scheme,
+``(1, 10, 1)/12`` for the compact one.
 
 The module also evaluates the a priori solution bound of a finished run.  The
 weight inequalities and the energy inequalities behind it are checked in
@@ -52,14 +55,6 @@ SpaceTimeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 TimeFn = Callable[[np.ndarray], np.ndarray]
 #: ``(sub, diag, sup)`` of the systems of a block of steps, one row per step.
 TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray]
-#: Writes the right-hand side of step ``i`` of a block into ``out``, the rows
-#: of ``new``, from ``y^j`` and the history term, which ``new`` holds at every
-#: node on entry: ``rhs(i, y, new, out)``.
-StepRhs = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
-#: A spatial assembler: for a block of collocation times it returns the rows
-#: of every step, the source each step's right-hand side takes in, and the
-#: per-step right-hand side.
-Assembler = Callable[..., tuple[TridiagonalRows, np.ndarray, StepRhs]]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -184,15 +179,16 @@ class _GridGroup:
     ``lasts``), are zeroed too, and ``dgtsv`` eliminates each cell's block
     exactly as it would alone.
 
-    Once per block of steps the assemblers spread what they sample over the
-    rows: ``live`` lists the rows of the interior nodes (each slab's
-    ``x_int`` in turn), ``intervals`` the grids' own intervals among the
+    Once per block of steps the samplers spread what they sample over the
+    rows: ``live[o]`` lists the rows of the interior nodes of slab ``o``
+    (its ``x_int``), ``intervals[o]`` its grids' own intervals among the
     differences of the node vector (difference ``i`` joins nodes ``i`` and
     ``i+1``; those across two grids are left out), and :meth:`spread` puts a
-    value per order on each row of its slab.  ``h_sq`` holds each row's
-    ``h*h`` (1 on an identity row).  With one grid and one order there are
-    no identity rows, and the rows are the interior nodes a one-grid code
-    solves for.
+    value per order on each row of its slab.  ``interior`` is 1 on the rows
+    of interior nodes and 0 on the identity rows, and ``h_sq`` holds each
+    row's ``h*h`` (1 on an identity row).  With one grid and one order there
+    are no identity rows, and the rows are the interior nodes a one-grid
+    code solves for.
     """
 
     def __init__(self, length: float, nxs: tuple[int, ...], slabs: int):
@@ -212,8 +208,10 @@ class _GridGroup:
         self.firsts = begins
         self.lasts = ends - 3
         self.edges = np.concatenate((ends[:-1] - 2, ends[:-1] - 1))
-        self.live = np.flatnonzero(~np.isin(np.arange(nodes - 2), self.edges))
-        self.intervals = np.flatnonzero(~np.isin(np.arange(nodes - 1), ends[:-1] - 1))
+        self.interior = np.isin(np.arange(nodes - 2), self.edges, invert=True) * 1.0
+        self.live = np.flatnonzero(self.interior).reshape(slabs, -1)
+        intervals = np.flatnonzero(~np.isin(np.arange(nodes - 1), ends[:-1] - 1))
+        self.intervals = intervals.reshape(slabs, -1)
         self.h_sq = np.ones(nodes - 2)
         for grid, begin, end in zip(self.grids, begins, ends):
             self.h_sq[begin : end - 2] = grid.h * grid.h
@@ -234,69 +232,29 @@ class _GridGroup:
 
 
 def _second_order_block(
-    problems: Sequence[ProblemSpec],
-    group: _GridGroup,
-    times: np.ndarray,
-    sigmas: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
-    """Assemble a block of steps of the second-order scheme: in the slab of
-    order ``o``, step ``i`` collocates at ``t = times[i, o]`` with the blend
-    ``sigmas[o]`` and the scaled weight ``weights[i, o]`` of ``y^{j+1} -
-    y^j``.
+    problems: Sequence[ProblemSpec], group: _GridGroup, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample a block of steps of the second-order scheme: in the slab of
+    order ``o``, step ``i`` collocates at ``t = times[i, o]``.
 
-    The diffusivity is sampled at the half-integer nodes ``x_{i-1/2}``.
-    Returns the rows of every step, the source at every row (zero on the
-    identity rows), and the right-hand side of step ``i``, which takes the
-    history term ``sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` (scaled) at every
-    node from ``new`` (zero on the boundary).
+    Returns the diffusivity ``a`` on every difference of the node vector,
+    sampled at the half-integer nodes ``x_{i-1/2}`` (zero across two grids),
+    and the reaction ``d`` and the source ``phi`` on every row (zero on the
+    identity rows), one row per step.
     """
     steps, rows = times.shape[0], group.h_sq.size
-    # The diffusivity on every difference of the node vector (zero across
-    # two grids), and the reaction and the source on every row.
     a = np.zeros((steps, rows + 1))
     d = np.zeros((steps, rows))
     phi = np.zeros((steps, rows))
-    intervals = group.intervals.reshape(len(problems), -1)
-    live = group.live.reshape(len(problems), -1)
     for o, problem in enumerate(problems):
         t = times[:, o, None]
         k = _sample(problem.k, "k", group.midpoints[None, :], t)
         q = _sample(problem.q, "q", group.x_int[None, :], t)
-        phi[:, live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
+        phi[:, group.live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
         _coefficient_guard(problem, times[:, o], k.min(axis=1), q.min(axis=1))
-        a[:, intervals[o]] = k
-        d[:, live[o]] = q
-    h_sq = group.h_sq
-    sigma = group.spread(sigmas[None, :])[0]
-    c0 = group.spread(weights)
-    a_left, a_right = a[:, :-1], a[:, 1:]
-    diag = c0 + sigma * (a_left + a_right) / h_sq + sigma * d
-    sub = -sigma * a_left / h_sq
-    sup = -sigma * a_right / h_sq
-    # Per-row weights of y^j and of the flux differences; the latter vanish
-    # on the identity rows, where y^j, the history term and phi are zero.
-    y_weight = c0 - (1.0 - sigma) * d
-    flux_weight = (1.0 - sigma) / h_sq
-    flux_weight[group.edges] = 0.0
-    flux = np.empty(rows + 1)
-    flux_left, flux_right = flux[:-1], flux[1:]
-    stencil = np.empty(rows)
-    scratch = np.empty(rows)
-
-    # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
-    # ``out`` holds the history term until the second last call reads it.
-    def rhs(i: int, y: np.ndarray, new: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(y[1:], y[:-1], flux)
-        np.multiply(flux, a[i], flux)
-        np.subtract(flux_right, flux_left, stencil)
-        np.multiply(stencil, flux_weight, stencil)
-        np.multiply(y_weight[i], y[1:-1], scratch)
-        np.add(stencil, scratch, stencil)
-        np.subtract(stencil, out, out)
-        np.add(out, phi[i], out)
-
-    return (sub, diag, sup), phi, rhs
+        a[:, group.intervals[o]] = k
+        d[:, group.live[o]] = q
+    return a, d, phi
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -306,80 +264,119 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
 
 
 def _compact_block(
+    problems: Sequence[ProblemSpec], group: _GridGroup, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample a block of steps of the compact scheme, with the arguments and
+    the result of :func:`_second_order_block`: each order's ``k_time(t)``
+    and ``q_time(t)`` are spread over its slab, and ``phi`` is the
+    mass-averaged source, which reads ``f`` at the boundary nodes as well."""
+    steps, rows = times.shape[0], group.h_sq.size
+    a = np.zeros((steps, rows + 1))
+    d = np.zeros((steps, rows))
+    phi = np.zeros((steps, rows))
+    for o, problem in enumerate(problems):
+        t = times[:, o]
+        k = _sample(problem.k_time, "k_time", t)
+        q = _sample(problem.q_time, "q_time", t)
+        phi[:, o * group.width : (o + 1) * group.width - 2] = _mass_average(
+            _sample(problem.f, "f", group.x[None, :], t[:, None])
+        )
+        _coefficient_guard(problem, t, k, q)
+        a[:, group.intervals[o]] = k[:, None]
+        d[:, group.live[o]] = q[:, None]
+    phi[:, group.edges] = 0.0
+    return a, d, phi
+
+
+#: Each scheme by the name a run records in ``SolutionHistory.scheme``: its
+#: sampler and its mass operator ``M``, ``(off-diagonal, diagonal)``.
+_SCHEMES: dict[str, tuple[Callable, float, float]] = {
+    "second": (_second_order_block, 0.0, 1.0),
+    "compact": (_compact_block, 1.0 / 12.0, 10.0 / 12.0),
+}
+
+
+def _assemble(
+    scheme: str,
     problems: Sequence[ProblemSpec],
     group: _GridGroup,
     times: np.ndarray,
     sigmas: np.ndarray,
     weights: np.ndarray,
-) -> tuple[TridiagonalRows, np.ndarray, StepRhs]:
-    """Assemble a block of steps of the compact scheme from the time-only
-    coefficients ``k_time(t)``, ``q_time(t)``, with the arguments of
-    :func:`_second_order_block`.  The source and the history term enter
-    under the mass operator, which reads ``f`` at the boundary nodes as
-    well; the mass-averaged source is returned with the rows."""
-    a, d = np.empty(times.shape), np.empty(times.shape)
-    phi_full = np.empty((times.shape[0], group.width * len(problems)))
-    for o, problem in enumerate(problems):
-        t = times[:, o]
-        a[:, o] = _sample(problem.k_time, "k_time", t)
-        d[:, o] = _sample(problem.q_time, "q_time", t)
-        phi_full[:, o * group.width : (o + 1) * group.width] = _sample(
-            problem.f, "f", group.x[None, :], t[:, None]
-        )
-        _coefficient_guard(problem, t, a[:, o], d[:, o])
-    h_sq = group.h_sq
-    mass_phi = _mass_average(phi_full)
-    mass_phi[:, group.edges] = 0.0
+) -> tuple[TridiagonalRows, np.ndarray, Callable]:
+    """Assemble a block of steps of ``scheme``: in the slab of order ``o``,
+    step ``i`` collocates at ``t = times[i, o]`` with the blend
+    ``sigmas[o]`` and the scaled weight ``c_0 = weights[i, o]`` of
+    ``y^{j+1} - y^j``.
 
-    reaction = group.spread(weights + sigmas * d)
-    diag = reaction * (10.0 / 12.0) + group.spread(2.0 * sigmas * a) / h_sq
-    sub = reaction / 12.0 - group.spread(sigmas * a) / h_sq
-    # The right-hand side is M(w) + g L(y^j) + M(phi) with the mass operator
-    # M, the second difference L and w = y_weight * y^j - conv.  The weights
-    # are arrays, which numpy multiplies by faster than by a Python float;
-    # those per row vanish on the identity rows.
-    y_weight = np.repeat(weights - (1.0 - sigmas) * d, group.width, axis=1)
-    laplace_weight = group.spread((1.0 - sigmas) * a) / h_sq
-    laplace_weight[:, group.edges] = 0.0
-    mass_weight = np.full(h_sq.size, 1.0 / 12.0)
-    mass_weight[group.edges] = 0.0
-    ten = np.full(h_sq.size, 10.0)
-    w = np.empty(y_weight.shape[1])
+    With the sampled ``a``, ``d`` and ``phi``, the mass operator ``M`` of
+    the scheme and the flux-form stiffness ``K_a y = -(a_{i+1/2} (y_{i+1} -
+    y_i) - a_{i-1/2} (y_i - y_{i-1})) / h^2``, a step solves
+
+        ((c_0 + sigma d) M + sigma K_a) y^{j+1}
+            = M (y_w y^j - conv) - (1 - sigma) K_a y^j + phi,
+
+    with ``y_w = c_0 - (1 - sigma) d`` and the history term ``conv =
+    sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` (scaled).  Returns the rows of
+    every step with the identity rows made, the source at every row, and
+    the right-hand side ``rhs(i, y, out)`` of step ``i``, which reads
+    ``y^j`` from ``y`` (every node) and ``conv`` from ``out`` (the rows) and
+    writes over ``out``.
+    """
+    sample, mass_off, mass_diag = _SCHEMES[scheme]
+    a, d, phi = sample(problems, group, times)
+    h_sq = group.h_sq
+    sigma = group.spread(sigmas[None, :])[0]
+    c0 = group.spread(weights)
+    y_weight = c0 - (1.0 - sigma) * d
+    # The rows are formed in place: a block's memory goes back to the system
+    # before the next block, and touching fresh pages costs more than the
+    # arithmetic.  A zero mass off-diagonal is skipped here and in ``rhs``.
+    reaction = np.add(c0, sigma * d, c0)
+    a_left, a_right = a[:, :-1], a[:, 1:]
+    diag = sigma * (a_left + a_right) / h_sq
+    diag += reaction * mass_diag
+    sub, sup = -sigma * a_left / h_sq, -sigma * a_right / h_sq
+    if mass_off:
+        reaction *= mass_off
+        sub += reaction
+        sup += reaction
+    group.decouple(sub, diag, sup)
+    # Per-row weights that vanish on the identity rows, where y^j, conv and
+    # phi are zero.  They are arrays, which numpy multiplies by faster than
+    # by a Python float.
+    flux_weight = group.interior * (1.0 - sigma) / h_sq
+    off_weight, diag_weight = group.interior * mass_off, group.interior * mass_diag
+    # y_w y^j - conv at every node; the outer two stay zero.
+    w = np.zeros(h_sq.size + 2)
     w_left, w_mid, w_right = w[:-2], w[1:-1], w[2:]
-    laplace = np.empty(h_sq.size)
+    flux = np.empty(h_sq.size + 1)
+    flux_left, flux_right = flux[:-1], flux[1:]
+    scratch = np.empty(h_sq.size)
 
     # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
-    # ``new`` holds the history term conv until the second call reads it.
-    def rhs(i: int, y: np.ndarray, new: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(y, y_weight[i], w)
-        np.subtract(w, new, w)
-        np.multiply(w_mid, ten, out)
-        np.add(out, w_left, out)
-        np.add(out, w_right, out)
-        np.multiply(out, mass_weight, out)
-        y_mid = y[1:-1]
-        np.add(y[:-2], y[2:], laplace)
-        np.subtract(laplace, y_mid, laplace)
-        np.subtract(laplace, y_mid, laplace)
-        np.multiply(laplace, laplace_weight[i], laplace)
-        np.add(out, laplace, out)
-        np.add(out, mass_phi[i], out)
+    # ``out`` holds conv until the second call reads it.
+    def rhs(i: int, y: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(y[1:-1], y_weight[i], w_mid)
+        np.subtract(w_mid, out, w_mid)
+        np.multiply(w_mid, diag_weight, out)
+        if mass_off:
+            np.add(w_left, w_right, scratch)
+            np.multiply(scratch, off_weight, scratch)
+            np.add(out, scratch, out)
+        np.subtract(y[1:], y[:-1], flux)
+        np.multiply(flux, a[i], flux)
+        np.subtract(flux_right, flux_left, scratch)
+        np.multiply(scratch, flux_weight, scratch)
+        np.add(out, scratch, out)
+        np.add(out, phi[i], out)
 
-    return (sub, diag, sub.copy()), mass_phi, rhs
-
-
-#: The spatial assembler of each scheme, by the name a run records in
-#: ``SolutionHistory.scheme``.
-_ASSEMBLERS: dict[str, Assembler] = {
-    "second": _second_order_block,
-    "compact": _compact_block,
-}
+    return (sub, diag, sup), phi, rhs
 
 
 def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
-    """``values``, the initial profile on one grid of ``(0, length)``, with
-    its endpoints pinned to zero; a non-finite value, or an endpoint that
-    does not vanish, raises a ``ValueError``."""
+    """The initial profile ``values`` on one grid of ``(0, length)``, checked
+    to be finite and to vanish at both ends, with its ends pinned to zero."""
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"initial profile u0 must be finite, got {float(bad[0])!r}")
@@ -553,8 +550,8 @@ def _march(
     """March the L2-1sigma scheme with ``nt`` time steps covering
     ``[0, horizon]``, for every order of ``orders`` with its problem of
     ``problems``, on every grid of ``nxs`` space subintervals at once;
-    ``scheme`` names the spatial assembler in ``_ASSEMBLERS``.  Returns one
-    history per order and grid, ``histories[o][g]``.
+    ``scheme`` names the sampler and the mass operator in ``_SCHEMES``.
+    Returns one history per order and grid, ``histories[o][g]``.
 
     Step ``j -> j+1`` of order ``o`` collocates at ``t_{j+sigma} =
     (j+sigma)*tau`` with that order's ``sigma``.  Its weights ``c_0 .. c_j``
@@ -568,15 +565,16 @@ def _march(
     ones in dyadic blocks, in the layer array itself.
 
     Nothing but the right-hand side depends on the solution, so the steps
-    are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the assembler
-    samples each order's callbacks once per block, on an array of that
-    order's collocation times, checks ``k >= c1`` and ``q >= 0`` against
-    that problem's ``c1``, and builds the rows, the source and per-row
-    weights for every step of the block.  Each step then completes the
-    history term in ``values[j+1]``, writes its right-hand side from ``y^j``
-    and that term into the rows of ``values[j+1]``, and ``dgtsv`` solves
-    there in place.  The factored pivots land in the block's diagonal and
-    are checked once per block, so a zero or denormal pivot raises
+    are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the scheme's
+    sampler samples each order's callbacks once per block, on an array of
+    that order's collocation times, and checks ``k >= c1`` and ``q >= 0``
+    against that problem's ``c1``; :func:`_assemble` forms the rows of every
+    step of the block and the right-hand side of the one step formula both
+    schemes share.  Each step then completes the history term in
+    ``values[j+1]``, writes its right-hand side from ``y^j`` and that term
+    into the rows of ``values[j+1]``, and ``dgtsv`` solves there in place.
+    The factored pivots land in the block's diagonal and are checked once
+    per block, so a zero or denormal pivot raises
     :class:`~subdiff.tridiag.SingularSystemError` at the end of its block,
     and so does the first layer that holds a non-finite value.
 
@@ -587,11 +585,10 @@ def _march(
     rows.  The two outer boundary nodes are not rows; they carry the
     history term's zero boundary entries during the march and are reset to
     zero after it.  Each history records the scheme and ``max_j h
-    ||phi^j||^2`` of the source as its assembler formed it.
+    ||phi^j||^2`` of the source as it enters the right-hand side.
     """
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
-    assemble = _ASSEMBLERS[scheme]
     group = _GridGroup(problems[0].length, nxs, len(orders))
     tau = problems[0].horizon / nt
     sigmas = np.array([order.sigma for order in orders])
@@ -621,8 +618,8 @@ def _march(
     for first in range(0, nt, block_steps):
         steps = np.arange(first, min(first + block_steps, nt))
         c0 = np.where(steps[:, None] == 0, a_tables[:, 0], lags[:, 0])
-        (sub, diag, sup), phi, rhs = assemble(
-            problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
+        (sub, diag, sup), phi, rhs = _assemble(
+            scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
         )
         # Each grid's rows run from its first row to the next grid's; the
         # identity rows among them carry no source.
@@ -631,11 +628,10 @@ def _march(
             (group.h * np.add.reduceat(phi * phi, group.firsts, axis=1)).max(axis=0),
             out=source_norm_sq,
         )
-        group.decouple(sub, diag, sup)
         for i, j in enumerate(steps.tolist()):
             history.term(j)
             solution = rows[j + 1]
-            rhs(i, values[j], values[j + 1], solution)
+            rhs(i, values[j], solution)
             _solve_core(sub[i], diag[i], sup[i], solution)
         _check_pivots(diag)
         finite = np.isfinite(values[first + 1 : first + 1 + steps.size]).all(axis=1)
@@ -743,7 +739,7 @@ def a_priori_bound(
         raise ValueError("history must contain at least one computed step")
     if history.source_norm_sq is None:
         raise ValueError("history carries no recorded source norm")
-    if history.scheme not in _ASSEMBLERS:
+    if history.scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {history.scheme!r}")
     t_final = float(history.times[-1])
     alpha = order.alpha
