@@ -331,16 +331,15 @@ def _assemble(
     y_weight = c0 - (1.0 - sigma) * d
     # The rows are formed in place: a block's memory goes back to the system
     # before the next block, and touching fresh pages costs more than the
-    # arithmetic.  A zero mass off-diagonal is skipped here and in ``rhs``.
+    # arithmetic.
     reaction = np.add(c0, sigma * d, c0)
     a_left, a_right = a[:, :-1], a[:, 1:]
     diag = sigma * (a_left + a_right) / h_sq
     diag += reaction * mass_diag
     sub, sup = -sigma * a_left / h_sq, -sigma * a_right / h_sq
-    if mass_off:
-        reaction *= mass_off
-        sub += reaction
-        sup += reaction
+    reaction *= mass_off
+    sub += reaction
+    sup += reaction
     group.decouple(sub, diag, sup)
     # Per-row weights that vanish on the identity rows, where y^j, conv and
     # phi are zero.  They are arrays, which numpy multiplies by faster than
@@ -360,10 +359,9 @@ def _assemble(
         np.multiply(y[1:-1], y_weight[i], w_mid)
         np.subtract(w_mid, out, w_mid)
         np.multiply(w_mid, diag_weight, out)
-        if mass_off:
-            np.add(w_left, w_right, scratch)
-            np.multiply(scratch, off_weight, scratch)
-            np.add(out, scratch, out)
+        np.add(w_left, w_right, scratch)
+        np.multiply(scratch, off_weight, scratch)
+        np.add(out, scratch, out)
         np.subtract(y[1:], y[:-1], flux)
         np.multiply(flux, a[i], flux)
         np.subtract(flux_right, flux_left, scratch)

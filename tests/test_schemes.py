@@ -149,7 +149,6 @@ def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
                 np.testing.assert_allclose(history.values[j + 1], dense, rtol=1e-12, atol=0.0)
 
 
-
 def _replays_prefix_bitwise(runner, problem, order, nx, nt):
     """A run over half the horizon with half the steps keeps the step size,
     so the full run must replay its layers exactly: step ``j -> j+1`` reads
