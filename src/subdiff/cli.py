@@ -36,6 +36,16 @@ def _fractional_order(parser: argparse.ArgumentParser, alpha: float) -> Fraction
         raise AssertionError("unreachable")  # parser.error always raises
 
 
+def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
+    """Write a report to ``path``; a path that cannot be written is a usage
+    error (exit 2), not a failed assertion."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --out {path!r}: {exc.strerror}")
+
+
 def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     order = _fractional_order(parser, args.alpha)
     try:
@@ -51,8 +61,6 @@ def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     orders: list[Optional[float]] = [None]
     if len(results) >= 2:
         orders += convergence_order([(tau, err) for err, tau in results])
-    else:
-        orders = [None] * len(results)
     for m, (err, tau), co in zip(steps, results, orders):
         line = f"m={m} tau={tau:.6e} error={err:.6e}"
         if co is not None:
@@ -85,11 +93,9 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         summary = error_norms(history, named.spec.exact)
         print(f"err_l2max={summary.l2max:.6e} err_sup={summary.sup:.6e}")
     if args.out:
-        nodes = history.grid.nodes()
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("x,value\n")
-            for x, value in zip(nodes, history.values[-1]):
-                handle.write(f"{x:.10e},{value:.10e}\n")
+        rows = zip(history.grid.nodes(), history.values[-1])
+        text = "x,value\n" + "".join(f"{x:.10e},{value:.10e}\n" for x, value in rows)
+        _write_out(args.out, text, parser)
         print(f"final layer written to {args.out}")
     return 0
 
@@ -99,14 +105,11 @@ def _cmd_study(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         plan = study_plan(args.table, fast=args.fast)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.threads < 1:
-        parser.error(f"--threads must be positive, got {args.threads}")
 
-    report = run_study(plan, threads=args.threads)
+    report = run_study(plan)
     text = emit(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_out(args.out, text, parser)
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -189,9 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     study.add_argument("--format", choices=("csv", "markdown"), default="csv",
                        help="output format (default: %(default)s)")
     study.add_argument("--out", help="write the report to this path")
-    study.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default: %(default)s; the "
-                            "bundled studies run slower on more)")
+    study.add_argument("--threads", type=int, choices=(1,),
+                       help="only 1 is accepted: studies run on one thread")
     study.set_defaults(handler=_cmd_study)
 
     audit = subparsers.add_parser(

@@ -4,8 +4,9 @@ A ``StudyPlan`` fixes the experiment geometry for one of the seven bundled
 study tables (which fractional orders, which grid levels, which norms, and
 whether the convergence order is measured against the time step or the mesh
 size).  ``run_study`` executes every (alpha, level) cell, marching all the
-cells that share a time grid together, whatever their alpha, attaches
-observed convergence orders and a priori stability verdicts, and ``emit``
+cells that share a time grid together, whatever their alpha, and one time
+grid after another on the calling thread.  It attaches observed
+convergence orders and a priori stability verdicts, and ``emit``
 renders the report as CSV or markdown.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -260,22 +260,15 @@ def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
     return rows
 
 
-def run_study(plan: StudyPlan, threads: int = 1) -> ConvergenceReport:
+def run_study(plan: StudyPlan) -> ConvergenceReport:
     """Execute every cell of the plan.  The cells that share ``nt``, over
-    every alpha, form a group whose cells march together; groups are
-    independent, so they may run on a thread pool, and the report always
-    preserves plan order (alpha by alpha, level by level)."""
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+    every alpha, form a group whose cells march together; the groups run one
+    after another, and the report keeps plan order (alpha by alpha, level by
+    level)."""
     groups: dict[int, list[tuple[int, LevelSpec]]] = {}
     for index, level in enumerate(plan.levels):
         groups.setdefault(level.nt, []).append((index, level))
-    if threads == 1:
-        results = [_run_group(plan, levels) for levels in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_group, plan, levels) for levels in groups.values()]
-            results = [future.result() for future in futures]
+    results = [_run_group(plan, levels) for levels in groups.values()]
     rows = sorted(
         (row for group_rows in results for row in group_rows),
         key=lambda row: (plan.alphas.index(row.alpha), row.level),

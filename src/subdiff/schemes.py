@@ -424,11 +424,12 @@ class _CausalConvolution:
     exactly once, at the highest bit where ``s`` and ``t`` differ: at ``j =
     t`` with that bit and the ones below it cleared, ``term(j)`` adds the
     ``L = j & -j >= _WINDOW`` sources ``[j-L, j)`` into the targets ``[j,
-    j+L)``.  A block of ``L = _WINDOW`` is the whole ring, taken in one
-    batched product with each order's Toeplitz matrix of lags ``1 ..
-    2L-1``; a larger one is a circular convolution of length ``2L`` through
-    ``scipy.fft`` with each order's lag spectrum, its sources subtracted
-    from the layers straight into the padded block, over chunks of at most
+    j+L)``.  A block is taken one order's slab at a time.  A block of ``L
+    = _WINDOW`` is the whole ring, the slab's product with that order's
+    Toeplitz matrix of lags ``1 .. 2L-1`` in one BLAS call; a larger one is
+    a circular convolution of length ``2L`` through ``scipy.fft`` with the
+    order's lag spectrum, its sources subtracted from the layers straight
+    into the padded block, over chunks of the slab's columns of at most
     ``_CHUNK_BYTES``.  The matrices and spectra are cached per ``L``.  A
     block always computes its full ``L`` target rows and drops those past
     the last row only when adding them, so ``acc[t]`` does not depend on the
@@ -496,22 +497,16 @@ class _CausalConvolution:
             np.add(values[j + 1], self._flat_product, values[j + 1])
 
     def _chunks(self, size: int) -> Iterator[tuple[slice, slice]]:
-        """The ``(orders, columns)`` slices a block of ``size`` sources is
-        taken in: whole slabs while they fit ``_CHUNK_BYTES``, else columns
-        of one slab.  A dense block takes whole slabs, so that each slab's
-        product is one BLAS call, rounded alike whatever the budget."""
+        """The ``(order, columns)`` slices a block of ``size`` sources is
+        taken in, one order's slab at a time: a dense block takes the whole
+        slab, so that its product is one BLAS call, rounded alike whatever
+        the budget, and an FFT block takes columns that fit
+        ``_CHUNK_BYTES``."""
         orders, width = self._layers.shape[1:]
-        columns = max(1, _CHUNK_BYTES // (16 * size))
-        if size == _WINDOW:
-            columns = max(columns, width)
-        per_chunk = max(1, columns // width)
-        columns = min(columns, width)
-        for begin_order in range(0, orders, per_chunk):
+        columns = width if size == _WINDOW else max(1, _CHUNK_BYTES // (16 * size))
+        for order in range(orders):
             for begin in range(0, width, columns):
-                yield (
-                    slice(begin_order, begin_order + per_chunk),
-                    slice(begin, begin + columns),
-                )
+                yield slice(order, order + 1), slice(begin, begin + columns)
 
     def _add_block(self, j: int) -> None:
         size = j & -j

@@ -100,6 +100,23 @@ def test_solve_writes_final_layer(tmp_path, capsys):
     assert float(first[1]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "varcoeff-2nd", "--alpha", "0.5", "--nx", "8", "--nt", "4"],
+        ["study", "--table", "1"],
+    ],
+    ids=["solve", "study"],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    """A report that cannot be written exits 2 and names the path; exit 1
+    stays reserved for failed assertions and audits."""
+    out_path = tmp_path / "missing" / "report.csv"
+    assert main([*argv, "--out", str(out_path)]) == 2
+    assert f"cannot write --out {str(out_path)!r}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_solve_scheme_mismatch_is_usage_error(capsys):
     code = main(
         [
@@ -147,17 +164,30 @@ def test_solve_rejects_kernel_case(capsys):
 
 
 def test_study_table1_emits_csv(capsys):
-    assert main(["study", "--table", "1", "--threads", "1"]) == 0
+    assert main(["study", "--table", "1"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 10  # three alphas, ten levels each
 
 
+def test_study_threads_accepts_only_one(capsys):
+    """Studies run on one thread: ``--threads 1`` prints the report of no
+    flag, seconds aside, and any other count is a usage error."""
+    assert main(["study", "--table", "1", "--threads", "2"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    reports = []
+    for extra in ([], ["--threads", "1"]):
+        assert main(["study", "--table", "1", *extra]) == 0
+        out = capsys.readouterr().out
+        reports.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+    assert reports[0] == reports[1]
+
+
 def test_study_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code = main(
-        ["study", "--table", "3", "--threads", "1", "--out", str(out_path)]
+        ["study", "--table", "3", "--out", str(out_path)]
     )
     assert code == 0
     assert "report written" in capsys.readouterr().out
@@ -165,7 +195,7 @@ def test_study_writes_file(tmp_path, capsys):
 
 
 def test_study_markdown_format(capsys):
-    code = main(["study", "--table", "1", "--format", "markdown", "--threads", "1"])
+    code = main(["study", "--table", "1", "--format", "markdown"])
     assert code == 0
     assert capsys.readouterr().out.startswith("### Study T1")
 

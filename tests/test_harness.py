@@ -106,19 +106,16 @@ def _strip_seconds(csv_text: str) -> str:
     )
 
 
-def test_run_study_deterministic_and_thread_invariant():
+def test_run_study_is_deterministic():
     plan = _tiny_pde_plan()
     first = emit(run_study(plan), "csv")
     second = emit(run_study(plan), "csv")
-    threaded = emit(run_study(plan, threads=3), "csv")
     assert _strip_seconds(first) == _strip_seconds(second)
-    assert _strip_seconds(first) == _strip_seconds(threaded)
 
 
 def test_levels_sharing_nt_march_together_in_plan_order():
     """Levels 1 and 3 share nt and form one group with both alphas; the
-    report keeps plan order, is thread invariant, and matches one-grid
-    runs."""
+    report keeps plan order and matches one-grid runs."""
     plan = StudyPlan(
         table_id="T5",
         problem_id="timecoeff-compact",
@@ -132,9 +129,7 @@ def test_levels_sharing_nt_march_together_in_plan_order():
         norms=("l2max", "sup"),
         co_step="h",
     )
-    report = run_study(plan, threads=1)
-    threaded = run_study(plan, threads=3)
-    assert _strip_seconds(emit(report, "csv")) == _strip_seconds(emit(threaded, "csv"))
+    report = run_study(plan)
     assert [(row.alpha, row.level, row.nx, row.nt) for row in report.rows] == [
         (alpha, index + 1, level.nx, level.nt)
         for alpha in plan.alphas
@@ -200,11 +195,6 @@ def test_emit_markdown_layout():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit(ConvergenceReport("T1", []), "yaml")
-
-
-def test_run_study_rejects_bad_threads():
-    with pytest.raises(ValueError):
-        run_study(_tiny_pde_plan(), threads=0)
 
 
 def test_order_from_rounded_errors_matches_full_precision():

@@ -227,15 +227,20 @@ def _history_terms(history_class, lags, tail, layers):
     return np.array(terms)
 
 
-def _assert_history_matches_direct_sum(orders, nt, columns, seed):
-    """Positive differences and positive lags, as the L2-1sigma lags are, so
-    each sum is compared entry by entry."""
+def _random_history(orders, nt, columns, seed):
+    """``(lags, tail, layers)`` with positive differences and positive lags,
+    as the L2-1sigma lags are, so each sum is compared entry by entry."""
     rng = np.random.default_rng(seed)
     lags = rng.uniform(0.1, 1.0, size=(orders, (1 << (nt - 1).bit_length()) + 1))
     tail = rng.uniform(0.1, 1.0, size=(orders, nt))
     layers = np.cumsum(rng.uniform(0.1, 1.0, size=(nt + 1, orders * columns)), axis=0)
-    ours = _history_terms(_CausalConvolution, lags, tail, layers)
-    theirs = _history_terms(_DirectHistory, lags, tail, layers)
+    return lags, tail, layers
+
+
+def _assert_history_matches_direct_sum(orders, nt, columns, seed):
+    data = _random_history(orders, nt, columns, seed)
+    ours = _history_terms(_CausalConvolution, *data)
+    theirs = _history_terms(_DirectHistory, *data)
     np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
 
 
@@ -253,9 +258,21 @@ def test_causal_convolution_matches_direct_sum(nt, columns):
 def test_causal_convolution_of_several_orders_matches_direct_sum(nt, columns):
     """Each order's slab takes its own lags and tail.  From nt = 300 on the
     run holds dense blocks (L = 64) and FFT blocks (L = 128, 256); with 40
-    columns per slab the FFT chunks hold whole slabs at L = 128 and part of
-    one slab from L = 256 on."""
+    columns per slab the block of L = 512 takes each slab in two column
+    chunks."""
     _assert_history_matches_direct_sum(3, nt, columns, nt * 10 + columns + 1)
+
+
+@pytest.mark.parametrize("nt", [300, 1000])
+@pytest.mark.parametrize("columns", [7, 40])
+def test_chunk_budget_does_not_change_the_history_sums(nt, columns, monkeypatch):
+    """Every column of a slab is summed alike whatever chunk it falls in:
+    a budget of one column per FFT chunk gives the sums of the default
+    budget bit for bit."""
+    data = _random_history(3, nt, columns, nt * 10 + columns + 1)
+    default = _history_terms(_CausalConvolution, *data)
+    monkeypatch.setattr(schemes, "_CHUNK_BYTES", 1)
+    np.testing.assert_array_equal(_history_terms(_CausalConvolution, *data), default)
 
 
 def test_compact_group_matches_direct_history(monkeypatch):
