@@ -58,13 +58,16 @@ def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(f"--m expects strictly increasing step counts, got {args.m!r}")
 
     results = [monomial_error(order, m, formula=args.formula) for m in steps]
-    orders: list[Optional[float]] = [None]
-    if len(results) >= 2:
-        orders += convergence_order([(tau, err) for err, tau in results])
-    for m, (err, tau), co in zip(steps, results, orders):
+    for index, (m, (err, tau)) in enumerate(zip(steps, results)):
         line = f"m={m} tau={tau:.6e} error={err:.6e}"
-        if co is not None:
-            line += f" co={co:.4f}"
+        if index:
+            coarse_err, coarse_tau = results[index - 1]
+            if coarse_err > 0.0 and err > 0.0:
+                co = convergence_order([(coarse_tau, coarse_err), (tau, err)])[0]
+                line += f" co={co:.4f}"
+            else:
+                # An exact (zero) error has no logarithm.
+                line += " co=undefined (zero error)"
         print(line)
     return 0
 

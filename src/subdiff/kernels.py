@@ -164,7 +164,12 @@ def _b_series_length(coeffs: np.ndarray, u_max: float) -> int:
     unchanged, one after the other, and the result is bitwise the 40-term
     sum.  ``r_m`` grows with ``u``, so the bound at ``u_max`` holds for every
     smaller ``u``.
+
+    When ``1 - alpha`` rounds to 1, every coefficient is zero and so is the
+    sum: the shortest length, 2, is returned without dividing by ``c_2``.
     """
+    if coeffs[2] == 0.0:
+        return 2
     exponents = np.arange(1.0, _B_SERIES_TERMS - 1)  # m - 2 for m = 3 .. 40
     ratios = np.abs(coeffs[3:] / coeffs[2]) * u_max**exponents
     dropped = np.cumsum(ratios[::-1])[::-1]  # dropped[i] = sum_{m >= i+3} r_m

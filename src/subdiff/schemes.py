@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .grids import _BLOCK_BYTES, SolutionHistory, SpaceGrid
 from .kernels import (
@@ -427,10 +426,13 @@ class _CausalConvolution:
     j+L)``.  A block is taken one order's slab at a time.  A block of ``L
     = _WINDOW`` is the whole ring, the slab's product with that order's
     Toeplitz matrix of lags ``1 .. 2L-1`` in one BLAS call; a larger one is
-    a circular convolution of length ``2L`` through ``scipy.fft`` with the
-    order's lag spectrum, its sources subtracted from the layers straight
-    into the padded block, over chunks of the slab's columns of at most
-    ``_CHUNK_BYTES``.  The matrices and spectra are cached per ``L``.  A
+    a circular convolution of length ``2L`` through ``numpy.fft`` (the
+    pocketfft that ``scipy.fft`` wraps, bitwise the same sums, without
+    importing scipy) with the order's lag spectrum, its sources subtracted
+    from the layers straight into the padded block, over chunks of the
+    slab's columns of at most ``_CHUNK_BYTES``.  Each chunk takes fresh
+    arrays: reused per-size buffers through ``out=`` left a compact-history
+    pass no faster.  The matrices and spectra are cached per ``L``.  A
     block always computes its full ``L`` target rows and drops those past
     the last row only when adding them, so ``acc[t]`` does not depend on the
     number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
@@ -469,7 +471,7 @@ class _CausalConvolution:
             else:
                 period = np.zeros((self.lags.shape[0], 2 * size))
                 period[:, 1:] = self.lags[:, 1 : 2 * size]
-                block = scipy.fft.rfft(period, axis=1)
+                block = np.fft.rfft(period, axis=1)
             self._blocks[size] = block
         return block
 
@@ -526,9 +528,9 @@ class _CausalConvolution:
                 np.subtract(sources[1:], sources[:-1], padded[:size])
                 if first == 0:
                     padded[0] = 0.0
-                transform = scipy.fft.rfft(padded, axis=0, overwrite_x=True)
+                transform = np.fft.rfft(padded, axis=0)
                 transform *= block[slab].T[:, :, None]
-                sums = scipy.fft.irfft(transform, 2 * size, axis=0, overwrite_x=True)
+                sums = np.fft.irfft(transform, 2 * size, axis=0)
                 sums = sums[size:]
             targets[:, slab, chunk] += sums[:kept]
 

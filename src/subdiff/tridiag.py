@@ -1,7 +1,9 @@
 """Tridiagonal linear solves for the implicit time steps.
 
 Each system goes to LAPACK's ``dgtsv`` (through ``scipy.linalg.lapack``):
-Gaussian elimination with partial pivoting.  Every system the schemes
+Gaussian elimination with partial pivoting.  scipy is imported at the first
+solve, not with the module, so that the commands that never march (the
+weight audits and the Caputo study) load no scipy.  Every system the schemes
 assemble is symmetric and strictly diagonally dominant (it follows from
 ``k >= c1 > 0`` and ``q >= 0``, which assembly checks), so each pivot exceeds
 the next row's subdiagonal entry, the pivoting never swaps rows, and the
@@ -16,7 +18,6 @@ per block of steps with :func:`_check_pivots`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 __all__ = ["SingularSystemError"]
 
@@ -33,6 +34,16 @@ class SingularSystemError(ValueError):
         super().__init__(f"singular system: pivot {pivot!r} at row {row}")
 
 
+def _dgtsv(*args):
+    """LAPACK's ``dgtsv``, bound at the first call: this stand-in imports it
+    and rebinds the module name to it, so that every later solve calls the
+    f2py routine directly."""
+    global _dgtsv
+    from scipy.linalg.lapack import dgtsv as _dgtsv
+
+    return _dgtsv(*args)
+
+
 def _solve_core(
     sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -47,7 +58,7 @@ def _solve_core(
         return rhs
     # The four flags (overwrite dl, d, du and b) go by position: keywords
     # cost f2py almost a microsecond per call.
-    _, pivots, _, x, _ = dgtsv(sub[1:], diag, sup[:-1], rhs, 1, 1, 1, 1)
+    _, pivots, _, x, _ = _dgtsv(sub[1:], diag, sup[:-1], rhs, 1, 1, 1, 1)
     # LAPACK works on a copy of an array that is not contiguous.
     if pivots is not diag:
         diag[...] = pivots

@@ -10,8 +10,10 @@ series at the last term that can change a bit; the tests check that both
 give the same doubles as these.
 
 For the schemes: one step of either scheme, assembled densely from the
-paper's formula and solved with ``numpy.linalg.solve``.  The tests check the
-first layers of a marched run against it.
+paper's formula and solved with ``numpy.linalg.solve``, and a march of such
+steps whose weights are written out from Alikhanov's closed forms, not taken
+from :mod:`subdiff.kernels`.  The tests check the first layers of a marched
+run against the one step, and every layer against the dense march.
 
 The solver does not use any of them."""
 
@@ -157,6 +159,57 @@ def audit_weight_family_whole(
     )
 
 
+def closed_form_l21sigma_weights(order: FractionalOrder, nt: int) -> list[np.ndarray]:
+    """Alikhanov's weights ``c_0^{(j+1)} .. c_j^{(j+1)}`` of every step ``j <
+    nt``, unscaled, from the closed forms (JCP 280, 2015) with ``sigma = 1 -
+    alpha/2``:
+
+        a_0 = sigma^(1-alpha),
+        a_l = (l+sigma)^(1-alpha) - (l-1+sigma)^(1-alpha),
+        b_l = ((l+sigma)^(2-alpha) - (l-1+sigma)^(2-alpha)) / (2-alpha)
+              - ((l+sigma)^(1-alpha) + (l-1+sigma)^(1-alpha)) / 2,
+
+    ``c_0 = a_0`` at ``j = 0``; for ``j >= 1``, ``c_0 = a_0 + b_1``, ``c_s =
+    a_s + b_{s+1} - b_s`` for ``1 <= s < j`` and ``c_j = a_j - b_j``.  ``b_l``
+    cancels all but about ``l^-3`` of its terms, so every power and
+    difference is taken in ``np.longdouble`` and only the weights are
+    rounded to doubles."""
+    alpha = np.longdouble(order.alpha)
+    sigma = np.longdouble(order.sigma)
+    upper = np.arange(1, nt + 1, dtype=np.longdouble) + sigma  # l + sigma
+    lower = upper - 1
+    a = np.empty(nt + 1, dtype=np.longdouble)
+    a[0] = sigma ** (1 - alpha)
+    a[1:] = upper ** (1 - alpha) - lower ** (1 - alpha)
+    b = np.zeros(nt + 1, dtype=np.longdouble)  # b_0 does not exist
+    b[1:] = (upper ** (2 - alpha) - lower ** (2 - alpha)) / (2 - alpha) - (
+        upper ** (1 - alpha) + lower ** (1 - alpha)
+    ) / 2
+    # With b_0 = 0 and no b_{j+1} term at s = j, one formula gives every c_s.
+    return [
+        (a[: j + 1] + np.append(b[1 : j + 1], 0) - b[: j + 1]).astype(float)
+        for j in range(nt)
+    ]
+
+
+def dense_l21sigma_march(
+    problem: ProblemSpec, order: FractionalOrder, nx: int, nt: int, scheme: str
+) -> np.ndarray:
+    """Layers ``y^0 .. y^nt`` of ``nt`` steps of :func:`dense_l21sigma_step`
+    on the grid of ``nx`` intervals, each step with the weights of
+    :func:`closed_form_l21sigma_weights` scaled by ``tau^-alpha /
+    Gamma(2-alpha)``."""
+    tau = problem.horizon / nt
+    scale = tau ** (-order.alpha) / math.gamma(2.0 - order.alpha)
+    layers = np.zeros((nt + 1, nx + 1))
+    layers[0, 1:-1] = problem.u0(np.linspace(0.0, problem.length, nx + 1))[1:-1]
+    for j, c in enumerate(closed_form_l21sigma_weights(order, nt)):
+        layers[j + 1] = dense_l21sigma_step(
+            problem, order, nx, tau, layers[: j + 1], scheme, scale * c
+        )
+    return layers
+
+
 def dense_l21sigma_step(
     problem: ProblemSpec,
     order: FractionalOrder,
@@ -164,13 +217,15 @@ def dense_l21sigma_step(
     tau: float,
     layers: np.ndarray,
     scheme: str,
+    c: np.ndarray | None = None,
 ) -> np.ndarray:
     """Layer ``j+1`` of one L2-1sigma step on the grid of ``nx`` intervals,
     from the layers ``y^0 .. y^j`` (rows of ``layers``, boundary nodes
     included), assembled densely and solved with ``numpy.linalg.solve``.
 
-    With ``c_0 .. c_j`` the scaled weights of :func:`subdiff.kernels.weights`
-    and ``t = (j + sigma) tau``, the step reads
+    With ``c_0 .. c_j`` the scaled weights ``c`` (by default those of
+    :func:`subdiff.kernels.weights`) and ``t = (j + sigma) tau``, the step
+    reads
 
         M [c_0 (y^{j+1} - y^j) + sum_{s<j} c_{j-s} (y^{s+1} - y^s)]
             = Lambda(sigma y^{j+1} + (1 - sigma) y^j) + M f(t).
@@ -185,11 +240,11 @@ def dense_l21sigma_step(
     h = problem.length / nx
     x = np.linspace(0.0, problem.length, nx + 1)
     t = (j + order.sigma) * tau
-    vector = weights(order, j, tau)
-    c = vector.scale * vector.coefficients
-    differences = np.diff(layers, axis=0)
-    history = sum(c[j - s] * differences[s] for s in range(j))
-    memory = np.zeros(nx + 1) + history
+    if c is None:
+        vector = weights(order, j, tau)
+        c = vector.scale * vector.coefficients
+    # sum_{s<j} c_{j-s} (y^{s+1} - y^s)
+    memory = c[j:0:-1] @ np.diff(layers, axis=0)
     y = layers[-1]
     n = nx - 1
     # Every operator maps the nodes 0 .. nx onto the interior rows 1 .. nx-1.

@@ -26,6 +26,16 @@ def test_caputo_multiple_m_reports_orders(capsys):
     assert "co=2.38" in lines[2]
 
 
+def test_caputo_reports_undefined_order_for_zero_error(capsys):
+    """At alpha = 1e-17 the discrete derivative is exact and every error is
+    0.0: the order has no logarithm and is reported in words."""
+    assert main(["caputo", "--alpha", "1e-17", "--m", "10,20"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    assert "error=0.000000e+00" in lines[0] and "co=" not in lines[0]
+    assert lines[1].endswith("error=0.000000e+00 co=undefined (zero error)")
+
+
 def test_caputo_l1_formula(capsys):
     assert main(["caputo", "--alpha", "0.5", "--m", "10", "--formula", "l1"]) == 0
     assert "error=" in capsys.readouterr().out

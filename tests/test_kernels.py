@@ -366,6 +366,27 @@ def test_b_series_stops_early_at_large_lo(alpha):
     assert kernels._b_series_length(coeffs, 1.0 / (_BLOCK - 1)) <= 6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e-16, 1e-300])
+def test_b_series_of_an_order_whose_complement_rounds_to_one(alpha):
+    """``1 - alpha`` rounds to 1: every series coefficient is zero, the
+    shortest length comes back without a 0/0, and the table and the audit
+    stay quiet and equal to the all-term series and the whole-array audit."""
+    order = FractionalOrder(alpha)
+    coeffs = kernels._b_series_coefficients(1.0 - alpha)
+    assert not coeffs.any()
+    assert kernels._b_series_length(coeffs, 1.0 / kernels._B_SERIES_CUTOFF) == 2
+    n = 2 * _BLOCK
+    lo = np.arange(0, n, dtype=float) + order.sigma
+    series = lo >= kernels._B_SERIES_CUTOFF
+    b = coeff_b_array(order, n)[1:]
+    assert np.array_equal(b[series], b_series_all_terms(alpha, lo[series]))
+    for kind in (L21SIGMA, L1):
+        assert audit_weight_family(order, 3 * _BLOCK, kind) == audit_weight_family_whole(
+            order, 3 * _BLOCK, kind
+        )
+
+
 @pytest.mark.parametrize("kind", [L21SIGMA, L1])
 def test_audit_memory_is_one_block(kind):
     """The streamed audit holds a few blocks, not arrays of ``j_max``

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_l21sigma_step
+from oracles import dense_l21sigma_march, dense_l21sigma_step
 
 from subdiff import schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
@@ -147,6 +147,26 @@ def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
                     problem, order, nx, problem.horizon / nt, history.values[: j + 1], scheme
                 )
                 np.testing.assert_allclose(history.values[j + 1], dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem, scheme",
+    [
+        (run_second_order, problem_varcoeff_2nd, "second"),
+        (run_compact, _compact_problem_with_profile, "compact"),
+    ],
+)
+def test_every_layer_matches_the_dense_march(runner, make_problem, scheme):
+    """Every layer of a run of two orders marched together is the paper's
+    scheme marched densely with Alikhanov's closed-form weights.  At nt =
+    300 the history takes the dense block of 64 and the FFT blocks of 128
+    and 256, the last of them clipped at the final step."""
+    orders = (FractionalOrder(0.3), FractionalOrder(0.8))
+    problems = tuple(make_problem(order) for order in orders)
+    nx, nt = 8, 300
+    for problem, order, row in zip(problems, orders, runner(problems, orders, (nx,), nt)):
+        dense = dense_l21sigma_march(problem, order, nx, nt, scheme)
+        np.testing.assert_allclose(row[0].values, dense, rtol=1e-12, atol=0.0)
 
 
 def _replays_prefix_bitwise(runner, problem, order, nx, nt):
