@@ -240,7 +240,9 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[Rep
 
 
 def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
-    """Attach observed orders within each alpha block (first level empty)."""
+    """Attach observed orders within each alpha block (first level empty).
+    An order next to an exact (zero) error has no logarithm and stays
+    empty."""
     per_alpha = len(plan.levels)
     if per_alpha < 2:
         return rows
@@ -254,9 +256,11 @@ def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
             errors = [getattr(row, field_err) for row in block]
             if any(e is None for e in errors):
                 continue
-            orders = convergence_order(list(zip(steps, errors)))
-            for offset, order_value in enumerate(orders, start=1):
-                setattr(block[offset], field_co, order_value)
+            levels = list(zip(steps, errors))
+            for offset in range(1, len(block)):
+                if errors[offset - 1] > 0.0 and errors[offset] > 0.0:
+                    (value,) = convergence_order(levels[offset - 1 : offset + 1])
+                    setattr(block[offset], field_co, value)
     return rows
 
 
@@ -276,8 +280,8 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
     return ConvergenceReport(table_id=plan.table_id, rows=_fill_orders(plan, rows))
 
 
-def _format_float(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.5e}"
+def _format_float(value: Optional[float], digits: int = 5) -> str:
+    return "" if value is None else f"{value:.{digits}e}"
 
 
 def _format_order(value: Optional[float]) -> str:
@@ -286,55 +290,36 @@ def _format_order(value: Optional[float]) -> str:
 
 def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     """Render the report; CSV uses the fixed header
-    ``alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup,seconds``."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in report.rows:
-            lines.append(
-                ",".join(
-                    (
-                        f"{row.alpha:g}",
-                        str(row.level),
-                        _format_float(row.h),
-                        _format_float(row.tau),
-                        _format_float(row.err_l2max),
-                        _format_order(row.co_l2max),
-                        _format_float(row.err_sup),
-                        _format_order(row.co_sup),
-                        f"{row.seconds:.3f}",
-                    )
-                )
+    ``alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup,seconds``, and
+    markdown the same columns with four-digit errors and the alpha of each
+    block on its first row only."""
+    if fmt not in ("csv", "markdown"):
+        raise ValueError(f"unknown format {fmt!r}")
+    markdown = fmt == "markdown"
+    error_digits = 4 if markdown else 5
+    table: list[tuple[str, ...]] = []
+    previous_alpha: Optional[float] = None
+    for row in report.rows:
+        repeated = markdown and row.alpha == previous_alpha
+        previous_alpha = row.alpha
+        table.append(
+            (
+                "" if repeated else f"{row.alpha:g}",
+                str(row.level),
+                _format_float(row.h),
+                _format_float(row.tau),
+                _format_float(row.err_l2max, error_digits),
+                _format_order(row.co_l2max),
+                _format_float(row.err_sup, error_digits),
+                _format_order(row.co_sup),
+                f"{row.seconds:.3f}",
             )
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = [
-            f"### Study {report.table_id}",
-            "",
-            "| alpha | level | h | tau | err_l2max | co_l2max | err_sup | co_sup | seconds |",
-            "| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
-        ]
-        previous_alpha: Optional[float] = None
-        for row in report.rows:
-            alpha_cell = "" if row.alpha == previous_alpha else f"{row.alpha:g}"
-            previous_alpha = row.alpha
-            err_l2 = "" if row.err_l2max is None else f"{row.err_l2max:.4e}"
-            err_sup = "" if row.err_sup is None else f"{row.err_sup:.4e}"
-            lines.append(
-                "| "
-                + " | ".join(
-                    (
-                        alpha_cell,
-                        str(row.level),
-                        _format_float(row.h),
-                        _format_float(row.tau),
-                        err_l2,
-                        _format_order(row.co_l2max),
-                        err_sup,
-                        _format_order(row.co_sup),
-                        f"{row.seconds:.3f}",
-                    )
-                )
-                + " |"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        )
+    if not markdown:
+        lines = [CSV_HEADER] + [",".join(cells) for cells in table]
+    else:
+        columns = CSV_HEADER.split(",")
+        lines = [f"### Study {report.table_id}", "", "| " + " | ".join(columns) + " |"]
+        lines.append("|" + " ---: |" * len(columns))
+        lines += ["| " + " | ".join(cells) + " |" for cells in table]
+    return "\n".join(lines) + "\n"

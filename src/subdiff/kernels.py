@@ -278,10 +278,15 @@ def _l21sigma_layout(
     return lags, tails
 
 
-def _assemble_l21sigma(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
-    """``c_0 .. c_j`` of target index ``j`` from the ``a``/``b`` tables."""
-    lags, tails = _l21sigma_layout(a[: j + 1], b[: j + 1], 0)
-    return np.append(lags, tails[-1])
+def _assemble_l21sigma(
+    a: np.ndarray, b: np.ndarray, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lags, tails)`` of the entries ``0 .. j`` of the ``a``/``b`` tables:
+    ``c_0 .. c_{j-1}`` shared by every target index past them, and the
+    first-step ``c_0`` and the tails ``c_1 .. c_j`` of the indices ``0 ..
+    j`` (see :func:`_l21sigma_layout`).  The weights of index ``j`` are the
+    lags followed by ``tails[j]``."""
+    return _l21sigma_layout(a[: j + 1], b[: j + 1], 0)
 
 
 def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
@@ -317,7 +322,9 @@ def weights(
     if not tau > 0.0:
         raise ValueError(f"step size must be positive, got {tau}")
     if kind == L21SIGMA:
-        c = _assemble_l21sigma(coeff_a_array(order, j), coeff_b_array(order, j), j)
+        a, b = coeff_a_array(order, j), coeff_b_array(order, j)
+        lags, tails = _assemble_l21sigma(a, b, j)
+        c = np.append(lags, tails[-1])
     elif kind == L1:
         c = _l1_block(order, 0, j + 1)
     else:

@@ -115,7 +115,8 @@ def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
 
 
 def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
-    """Manufactured problem with time-only coefficients (compact-capable)."""
+    """Manufactured problem with time-only coefficients, stated once as
+    ``k_time``/``q_time``; both schemes run it."""
     alpha = order.alpha
     gamma_3a = math.gamma(3.0 - alpha)
 
@@ -127,12 +128,6 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
 
     def q_time(t):
         return 1.0 - np.sin(2.0 * t)
-
-    def k(x, t):
-        return np.exp(t) * np.ones_like(np.asarray(x, dtype=float))
-
-    def q(x, t):
-        return (1.0 - np.sin(2.0 * t)) * np.ones_like(np.asarray(x, dtype=float))
 
     def f(x, t):
         x = np.asarray(x, dtype=float)
@@ -147,16 +142,14 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return ProblemSpec(
-        k=k,
-        q=q,
+        k_time=k_time,
+        q_time=q_time,
         f=f,
         u0=u0,
         length=1.0,
         horizon=1.0,
         c1=1.0,
         exact=exact,
-        k_time=k_time,
-        q_time=q_time,
     )
 
 

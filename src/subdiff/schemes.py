@@ -10,11 +10,12 @@ Two schemes are provided: a second-order scheme (``O(h^2 + tau^2)``) for
 space-and-time-dependent coefficients, and a compact fourth-order scheme
 (``O(h^4 + tau^2)``) for time-only coefficients.  Both collocate the time
 operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
-``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop and one
-step formula.  They differ only in how a block of steps samples the
-diffusivity, the reaction and the source, and in the mass operator ``M`` on
-the time term and the source: the identity for the second-order scheme,
-``(1, 10, 1)/12`` for the compact one.
+``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop, one
+step formula and one sampler of the coefficients and the source.  They
+differ only in data (``_SCHEMES``): the mass operator ``M`` on the time term
+and the source (the identity for the second-order scheme, ``(1, 10, 1)/12``
+for the compact one), whether the coefficients must depend on time only,
+and the constant of the a priori bound.
 
 The module also evaluates the a priori solution bound of a finished run.  The
 weight inequalities and the energy inequalities behind it are checked in
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,17 +61,19 @@ class SchemeCompatibilityError(ValueError):
     """Raised when a problem lacks what the requested scheme needs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
     """Coefficients and data of one initial-boundary-value problem.
 
-    ``k(x, t) >= c1 > 0`` is the diffusivity, ``q(x, t) >= 0`` the reaction
-    coefficient, ``f`` the source, and ``u0`` the initial profile (vanishing at
-    both endpoints).  ``c1`` is the declared lower bound of ``k`` used by the
-    a priori estimate.  The compact scheme additionally needs the coefficients
-    as functions of time only (``k_time``/``q_time``); leave them ``None`` for
-    genuinely space-dependent coefficients.  ``exact``, when given, is the
-    exact solution.
+    ``k >= c1 > 0`` is the diffusivity, ``q >= 0`` the reaction coefficient,
+    ``f(x, t)`` the source, and ``u0`` the initial profile (vanishing at both
+    endpoints).  ``c1`` is the declared lower bound of ``k`` used by the
+    a priori estimate.  The coefficients come as the pair ``k(x, t)``,
+    ``q(x, t)``, as the pair ``k_time(t)``, ``q_time(t)`` of time-only
+    coefficients, or as both; the compact scheme needs the time-only pair,
+    and the second-order scheme samples ``k``, ``q`` when they are given
+    and spreads ``k_time``, ``q_time`` over the nodes otherwise.  ``exact``,
+    when given, is the exact solution.  Every field is passed by keyword.
 
     Every callback of ``t`` must broadcast over an array of times as numpy
     ufuncs do (write ``np.exp(t)``, not ``math.exp(t)``, and
@@ -83,8 +86,8 @@ class ProblemSpec:
     full shape.
     """
 
-    k: SpaceTimeFn
-    q: SpaceTimeFn
+    k: Optional[SpaceTimeFn] = None
+    q: Optional[SpaceTimeFn] = None
     f: SpaceTimeFn
     u0: Callable[[np.ndarray], np.ndarray]
     length: float
@@ -104,10 +107,12 @@ class ProblemSpec:
                 raise ValueError(f"{name} must be positive, got {value}")
             if value == math.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
-
-    @property
-    def has_time_only_coefficients(self) -> bool:
-        return self.k_time is not None and self.q_time is not None
+        for pair in (("k", "q"), ("k_time", "q_time")):
+            missing = [name for name in pair if getattr(self, name) is None]
+            if len(missing) == 1:
+                raise ValueError(f"{missing[0]} is missing: give {pair[0]} and {pair[1]}")
+        if self.k is None and self.k_time is None:
+            raise ValueError("a problem needs k and q, or k_time and q_time")
 
 
 def _sample(fn: Callable, name: str, *args: np.ndarray) -> np.ndarray:
@@ -178,12 +183,12 @@ class _GridGroup:
     ``lasts``), are zeroed too, and ``dgtsv`` eliminates each cell's block
     exactly as it would alone.
 
-    Once per block of steps the samplers spread what they sample over the
-    rows: ``live[o]`` lists the rows of the interior nodes of slab ``o``
-    (its ``x_int``), ``intervals[o]`` its grids' own intervals among the
-    differences of the node vector (difference ``i`` joins nodes ``i`` and
-    ``i+1``; those across two grids are left out), and :meth:`spread` puts a
-    value per order on each row of its slab.  ``interior`` is 1 on the rows
+    Once per block of steps :func:`_sample_block` spreads what it samples
+    over the rows: ``live[o]`` lists the rows of the interior nodes of slab
+    ``o`` (its ``x_int``), ``intervals[o]`` its grids' own intervals among
+    the differences of the node vector (difference ``i`` joins nodes ``i``
+    and ``i+1``; those across two grids are left out), and :meth:`spread`
+    puts a value per order on each row of its slab.  ``interior`` is 1 on the rows
     of interior nodes and 0 on the identity rows, and ``h_sq`` holds each
     row's ``h*h`` (1 on an identity row).  With one grid and one order there
     are no identity rows, and the rows are the interior nodes a one-grid
@@ -230,30 +235,23 @@ class _GridGroup:
         sup[:, self.lasts] = 0.0
 
 
-def _second_order_block(
-    problems: Sequence[ProblemSpec], group: _GridGroup, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample a block of steps of the second-order scheme: in the slab of
-    order ``o``, step ``i`` collocates at ``t = times[i, o]``.
+class _Scheme(NamedTuple):
+    """A scheme as data: its mass operator ``M`` on the time term and the
+    source, ``(mass_off, mass_diag)`` for ``(off-diagonal, diagonal)``,
+    whether it needs time-only coefficients, and the divisor of its a priori
+    constant ``l^2 T^alpha Gamma(1-alpha) / (bound_divisor * c1)``."""
 
-    Returns the diffusivity ``a`` on every difference of the node vector,
-    sampled at the half-integer nodes ``x_{i-1/2}`` (zero across two grids),
-    and the reaction ``d`` and the source ``phi`` on every row (zero on the
-    identity rows), one row per step.
-    """
-    steps, rows = times.shape[0], group.h_sq.size
-    a = np.zeros((steps, rows + 1))
-    d = np.zeros((steps, rows))
-    phi = np.zeros((steps, rows))
-    for o, problem in enumerate(problems):
-        t = times[:, o, None]
-        k = _sample(problem.k, "k", group.midpoints[None, :], t)
-        q = _sample(problem.q, "q", group.x_int[None, :], t)
-        phi[:, group.live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
-        _coefficient_guard(problem, times[:, o], k.min(axis=1), q.min(axis=1))
-        a[:, group.intervals[o]] = k
-        d[:, group.live[o]] = q
-    return a, d, phi
+    mass_off: float
+    mass_diag: float
+    time_only: bool
+    bound_divisor: float
+
+
+#: Each scheme by the name a run records in ``SolutionHistory.scheme``.
+_SCHEMES: dict[str, _Scheme] = {
+    "second": _Scheme(0.0, 1.0, False, 4.0),
+    "compact": _Scheme(1.0 / 12.0, 10.0 / 12.0, True, 1.0),
+}
 
 
 def _mass_average(values: np.ndarray) -> np.ndarray:
@@ -262,37 +260,47 @@ def _mass_average(values: np.ndarray) -> np.ndarray:
     return (values[..., :-2] + 10.0 * values[..., 1:-1] + values[..., 2:]) / 12.0
 
 
-def _compact_block(
-    problems: Sequence[ProblemSpec], group: _GridGroup, times: np.ndarray
+def _sample_block(
+    kind: _Scheme,
+    problems: Sequence[ProblemSpec],
+    group: _GridGroup,
+    times: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample a block of steps of the compact scheme, with the arguments and
-    the result of :func:`_second_order_block`: each order's ``k_time(t)``
-    and ``q_time(t)`` are spread over its slab, and ``phi`` is the
-    mass-averaged source, which reads ``f`` at the boundary nodes as well."""
+    """Sample a block of steps of the scheme ``kind``: in the slab of order
+    ``o``, step ``i`` collocates at ``t = times[i, o]``.
+
+    Returns the diffusivity ``a`` on every difference of the node vector
+    (zero across two grids), and the reaction ``d`` and the source ``phi``
+    on every row (zero on the identity rows), one row per step.  Under a
+    scheme that needs time-only coefficients, or for a problem that gives
+    no ``k``, ``q``, each order's ``k_time(t)`` and ``q_time(t)`` are spread
+    over its slab; otherwise ``k`` is sampled at the half-integer nodes
+    ``x_{i-1/2}`` and ``q`` at the interior nodes.  ``phi`` is ``f`` at the
+    interior nodes, or, under a mass operator other than the identity, its
+    mass average, which reads ``f`` at the boundary nodes as well.
+    """
     steps, rows = times.shape[0], group.h_sq.size
     a = np.zeros((steps, rows + 1))
     d = np.zeros((steps, rows))
     phi = np.zeros((steps, rows))
     for o, problem in enumerate(problems):
-        t = times[:, o]
-        k = _sample(problem.k_time, "k_time", t)
-        q = _sample(problem.q_time, "q_time", t)
-        phi[:, o * group.width : (o + 1) * group.width - 2] = _mass_average(
-            _sample(problem.f, "f", group.x[None, :], t[:, None])
-        )
-        _coefficient_guard(problem, t, k, q)
-        a[:, group.intervals[o]] = k[:, None]
-        d[:, group.live[o]] = q[:, None]
+        t = times[:, o, None]
+        if kind.time_only or problem.k is None:
+            k = _sample(problem.k_time, "k_time", t[:, 0])[:, None]
+            q = _sample(problem.q_time, "q_time", t[:, 0])[:, None]
+        else:
+            k = _sample(problem.k, "k", group.midpoints[None, :], t)
+            q = _sample(problem.q, "q", group.x_int[None, :], t)
+        if kind.mass_off:
+            slab = slice(o * group.width, (o + 1) * group.width - 2)
+            phi[:, slab] = _mass_average(_sample(problem.f, "f", group.x[None, :], t))
+        else:
+            phi[:, group.live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
+        _coefficient_guard(problem, times[:, o], k.min(axis=1), q.min(axis=1))
+        a[:, group.intervals[o]] = k
+        d[:, group.live[o]] = q
     phi[:, group.edges] = 0.0
     return a, d, phi
-
-
-#: Each scheme by the name a run records in ``SolutionHistory.scheme``: its
-#: sampler and its mass operator ``M``, ``(off-diagonal, diagonal)``.
-_SCHEMES: dict[str, tuple[Callable, float, float]] = {
-    "second": (_second_order_block, 0.0, 1.0),
-    "compact": (_compact_block, 1.0 / 12.0, 10.0 / 12.0),
-}
 
 
 def _assemble(
@@ -322,8 +330,9 @@ def _assemble(
     ``y^j`` from ``y`` (every node) and ``conv`` from ``out`` (the rows) and
     writes over ``out``.
     """
-    sample, mass_off, mass_diag = _SCHEMES[scheme]
-    a, d, phi = sample(problems, group, times)
+    kind = _SCHEMES[scheme]
+    a, d, phi = _sample_block(kind, problems, group, times)
+    mass_off, mass_diag = kind.mass_off, kind.mass_diag
     h_sq = group.h_sq
     sigma = group.spread(sigmas[None, :])[0]
     c0 = group.spread(weights)
@@ -545,25 +554,26 @@ def _march(
     """March the L2-1sigma scheme with ``nt`` time steps covering
     ``[0, horizon]``, for every order of ``orders`` with its problem of
     ``problems``, on every grid of ``nxs`` space subintervals at once;
-    ``scheme`` names the sampler and the mass operator in ``_SCHEMES``.
+    ``scheme`` names the scheme's data in ``_SCHEMES``.
     Returns one history per order and grid, ``histories[o][g]``.
 
     Step ``j -> j+1`` of order ``o`` collocates at ``t_{j+sigma} =
     (j+sigma)*tau`` with that order's ``sigma``.  Its weights ``c_0 .. c_j``
     share the lag weights ``c_1 .. c_{j-1}`` with every other step, so one
-    lag table per order serves the run; only ``c_0`` (``a_0`` at ``j = 0``)
-    and the tail ``c_j = a_j - b_j`` on ``y^1 - y^0`` change with ``j``.
-    The lag tables and the tails carry each order's derivative scale
-    ``tau^-alpha / Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nodes)``: the
+    lag table per order serves the run; only ``c_0`` and the tail ``c_j`` on
+    ``y^1 - y^0`` change with ``j``, and both come with the lags from
+    :func:`~subdiff.kernels._l21sigma_layout` (``c_0`` of ``j = 0`` is its
+    first tail).  The lag tables and the tails carry each order's derivative
+    scale ``tau^-alpha / Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nodes)``: the
     history term is built by :class:`_CausalConvolution`, which sums each
     step's own window of the last few differences directly and adds older
     ones in dyadic blocks, in the layer array itself.
 
     Nothing but the right-hand side depends on the solution, so the steps
-    are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``: the scheme's
-    sampler samples each order's callbacks once per block, on an array of
-    that order's collocation times, and checks ``k >= c1`` and ``q >= 0``
-    against that problem's ``c1``; :func:`_assemble` forms the rows of every
+    are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``:
+    :func:`_sample_block` samples each order's callbacks once per block, on
+    an array of that order's collocation times, and checks ``k >= c1`` and
+    ``q >= 0`` against that problem's ``c1``; :func:`_assemble` forms the rows of every
     step of the block and the right-hand side of the one step formula both
     schemes share.  Each step then completes the history term in
     ``values[j+1]``, writes its right-hand side from ``y^j`` and that term
@@ -590,11 +600,11 @@ def _march(
     scales = np.array([_derivative_scale(order, tau) for order in orders])
     # Lags up to 2L-1 of the largest block L <= nt-1, and the tail up to nt-1.
     n_table = 1 << (nt - 1).bit_length()
-    a_tables = np.array([coeff_a_array(order, n_table) for order in orders])
-    b_tables = np.array([coeff_b_array(order, n_table) for order in orders])
-    lags = np.array(
-        [_assemble_l21sigma(a, b, n_table) for a, b in zip(a_tables, b_tables)]
-    )
+    lags = np.empty((len(orders), n_table))
+    tails = np.empty((len(orders), n_table + 1))
+    for o, order in enumerate(orders):
+        a, b = coeff_a_array(order, n_table), coeff_b_array(order, n_table)
+        lags[o], tails[o] = _assemble_l21sigma(a, b, n_table)
 
     values = np.zeros((nt + 1, group.width * len(orders)))
     for o, problem in enumerate(problems):
@@ -603,16 +613,14 @@ def _march(
             values[0, o * group.width + begin : o * group.width + end] = (
                 _validate_initial_layer(initial[begin:end], problem.length)
             )
-    history = _CausalConvolution(
-        scales[:, None] * lags, scales[:, None] * (a_tables - b_tables), values
-    )
+    history = _CausalConvolution(scales[:, None] * lags, scales[:, None] * tails, values)
     rows = values[:, 1:-1]
     source_norm_sq = np.zeros(len(group.grids))
     block_steps = max(1, _CHUNK_BYTES // (8 * values.shape[1]))
 
     for first in range(0, nt, block_steps):
         steps = np.arange(first, min(first + block_steps, nt))
-        c0 = np.where(steps[:, None] == 0, a_tables[:, 0], lags[:, 0])
+        c0 = np.where(steps[:, None] == 0, tails[:, 0], lags[:, 0])
         (sub, diag, sup), phi, rhs = _assemble(
             scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
         )
@@ -679,9 +687,9 @@ def _run(
         raise ValueError("nxs must name at least one grid")
     if not _is_int(nt):
         raise ValueError(f"nt must be an int, got {nt!r}")
-    if scheme == "compact" and not all(p.has_time_only_coefficients for p in problems):
+    if _SCHEMES[scheme].time_only and any(p.k_time is None for p in problems):
         raise SchemeCompatibilityError(
-            "compact scheme requires time-only coefficients (k_time and q_time)"
+            f"{scheme} scheme requires time-only coefficients (k_time and q_time)"
         )
     return _march(problems, orders, nxs, nt, scheme)
 
@@ -734,25 +742,22 @@ def a_priori_bound(
         raise ValueError("history must contain at least one computed step")
     if history.source_norm_sq is None:
         raise ValueError("history carries no recorded source norm")
-    if history.scheme not in _SCHEMES:
+    kind = _SCHEMES.get(history.scheme)
+    if kind is None:
         raise ValueError(f"unknown scheme {history.scheme!r}")
     t_final = float(history.times[-1])
     alpha = order.alpha
 
     values = history.values
-    compact = history.scheme == "compact"
-    if compact:
-        source_consts = problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / problem.c1
-    else:
-        source_consts = (
-            problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
-        )
+    source_consts = problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / (
+        kind.bound_divisor * problem.c1
+    )
     # Summed over blocks of layers, so that no copy of a whole history is made.
     layers = max(2, _BLOCK_BYTES // (8 * values.shape[1]))
     sums = np.empty(len(history))
     for first in range(0, len(history), layers):
         block = values[first : first + layers]
-        transformed = _mass_average(block) if compact else block[:, 1:-1]
+        transformed = _mass_average(block) if kind.mass_off else block[:, 1:-1]
         sums[first : first + layers] = np.sum(transformed * transformed, axis=1)
     layer_norms_sq = history.grid.h * sums
 

@@ -130,7 +130,7 @@ def audit_weight_family_whole(
     a = coeff_a_array(order, j_max)
     b = coeff_b_array(order, j_max)
     # shared[s] holds c_s of every index j > s; tail[j-1] holds c_j of index j.
-    shared = _assemble_l21sigma(a, b, j_max)[:j_max]
+    shared = _assemble_l21sigma(a, b, j_max)[0]
     tail = a[1:] - b[1:]
     j = np.arange(1, j_max + 1, dtype=float)
     tail_margins = np.concatenate(

@@ -224,3 +224,26 @@ def test_single_level_plan_leaves_orders_empty():
     report = run_study(plan)
     assert len(report.rows) == 1
     assert report.rows[0].co_l2max is None
+
+
+def test_study_leaves_the_order_of_a_zero_error_empty():
+    """At alpha = 1e-17 the monomial's error is exactly zero on every
+    level, which has no logarithm: its order cells stay empty, and the
+    other alpha's orders are filled as before."""
+    levels = tuple(LevelSpec(nx=None, nt=nt) for nt in (10, 20, 40))
+    plan = StudyPlan(
+        table_id="T1",
+        problem_id="caputo-monomial",
+        scheme="kernel",
+        alphas=(1e-17, 0.5),
+        levels=levels,
+        norms=("l2max", "sup"),
+        co_step="tau",
+    )
+    report = run_study(plan)
+    rows = report.rows
+    assert [row.err_sup for row in rows[:3]] == [0.0, 0.0, 0.0]
+    assert all(row.co_l2max is None and row.co_sup is None for row in rows[:3])
+    errors = [(row.tau, row.err_sup) for row in rows[3:]]
+    assert [row.co_sup for row in rows[4:]] == convergence_order(errors)
+    assert ",,0.00000e+00,," in emit(report, "csv")

@@ -432,6 +432,71 @@ def test_compact_rejects_space_dependent_coefficients():
         run_compact((problem,), (order,), (8,), 4)
 
 
+def test_time_only_problem_runs_under_both_schemes():
+    """``timecoeff-compact`` states its coefficients once, as ``k_time`` and
+    ``q_time``; the second-order scheme spreads them over the nodes."""
+    order = FractionalOrder(0.4)
+    problem = problem_timecoeff_compact(order)
+    assert problem.k is None and problem.q is None
+    # Measured sup errors at nx = 16, nt = 32: 2.89e-3 and 1.47e-4.
+    for runner, bound in ((run_second_order, 4e-3), (run_compact, 2e-4)):
+        history = _one(runner, problem, order, 16, 32)
+        assert error_norms(history, problem.exact).sup < bound
+
+
+def _with_space_time_copies(problem):
+    """``problem`` that also gives ``k(x, t) = k_time(t) * 1`` and ``q`` in
+    the same way."""
+
+    def spread(g):
+        return lambda x, t: g(t) * np.ones_like(np.asarray(x, dtype=float))
+
+    return dataclasses.replace(problem, k=spread(problem.k_time), q=spread(problem.q_time))
+
+
+def test_second_order_spreads_time_only_coefficients_bitwise():
+    """A problem that gives only ``k_time``/``q_time`` marches bit for bit
+    as the same problem that also gives them as ``k(x, t)``, ``q(x, t)``,
+    on every slab of a merged run."""
+    orders = (FractionalOrder(0.3), FractionalOrder(0.8))
+    time_only = tuple(
+        dataclasses.replace(problem_timecoeff_compact(order), k=None, q=None)
+        for order in orders
+    )
+    both = tuple(_with_space_time_copies(problem) for problem in time_only)
+    ours = run_second_order(time_only, orders, (6, 9), 40)
+    theirs = run_second_order(both, orders, (6, 9), 40)
+    for mine, reference in zip(sum(ours, ()), sum(theirs, ())):
+        assert np.array_equal(mine.values, reference.values)
+        assert mine.source_norm_sq == reference.source_norm_sq
+
+
+def _zero(x, t):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({}, "needs k and q, or k_time and q_time"),
+        ({"k": _zero}, "q is missing"),
+        ({"q": _zero}, "k is missing"),
+        ({"k_time": lambda t: 1.0}, "q_time is missing"),
+        ({"q_time": lambda t: 0.0}, "k_time is missing"),
+        ({"k": _zero, "q": _zero, "k_time": lambda t: 1.0}, "q_time is missing"),
+    ],
+    ids=["none", "k", "q", "k_time", "q_time", "k-q-k_time"],
+)
+def test_problem_spec_needs_a_complete_pair_of_coefficients(given, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(f=_zero, u0=lambda x: x, length=1.0, horizon=1.0, c1=1.0, **given)
+
+
+def test_problem_spec_takes_keywords_only():
+    with pytest.raises(TypeError):
+        ProblemSpec(_zero, _zero, _zero, lambda x: x, 1.0, 1.0, 1.0)
+
+
 def test_initial_layer_must_vanish_at_endpoints():
     order = FractionalOrder(0.5)
     problem = problem_varcoeff_2nd(order)
