@@ -92,11 +92,13 @@ def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
             6.0 * t ** (3.0 - alpha) / gamma_4a + 6.0 * t ** (2.0 - alpha) / gamma_3a
         )
         sin_px = np.sin(np.pi * x)
+        xt = x * t
+        cos_xt = np.cos(xt)
         flux_part = g * (
-            t * np.cos(x * t) * np.pi * np.cos(np.pi * x)
-            + (2.0 - np.sin(x * t)) * np.pi**2 * sin_px
+            t * cos_xt * np.pi * np.cos(np.pi * x)
+            + (2.0 - np.sin(xt)) * np.pi**2 * sin_px
         )
-        reaction_part = (1.0 - np.cos(x * t)) * g * sin_px
+        reaction_part = (1.0 - cos_xt) * g * sin_px
         return caputo_part * sin_px + flux_part + reaction_part
 
     def u0(x):

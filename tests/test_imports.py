@@ -1,9 +1,10 @@
 """The import footprint: each command loads only what it runs.
 
 The kernel layer (weights, audits, the Caputo study) needs numpy alone, and
-a march loads only ``scipy.linalg.lapack``, for ``dgtsv``, at its first
-solve.  Every check runs in a fresh interpreter, since ``sys.modules`` of
-this one already holds whatever other tests imported.  This file does not
+a march loads only scipy's LAPACK extension ``scipy.linalg._flapack``, for
+``dgtsv``, at its first solve, without the ``scipy.linalg`` package.  Every
+check runs in a fresh interpreter, since ``sys.modules`` of this one already
+holds whatever other tests imported.  This file does not
 import ``oracles``, which loads ``scipy.integrate``, so that it runs where
 scipy is not installed."""
 
@@ -85,5 +86,6 @@ def test_solve_loads_lapack_only():
         "    assert main(['solve', '--problem', 'varcoeff-2nd', '--alpha', '0.5',"
         " '--nx', '8', '--nt', '300']) == 0"
     )
-    assert "scipy.linalg.lapack" in loaded
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
     assert not [m for m in loaded if m.startswith(("scipy.fft", "scipy.special"))]

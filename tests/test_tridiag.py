@@ -1,10 +1,19 @@
 """Unit tests for the tridiagonal solver: ``_solve_core`` followed by
-``_check_pivots``, as the marching loop calls them."""
+``_check_pivots``, as the marching loop calls them, and the binding of
+``dgtsv`` from scipy's LAPACK extension."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subdiff import tridiag
 from subdiff.tridiag import SingularSystemError, _check_pivots, _solve_core
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _solve(sub, diag, sup, rhs):
@@ -114,3 +123,57 @@ def test_elimination_induced_singularity():
             np.array([1.0, 1.0]),
         )
     assert excinfo.value.row == 1
+
+
+def test_dgtsv_is_scipy_lapack_dgtsv_bitwise():
+    """The bound routine returns bitwise the pivots and solution of
+    ``scipy.linalg.lapack.dgtsv``."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    rng = np.random.default_rng(11)
+    sub, diag, sup, rhs = _random_dominant_system(rng, 50)
+    args = (sub[1:], diag, sup[:-1], rhs)
+    _, mine_pivots, _, mine_x, mine_info = tridiag._dgtsv(*(a.copy() for a in args))
+    _, theirs_pivots, _, theirs_x, theirs_info = lapack.dgtsv(*(a.copy() for a in args))
+    assert mine_info == theirs_info == 0
+    assert np.array_equal(mine_pivots, theirs_pivots)
+    assert np.array_equal(mine_x, theirs_x)
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True], ids=["solve-first", "import-first"])
+def test_scipy_linalg_and_the_solver_share_one_routine(scipy_linalg_first):
+    """A solve loads ``scipy.linalg._flapack`` alone, and ``scipy.linalg``
+    imported after it reuses that module instead of loading a second; a
+    solve after ``import scipy.linalg`` reuses scipy's.  Either way
+    ``scipy.linalg.lapack.dgtsv`` is the bound routine."""
+    pytest.importorskip("scipy")
+    solve = (
+        "x = tridiag._solve_core(np.full(3, -1.0), np.full(3, 2.0), np.full(3, -1.0), np.ones(3))\n"
+        "assert np.allclose(x, [1.5, 2.0, 1.5]), x\n"
+    )
+    if scipy_linalg_first:
+        steps = "import scipy.linalg\n" + solve
+    else:
+        steps = solve + "assert 'scipy.linalg' not in sys.modules\nimport scipy.linalg\n"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from subdiff import tridiag\n"
+        + steps
+        + "assert scipy.linalg.lapack.dgtsv is tridiag._dgtsv\n"
+        "assert scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_lapack_extension_names_it(monkeypatch, tmp_path):
+    scipy = pytest.importorskip("scipy")
+    (tmp_path / "linalg").mkdir()
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack.*scipy>=1\.10"):
+        tridiag._flapack()
