@@ -110,16 +110,23 @@ _B_SERIES_CUTOFF = 4.0
 _B_SERIES_TERMS = 40
 # Indices per block of the weight tables and the family audit.  A float64
 # array of a block takes 64 KB, below glibc's 128 KB mmap threshold, so the
-# temporaries of one block reuse the heap memory of the last; blocks of 2^15
-# (256 KB arrays) take fresh pages instead, about 67,000 page faults and
-# 1.6x the time for one audit at ``j_max = 3*10^6``.
+# temporaries of one block reuse the heap memory of the last; larger blocks
+# take fresh pages instead.  One ``l21sigma`` audit at ``j_max = 3*10^6``
+# (2 vCPUs) makes about 67,000 page faults and takes 1.6x the time with
+# blocks of 2^15 (256 KB arrays), and about 41,000 page faults and 1.5x the
+# time with blocks of 2^14 (128 KB, at the threshold), against at most 16
+# page faults at 2^13.
 _BLOCK = 1 << 13
 
 
-def _power_difference(p: float, lo):
-    """``(lo + 1)**p - lo**p`` for ``lo > 0`` without subtractive cancellation
-    (works on scalars and arrays)."""
-    return lo**p * np.expm1(p * np.log1p(1.0 / lo))
+def _power_difference(p: float, u: np.ndarray, lo_p: np.ndarray, out: np.ndarray):
+    """``(lo + 1)**p - lo**p = lo**p * expm1(p * log1p(1/lo))`` for ``lo > 0``
+    into ``out``, without subtractive cancellation, from ``u = 1/lo`` and
+    ``lo_p = lo**p``."""
+    t = np.log1p(u)
+    t *= p
+    np.expm1(t, out=t)
+    return np.multiply(lo_p, t, out=out)
 
 
 def _b_series_coefficients(p: float) -> np.ndarray:
@@ -176,21 +183,21 @@ def _b_series_length(coeffs: np.ndarray, u_max: float) -> int:
     return 2 + int(np.count_nonzero(dropped >= 2.0**-56 * (1.0 - dropped[0])))
 
 
-def _b_series(alpha: float, lo: np.ndarray) -> np.ndarray:
-    """Series form of ``b_l``, accurate for ``lo >= _B_SERIES_CUTOFF``, on a
-    nonempty ascending array ``lo``; the sum stops at the last term that can
-    change a bit (:func:`_b_series_length` of ``u = 1/lo[0]``), so the result
-    is bitwise that of all ``_B_SERIES_TERMS`` terms."""
-    coeffs = _b_series_coefficients(1.0 - alpha)
-    u = 1.0 / lo
+def _b_series(coeffs: np.ndarray, u: np.ndarray, lo_p: np.ndarray, out: np.ndarray):
+    """Series form of ``b_l``, accurate for ``lo >= _B_SERIES_CUTOFF``, into
+    ``out``, from the coefficients ``coeffs`` of :func:`_b_series_coefficients`
+    and ``u = 1/lo``, ``lo_p = lo**(1-alpha)`` of a nonempty ascending ``lo``;
+    the sum stops at the last term that can change a bit
+    (:func:`_b_series_length` of ``u[0]``), so the result is bitwise that of
+    all ``_B_SERIES_TERMS`` terms."""
     u_pow = u * u
-    total = coeffs[2] * u_pow
+    total = np.multiply(coeffs[2], u_pow, out=out)
     term = np.empty_like(u)
     for m in range(3, _b_series_length(coeffs, float(u[0])) + 1):
         u_pow *= u
         np.multiply(coeffs[m], u_pow, out=term)
         np.add(total, term, out=total)
-    return np.multiply(lo ** (1.0 - alpha), total, out=total)
+    return np.multiply(lo_p, total, out=total)
 
 
 def _b_direct(alpha: float, lo):
@@ -201,62 +208,73 @@ def _b_direct(alpha: float, lo):
     ) / 2.0
 
 
-def _lo(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
-    """``lo = l - 1 + sigma`` for ``1 <= start <= l < stop``.  It is built from
-    an integer range, which is exact below ``2**53``, so a block's ``lo`` are
-    the doubles of the whole table's."""
-    return np.arange(start - 1, stop - 1, dtype=float) + order.sigma
+class _Block:
+    """Indices ``start .. stop-1`` of the ``a``/``b`` tables and what ``a_l``
+    and ``b_l`` share there, computed once for both.
+
+    ``lo = l - 1 + sigma`` of the indices ``l >= 1`` comes from one integer
+    range, which is exact below ``2**53``, so a block's values are the
+    doubles of the whole table's.  The range runs one index further:
+    ``j_sigma[i] = j + sigma`` of the block's ``i``-th index ``j >= 1`` is the
+    ``lo`` of index ``j + 1``, the same double.  ``u = 1/lo`` and ``lo_p =
+    lo**(1-alpha)`` are the intermediates of both weights.
+    """
+
+    def __init__(self, order: FractionalOrder, start: int, stop: int) -> None:
+        self.order = order
+        self.first = 1 if start == 0 else 0  # index 0 has no ``lo``
+        nodes = np.arange(start + self.first - 1, stop, dtype=float)
+        nodes += order.sigma
+        self.lo, self.j_sigma = nodes[:-1], nodes[1:]
+        self.u = 1.0 / self.lo
+        self.lo_p = self.lo ** (1.0 - order.alpha)
+
+    def a(self) -> np.ndarray:
+        """``a_start .. a_{stop-1}``: ``a_0 = sigma**(1-alpha)`` and ``a_l =
+        (lo + 1)**(1-alpha) - lo**(1-alpha)``."""
+        p = 1.0 - self.order.alpha
+        a = np.empty(self.first + self.lo.size)
+        a[: self.first] = self.order.sigma**p
+        _power_difference(p, self.u, self.lo_p, out=a[self.first :])
+        return a
+
+    def b(self, coeffs: np.ndarray) -> np.ndarray:
+        """``b_start .. b_{stop-1}`` (``b_0`` is NaN), with the series
+        coefficients ``coeffs`` of :func:`_b_series_coefficients`."""
+        b = np.empty(self.first + self.lo.size)
+        b[: self.first] = np.nan
+        rest = b[self.first :]
+        # ``lo`` ascends, so the closed form takes a prefix and the series the rest.
+        split = int(np.searchsorted(self.lo, _B_SERIES_CUTOFF))
+        if split:
+            rest[:split] = _b_direct(self.order.alpha, self.lo[:split])
+        if split < rest.size:
+            _b_series(coeffs, self.u[split:], self.lo_p[split:], out=rest[split:])
+        return b
 
 
-def _a_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
-    """``a_start .. a_{stop-1}``, bitwise the same slice of
-    :func:`coeff_a_array`."""
-    p = 1.0 - order.alpha
-    a = np.empty(stop - start)
-    first = 1 if start == 0 else 0
-    a[:first] = order.sigma**p
-    a[first:] = _power_difference(p, _lo(order, start + first, stop))
-    return a
-
-
-def _b_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
-    """``b_start .. b_{stop-1}`` (``b_0`` is NaN), bitwise the same slice of
-    :func:`coeff_b_array`."""
-    alpha = order.alpha
-    b = np.empty(stop - start)
-    first = 1 if start == 0 else 0
-    b[:first] = np.nan
-    lo = _lo(order, start + first, stop)
-    # ``lo`` ascends, so the closed form takes a prefix and the series the rest.
-    split = int(np.searchsorted(lo, _B_SERIES_CUTOFF))
-    if split:
-        b[first : first + split] = _b_direct(alpha, lo[:split])
-    if split < lo.size:
-        b[first + split :] = _b_series(alpha, lo[split:])
-    return b
-
-
-def _coeff_table(block, order: FractionalOrder, n: int) -> np.ndarray:
-    """Indices ``0 .. n`` of ``block`` (:func:`_a_block` or
-    :func:`_b_block`), built block by block so that the series of ``b_l``
-    stops early on every block after the first."""
+def _coeff_table(block_values, n: int) -> np.ndarray:
+    """Indices ``0 .. n`` of ``block_values(start, stop)``, built block by
+    block so that the series of ``b_l`` stops early on every block after the
+    first."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     out = np.empty(n + 1)
     for start in range(0, n + 1, _BLOCK):
         stop = min(start + _BLOCK, n + 1)
-        out[start:stop] = block(order, start, stop)
+        out[start:stop] = block_values(start, stop)
     return out
 
 
 def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
     """Vectorized ``a_0 .. a_n``."""
-    return _coeff_table(_a_block, order, n)
+    return _coeff_table(lambda start, stop: _Block(order, start, stop).a(), n)
 
 
 def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
     """Vectorized ``b_1 .. b_n``; slot 0 is NaN because ``b_0`` is undefined."""
-    return _coeff_table(_b_block, order, n)
+    coeffs = _b_series_coefficients(1.0 - order.alpha)
+    return _coeff_table(lambda start, stop: _Block(order, start, stop).b(coeffs), n)
 
 
 def _l21sigma_layout(
@@ -293,11 +311,12 @@ def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
     """Lag-ordered piecewise-linear weights ``c_start .. c_{stop-1}``:
     ``c_0 = 1`` and ``c_m = (m+1)^(1-alpha) - m^(1-alpha)``, evaluated without
     cancellation."""
-    c = np.ones(stop - start)
+    p = 1.0 - order.alpha
+    c = np.empty(stop - start)
     first = 1 if start == 0 else 0
-    c[first:] = _power_difference(
-        1.0 - order.alpha, np.arange(start + first, stop, dtype=float)
-    )
+    c[:first] = 1.0
+    m = np.arange(start + first, stop, dtype=float)
+    _power_difference(p, 1.0 / m, m**p, out=c[first:])
     return c
 
 
@@ -394,7 +413,7 @@ class _RunningMinima:
 
     def add(self, name: str, margins: np.ndarray) -> None:
         if margins.size:
-            self.minima[name] = np.minimum(self.minima[name], np.min(margins))
+            self.minima[name] = np.minimum(self.minima[name], margins.min())
 
     def audit(self) -> WeightAudit:
         checks = (_finish_check(name, m) for name, m in self.minima.items())
@@ -438,10 +457,10 @@ def audit_weight_family(
                 "correction_ratio_upper",
             )
         )
-        stop = min(3, j_max + 1)
-        lags, tails = _l21sigma_layout(
-            _a_block(order, 0, stop), _b_block(order, 0, stop), 0
-        )
+        # Built once: they depend on the order alone.
+        coeffs = _b_series_coefficients(1.0 - alpha)
+        block = _Block(order, 0, min(3, j_max + 1))
+        lags, tails = _l21sigma_layout(block.a(), block.b(coeffs), 0)
         # c_1 is the tail of index 1 and shared by every index j >= 2.
         c_1 = np.concatenate((tails[1:2], lags[1:2]))
         worst.add("blend_gate", (2.0 * sigma - 1.0) * lags[:1] - sigma * c_1)
@@ -452,27 +471,36 @@ def audit_weight_family(
 
     for start in range(0, j_max + 1, _BLOCK):
         # c_{start-1} and the tail of index start + _BLOCK join the block.
-        lo, hi = max(start - 1, 0), min(start + _BLOCK + 1, j_max + 1)
+        begin, end = max(start - 1, 0), min(start + _BLOCK + 1, j_max + 1)
         if kind == L1:
-            c = _l1_block(order, lo, hi)
+            c = _l1_block(order, begin, end)
             lags, tails = c[:-1], c
         else:
-            a, b = _a_block(order, lo, hi), _b_block(order, lo, hi)
-            lags, tails = _l21sigma_layout(a, b, lo)
-        worst.add("positivity", lags)
+            block = _Block(order, begin, end)
+            a, b = block.a(), block.b(coeffs)
+            first, j_sigma = block.first, block.j_sigma  # b_0 does not exist
+            del block  # its ``u`` and ``lo_p`` are not needed past ``a``, ``b``
+            lags, tails = _l21sigma_layout(a, b, begin)
         worst.add("positivity", tails)
         worst.add("monotone_decrease", lags - tails[1:])
-        worst.add("monotone_decrease", lags[:-1] - lags[1:])
         if kind == L21SIGMA:
-            first = 1 if lo == 0 else 0  # index 0 is above; b_0 does not exist
-            j = np.arange(lo + first, hi, dtype=float)
-            j += sigma
-            worst.add("tail_lower_bound", tails[first:] - floor_scale * j ** (-alpha))
-            kappa = b[first:] / a[first:] + 0.5
-            worst.add("correction_ratio_lower", kappa - 0.5)
-            worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa)
+            # An l1 block's lags and their differences are among the tails
+            # and differences above; these are not.
+            worst.add("positivity", lags)
+            worst.add("monotone_decrease", lags[:-1] - lags[1:])
+            floor = j_sigma ** (-alpha)
+            floor *= floor_scale
+            worst.add("tail_lower_bound", np.subtract(tails[first:], floor, out=floor))
+            # Rounding is monotone, so kappa = b/a + 1/2 is worst against each
+            # bound at the smallest or the largest ratio: the margins are the
+            # doubles of the same checks on every entry.
+            ratio = b[first:] / a[first:]
+            kappa_low = ratio.min(initial=math.inf) + 0.5
+            kappa_high = ratio.max(initial=-math.inf) + 0.5
+            worst.add("correction_ratio_lower", kappa_low - 0.5)
+            worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa_high)
             # Free this block's arrays before the next block is built.
-            del a, b, lags, tails, j, kappa
+            del a, b, lags, tails, j_sigma, floor, ratio
     return worst.audit()
 
 

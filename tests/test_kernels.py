@@ -282,7 +282,16 @@ def test_audit_weight_family_l1():
 
 
 _BLOCK = kernels._BLOCK
-_EXTREME_ALPHAS = [1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-12]
+_EXTREME_ALPHAS = [
+    1e-9,
+    0.1,
+    0.5,
+    0.9,
+    1.0 - 1e-12,
+    1.0 - 1e-13,
+    1.0 - 1e-15,
+    float(np.nextafter(1.0, 0.0)),
+]
 
 
 def _assert_same_audit(mine, expected):
@@ -334,11 +343,34 @@ def test_blocks_are_slices_of_the_tables():
     order = FractionalOrder(0.3)
     n = _BLOCK + 2
     a_table, b_table = coeff_a_array(order, n), coeff_b_array(order, n)
+    coeffs = kernels._b_series_coefficients(1.0 - order.alpha)
     for start, stop in ((0, 1), (0, 5), (1, 4), (3, 40), (_BLOCK - 1, n + 1)):
-        a_block = kernels._a_block(order, start, stop)
-        b_block = kernels._b_block(order, start, stop)
-        assert np.array_equal(a_block, a_table[start:stop])
-        assert np.array_equal(b_block, b_table[start:stop], equal_nan=True)
+        block = kernels._Block(order, start, stop)
+        assert np.array_equal(block.a(), a_table[start:stop])
+        assert np.array_equal(block.b(coeffs), b_table[start:stop], equal_nan=True)
+        # j + sigma of the block's indices j >= 1, for the tail bound
+        j = np.arange(max(start, 1), stop, dtype=float) + order.sigma
+        assert np.array_equal(block.j_sigma, j)
+
+
+@pytest.mark.parametrize("kind", ["table", L21SIGMA])
+def test_b_series_coefficients_are_built_once(monkeypatch, kind):
+    """The series coefficients depend on the order alone: one table or one
+    audit over many blocks builds them once."""
+    calls = []
+    build = kernels._b_series_coefficients
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(kernels, "_b_series_coefficients", counted)
+    order = FractionalOrder(0.5)
+    if kind == "table":
+        coeff_b_array(order, 3 * _BLOCK)
+    else:
+        audit_weight_family(order, 3 * _BLOCK, kind)
+    assert calls == [0.5]
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12])
@@ -349,8 +381,9 @@ def test_coeff_b_array_matches_the_all_term_series(alpha):
     order = FractionalOrder(alpha)
     n = 2**20
     lo = np.arange(0, n, dtype=float) + order.sigma
+    p = 1.0 - alpha
     assert np.array_equal(
-        coeff_a_array(order, n)[1:], kernels._power_difference(1.0 - alpha, lo)
+        coeff_a_array(order, n)[1:], lo**p * np.expm1(p * np.log1p(1.0 / lo))
     )
     series = lo >= kernels._B_SERIES_CUTOFF
     b = coeff_b_array(order, n)[1:]
