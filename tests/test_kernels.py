@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +84,7 @@ def test_coeff_values_against_frozen_oracle():
 def _coeff_scalars(order, n):
     """``a_0 .. a_n`` and ``b_1 .. b_n`` (``b_0`` is None) from their closed
     forms, one index at a time in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         alpha, sigma = mpmath.mpf(order.alpha), mpmath.mpf(order.sigma)
         a, b = [float(sigma ** (1 - alpha))], [None]
@@ -110,6 +110,19 @@ def test_coeff_arrays_match_scalars():
     assert np.isnan(b[0])
     for l in range(1, 7):
         assert b[l] == pytest.approx(b_ref[l], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "alpha", [1e-9, 0.5, 1.0 - 1e-12, 1.0 - 1e-15, 0.9999999999999999]
+)
+def test_b_below_the_series_cutoff_keeps_its_digits(alpha):
+    """``b_1 .. b_4`` (``lo < 4``) are of order ``alpha (1-alpha)``; they keep
+    their digits at orders next to 0 and 1, where the closed form in doubles
+    loses up to all of them (40 digits leave at least 20 here)."""
+    order = FractionalOrder(alpha)
+    assert 3.0 + order.sigma < kernels._B_SERIES_CUTOFF
+    _, b_ref = _coeff_scalars(order, 4)
+    np.testing.assert_allclose(coeff_b_array(order, 4)[1:], b_ref[1:], rtol=1e-14, atol=0)
 
 
 def test_weights_first_two_target_indices():
@@ -319,6 +332,15 @@ def test_streamed_audit_matches_whole_array_audit(kind, alpha):
         )
 
 
+@pytest.mark.parametrize("kind", [L21SIGMA, L1])
+@pytest.mark.parametrize("alpha", _EXTREME_ALPHAS[-3:])
+def test_audit_passes_at_orders_next_to_one(kind, alpha):
+    """``1 - alpha`` down to one ulp: every inequality holds, the correction
+    ratio bound included, which needs ``b_l`` to its last digits."""
+    audit = audit_weight_family(FractionalOrder(alpha), 300_000, kind)
+    assert audit.passed, [(c.name, c.margin) for c in audit.checks if not c.passed]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_streamed_audit_carries_values_across_block_edges(monkeypatch, block):
     """Blocks shorter than the blend gate's ``c_0, c_1`` and the shared
@@ -388,7 +410,7 @@ def test_coeff_b_array_matches_the_all_term_series(alpha):
     series = lo >= kernels._B_SERIES_CUTOFF
     b = coeff_b_array(order, n)[1:]
     assert np.array_equal(b[series], b_series_all_terms(alpha, lo[series]))
-    assert np.array_equal(b[~series], kernels._b_direct(alpha, lo[~series]))
+    assert np.array_equal(b[~series], kernels._b_quadrature(alpha, lo[~series]))
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 0.5, 1.0 - 1e-12])
