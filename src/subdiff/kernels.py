@@ -257,9 +257,9 @@ def _b_quadrature(alpha: float, lo: np.ndarray) -> np.ndarray:
     of order 1 to get a ``b_l`` of order ``alpha (1-alpha)``, and loses all
     its digits as ``alpha`` nears 0 or 1.  Since ``lo >= sigma > 1/2``, the
     integrand is analytic beyond ``[0, 1]`` up to ``t = -lo``, so the
-    16-point Gauss-Legendre rule leaves an error far below one ulp.  The
-    rows are summed by a reduction, not a BLAS product, whose order of
-    summation may depend on the number of rows: so each entry is the same
+    16-point Gauss-Legendre rule leaves an error far below one ulp.  Each
+    row is summed by numpy's reduction, not by a BLAS product, whose order
+    of summation may depend on the number of rows, so an entry is the same
     double in every block and table."""
     powers = (lo[:, None] + _B_NODES) ** (-1.0 - alpha)
     powers *= _B_WEIGHTS
@@ -536,14 +536,15 @@ def audit_weight_family(
         else:
             block = _Block(order, begin, end)
             a, b = block.a(), block.b(coeffs)
-            first, j_sigma = block.first, block.j_sigma  # b_0 does not exist
-            del block  # its ``u`` and ``lo_p`` are not needed past ``a``, ``b``
+            # index 0 is above; b_0 does not exist
+            first, j_sigma = block.first, block.j_sigma
+            del block  # frees ``u`` and ``lo_p``, which ``a`` and ``b`` were made from
             lags, tails = _l21sigma_layout(a, b, begin)
         worst.add("positivity", tails)
         worst.add("monotone_decrease", lags - tails[1:])
         if kind == L21SIGMA:
-            # An l1 block's lags and their differences are among the tails
-            # and differences above; these are not.
+            # The lags of an l1 block, c[:-1], and their differences are
+            # among the tails and differences checked above; these are not.
             worst.add("positivity", lags)
             worst.add("monotone_decrease", lags[:-1] - lags[1:])
             floor = j_sigma ** (-alpha)

@@ -122,7 +122,9 @@ def test_b_below_the_series_cutoff_keeps_its_digits(alpha):
     order = FractionalOrder(alpha)
     assert 3.0 + order.sigma < kernels._B_SERIES_CUTOFF
     _, b_ref = _coeff_scalars(order, 4)
-    np.testing.assert_allclose(coeff_b_array(order, 4)[1:], b_ref[1:], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        coeff_b_array(order, 4)[1:], b_ref[1:], rtol=1e-14, atol=0
+    )
 
 
 def test_weights_first_two_target_indices():
