@@ -26,18 +26,14 @@ from .kernels import (
     EnergyProbe,
     FractionalOrder,
     WeightAudit,
-    WeightVector,
-    apply,
     audit_weight_family,
     energy_inequality_probe,
     weights,
 )
 from .problems import (
     PROBLEM_IDS,
-    MonomialCase,
     NamedProblem,
     get_problem,
-    problem_caputo_monomial,
     problem_timecoeff_compact,
     problem_varcoeff_2nd,
 )
@@ -61,7 +57,6 @@ __all__ = [
     "L1",
     "L21SIGMA",
     "LevelSpec",
-    "MonomialCase",
     "NamedProblem",
     "PROBLEM_IDS",
     "ProblemSpec",
@@ -72,10 +67,8 @@ __all__ = [
     "SpaceGrid",
     "StudyPlan",
     "WeightAudit",
-    "WeightVector",
     "__version__",
     "a_priori_bound",
-    "apply",
     "audit_weight_family",
     "convergence_order",
     "emit",
@@ -83,7 +76,6 @@ __all__ = [
     "error_norms",
     "get_problem",
     "monomial_error",
-    "problem_caputo_monomial",
     "problem_timecoeff_compact",
     "problem_varcoeff_2nd",
     "run_compact",

@@ -78,11 +78,6 @@ def _cmd_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         named = get_problem(args.problem, order)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
-    if named.spec is None:
-        parser.error(
-            f"problem {args.problem!r} is a scalar kernel case; "
-            "use the caputo subcommand"
-        )
     if args.nx < 2 or args.nt < 1:
         parser.error(f"need --nx >= 2 and --nt >= 1, got nx={args.nx} nt={args.nt}")
 

@@ -10,14 +10,15 @@ Two convolution-weight families are provided:
 
 Both express the derivative approximation as
 
-    scale * sum_{s=0}^{j} c_{j-s} * (u^{s+1} - u^s),
-    scale = tau^(-alpha) / Gamma(2 - alpha),
+    sum_{s=0}^{j} g_{j-s} * (u^{s+1} - u^s),
+    g_m = scale * c_m,  scale = tau^(-alpha) / Gamma(2 - alpha),
 
-where coefficients are stored lag-ordered: ``coefficients[m]`` multiplies the
-backward difference ``m`` intervals before the newest one.  In both
-families ``c_0 .. c_{j-1}`` are shared by every longer vector and only the
-tail ``c_j`` is index ``j``'s own; :func:`weights`, the family audit and the
-energy probe all read the ``l21sigma`` weights from :func:`_l21sigma_layout`.
+where the weights are stored lag-ordered: ``g[m]`` multiplies the backward
+difference ``m`` intervals before the newest one, so the approximation is
+``g[::-1] @ np.diff(u)``.  In both families ``c_0 .. c_{j-1}`` are shared by
+every longer vector and only the tail ``c_j`` is index ``j``'s own:
+:func:`weights`, the family audit and the energy probe all read the
+``l21sigma`` weights from :func:`_l21sigma_layout`.
 
 The stability of the schemes rests on two properties of these weights: the
 coefficient inequalities, checked for a whole family by
@@ -40,8 +41,6 @@ __all__ = [
     "EnergyProbe",
     "FractionalOrder",
     "WeightAudit",
-    "WeightVector",
-    "apply",
     "audit_weight_family",
     "coeff_a_array",
     "coeff_b_array",
@@ -66,30 +65,6 @@ class FractionalOrder:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", 1.0 - alpha / 2.0)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Convolution weights for one target index ``j`` of a discrete Caputo
-    operator.
-
-    ``coefficients`` holds ``c_0 .. c_j``: ``coefficients[m]`` is the weight of
-    the backward difference ``m`` intervals before the newest one, so
-    ``coefficients[0]`` always multiplies ``u^{j+1} - u^j``.  ``scale``
-    converts the weighted difference sum into the derivative approximation.
-    """
-
-    coefficients: np.ndarray
-    scale: float
-
-    def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError(
-                f"expected a nonempty 1-D coefficient array, got shape {coeffs.shape}"
-            )
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 def _derivative_scale(order: FractionalOrder, tau: float) -> float:
@@ -128,17 +103,22 @@ def _power_difference(p: float, u: np.ndarray, lo_p: np.ndarray, out: np.ndarray
     return np.multiply(lo_p, t, out=out)
 
 
-def _b_series_coefficients(p: float) -> np.ndarray:
-    """Taylor coefficients of ``b_l / lo**p`` in ``u = 1/lo``.
+def _b_series_coefficients(alpha: float) -> np.ndarray:
+    """Taylor coefficients of ``b_l / lo**p``, ``p = 1 - alpha``, in ``u =
+    1/lo``.
 
     Expanding the closed form gives ``sum_{m>=2} binom(p, m) * (1-m) /
     (2*(m+1)) * u**m``; the ``m = 0, 1`` terms cancel identically, which is
     exactly the cancellation that plagues the closed form in floating point.
+    Each factor ``p - m + 1`` of the binomials is formed from ``alpha`` as
+    ``-alpha - (m - 2)``: formed from ``p``, the factor ``p - 1`` of every
+    coefficient would keep only the digits of ``alpha`` that survive in ``1
+    - alpha``, a relative error of about ``1e-16 / alpha``.
     """
     coeffs = np.zeros(_B_SERIES_TERMS + 1)
-    binom = p  # binom(p, 1)
+    binom = 1.0 - alpha  # binom(p, 1)
     for m in range(2, _B_SERIES_TERMS + 1):
-        binom *= (p - m + 1.0) / m
+        binom *= (-alpha - (m - 2.0)) / m
         coeffs[m] = binom * (1.0 - m) / (2.0 * (m + 1.0))
     return coeffs
 
@@ -171,8 +151,9 @@ def _b_series_length(coeffs: np.ndarray, u_max: float) -> int:
     sum.  ``r_m`` grows with ``u``, so the bound at ``u_max`` holds for every
     smaller ``u``.
 
-    When ``1 - alpha`` rounds to 1, every coefficient is zero and so is the
-    sum: the shortest length, 2, is returned without dividing by ``c_2``.
+    When ``alpha / 2`` underflows to zero (``alpha`` the smallest positive
+    double), every coefficient is zero and so is the sum: the shortest
+    length, 2, is returned without dividing by ``c_2``.
     """
     if coeffs[2] == 0.0:
         return 2
@@ -331,7 +312,7 @@ def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
 
 def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
     """Vectorized ``b_1 .. b_n``; slot 0 is NaN because ``b_0`` is undefined."""
-    coeffs = _b_series_coefficients(1.0 - order.alpha)
+    coeffs = _b_series_coefficients(order.alpha)
     return _coeff_table(lambda start, stop: _Block(order, start, stop).b(coeffs), n)
 
 
@@ -390,10 +371,13 @@ def _collocation_offset(order: FractionalOrder, kind: str) -> float:
 
 def weights(
     order: FractionalOrder, j: int, tau: float, kind: str = L21SIGMA
-) -> WeightVector:
-    """Weights ``c_0 .. c_j`` of family ``kind`` for target index ``j``:
-    ``l21sigma`` collocates at ``t_{j+sigma}`` (the weights are those of
-    :func:`_l21sigma_layout`), ``l1`` at ``t_{j+1}`` (see :func:`_l1_block`)."""
+) -> np.ndarray:
+    """The read-only weights ``g_0 .. g_j = scale * (c_0 .. c_j)`` of family
+    ``kind`` for target index ``j``, lag-ordered: ``g[0]`` multiplies ``u^{j+1}
+    - u^j``.  From the samples ``u^0 .. u^{j+1}``, ``g[::-1] @ np.diff(u)`` is
+    the derivative approximation: at ``t_{j+sigma}`` for ``l21sigma`` (the
+    ``c_m`` are those of :func:`_l21sigma_layout`), at ``t_{j+1}`` for ``l1``
+    (see :func:`_l1_block`)."""
     if j < 0:
         raise ValueError(f"target index must be nonnegative, got {j}")
     if not tau > 0.0:
@@ -406,24 +390,9 @@ def weights(
         c = _l1_block(order, 0, j + 1)
     else:
         raise ValueError(f"unknown weight family {kind!r}")
-    return WeightVector(coefficients=c, scale=_derivative_scale(order, tau))
-
-
-def apply(weight_vector: WeightVector, series: Sequence[float]) -> float:
-    """Apply the discrete operator to samples ``u^0 .. u^{j+1}``.
-
-    Returns ``scale * sum_{s=0}^{j} c_{j-s} (u^{s+1} - u^s)``, the derivative
-    approximation at ``t_{j+sigma}`` (``l21sigma``) or ``t_{j+1}`` (``l1``).
-    """
-    values = np.asarray(series, dtype=float)
-    expected = weight_vector.coefficients.size + 1
-    if values.ndim != 1 or values.size != expected:
-        raise ValueError(
-            f"series must hold {expected} samples for target index "
-            f"{expected - 2}, got shape {values.shape}"
-        )
-    diffs = np.diff(values)
-    return weight_vector.scale * float(np.dot(weight_vector.coefficients[::-1], diffs))
+    g = _derivative_scale(order, tau) * c
+    g.flags.writeable = False
+    return g
 
 
 @dataclass(frozen=True)
@@ -487,7 +456,7 @@ def audit_weight_family(
 
     For both families: positivity and strict decrease.  For ``l21sigma``
     also the tail lower bound ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the
-    blend gate ``(2*sigma-1)*c_0 - sigma*c_1 > 0``, and the correction-ratio
+    blend gate ``(2*sigma-1)*c_0 - sigma*c_1 > 0`` (``2*sigma - 1 = 1 - alpha``), and the correction-ratio
     bounds ``1/2 < b_s/a_s + 1/2 < 1/(2-alpha)``.  Each check reports its
     worst margin over the family.
 
@@ -516,12 +485,14 @@ def audit_weight_family(
             )
         )
         # Built once: they depend on the order alone.
-        coeffs = _b_series_coefficients(1.0 - alpha)
+        coeffs = _b_series_coefficients(alpha)
         block = _Block(order, 0, min(3, j_max + 1))
         lags, tails = _l21sigma_layout(block.a(), block.b(coeffs), 0)
         # c_1 is the tail of index 1 and shared by every index j >= 2.
         c_1 = np.concatenate((tails[1:2], lags[1:2]))
-        worst.add("blend_gate", (2.0 * sigma - 1.0) * lags[:1] - sigma * c_1)
+        # 2*sigma - 1 is formed as 1 - alpha: at the largest double below 1,
+        # sigma rounds to 1/2 and 2*sigma - 1 to 0.
+        worst.add("blend_gate", (1.0 - alpha) * lags[:1] - sigma * c_1)
         # c_0 = a_0 of index 0
         worst.add("tail_lower_bound", tails[:1] - floor_scale * sigma ** (-alpha))
     else:

@@ -1,11 +1,7 @@
 """Built-in test problems with known exact solutions.
 
-Three bundles are registered:
+Two problems are registered:
 
-* ``caputo-monomial`` — the scalar function ``u(t) = t**(4+alpha)`` whose
-  Caputo derivative of order ``alpha`` at ``t = 1`` equals
-  ``gamma(5+alpha)/24 * t**4`` evaluated at 1; exercises the discrete time
-  operators alone.
 * ``varcoeff-2nd`` — a manufactured diffusion problem with space-and-time
   coefficients ``k = 2 - sin(xt)``, ``q = 1 - cos(xt)`` and exact solution
   ``sin(pi x)(t^3 + 3t^2 + 1)``; target of the second-order scheme.
@@ -22,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,44 +25,22 @@ from .kernels import FractionalOrder
 from .schemes import ProblemSpec
 
 __all__ = [
-    "MonomialCase",
     "NamedProblem",
     "PROBLEM_IDS",
     "get_problem",
-    "problem_caputo_monomial",
     "problem_timecoeff_compact",
     "problem_varcoeff_2nd",
 ]
 
-PROBLEM_IDS = ("caputo-monomial", "varcoeff-2nd", "timecoeff-compact")
-
-
-@dataclass(frozen=True)
-class MonomialCase:
-    """Scalar test function for the discrete Caputo operators."""
-
-    u: Callable[[np.ndarray], np.ndarray]
-    exact_value: float  # the exact derivative at t = 1
+PROBLEM_IDS = ("varcoeff-2nd", "timecoeff-compact")
 
 
 @dataclass(frozen=True)
 class NamedProblem:
-    """A registered problem: its PDE spec, or ``None`` for the scalar
-    ``caputo-monomial`` case, which :func:`problem_caputo_monomial` builds."""
+    """A registered problem: its id and its PDE spec."""
 
     problem_id: str
-    spec: Optional[ProblemSpec]
-
-
-def problem_caputo_monomial(order: FractionalOrder) -> MonomialCase:
-    """``u(t) = t**(4+alpha)``: smooth at 0, exact derivative known in closed
-    form (``gamma(5+alpha)/gamma(5) * t**4``)."""
-    power = 4.0 + order.alpha
-
-    def u(t):
-        return np.asarray(t, dtype=float) ** power
-
-    return MonomialCase(u=u, exact_value=math.gamma(5.0 + order.alpha) / 24.0)
+    spec: ProblemSpec
 
 
 def problem_varcoeff_2nd(order: FractionalOrder) -> ProblemSpec:
@@ -157,8 +130,6 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
 
 def get_problem(problem_id: str, order: FractionalOrder) -> NamedProblem:
     """Build the named problem for a concrete fractional order."""
-    if problem_id == "caputo-monomial":
-        return NamedProblem(problem_id, spec=None)
     if problem_id == "varcoeff-2nd":
         return NamedProblem(problem_id, spec=problem_varcoeff_2nd(order))
     if problem_id == "timecoeff-compact":

@@ -98,7 +98,7 @@ def caputo_reference(
 def b_series_all_terms(alpha: float, lo):
     """Series form of ``b_l`` summed over all ``_B_SERIES_TERMS`` terms
     (works on scalars and arrays)."""
-    coeffs = _b_series_coefficients(1.0 - alpha)
+    coeffs = _b_series_coefficients(alpha)
     u = 1.0 / lo
     total = 0.0
     u_pow = u * u
@@ -139,8 +139,9 @@ def audit_weight_family_whole(
             tail - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
         )
     )
-    # c_1 is tail[0] for j = 1 and shared[1] for every j >= 2.
-    gate = (2.0 * sigma - 1.0) * shared[:1] - sigma * np.concatenate(
+    # c_1 is tail[0] for j = 1 and shared[1] for every j >= 2; 2*sigma - 1
+    # is formed as 1 - alpha, as in the streamed audit.
+    gate = (1.0 - alpha) * shared[:1] - sigma * np.concatenate(
         (tail[:1], shared[1:2])
     )
     kappa = b[1:] / a[1:] + 0.5
@@ -241,8 +242,7 @@ def dense_l21sigma_step(
     x = np.linspace(0.0, problem.length, nx + 1)
     t = (j + order.sigma) * tau
     if c is None:
-        vector = weights(order, j, tau)
-        c = vector.scale * vector.coefficients
+        c = weights(order, j, tau)
     # sum_{s<j} c_{j-s} (y^{s+1} - y^s)
     memory = c[j:0:-1] @ np.diff(layers, axis=0)
     y = layers[-1]

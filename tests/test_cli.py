@@ -156,6 +156,8 @@ def test_solve_rejects_unknown_problem(capsys):
 
 
 def test_solve_rejects_kernel_case(capsys):
+    """The Caputo study's monomial is not a registered problem: ``solve``
+    rejects its id as unknown (exit 2); ``caputo`` runs it."""
     code = main(
         [
             "solve",
@@ -170,7 +172,7 @@ def test_solve_rejects_kernel_case(capsys):
         ]
     )
     assert code == 2
-    assert "caputo" in capsys.readouterr().err
+    assert "unknown problem id 'caputo-monomial'" in capsys.readouterr().err
 
 
 def test_study_table1_emits_csv(capsys):

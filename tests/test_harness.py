@@ -16,7 +16,7 @@ from subdiff.harness import (
     run_study,
     study_plan,
 )
-from subdiff.kernels import L1, FractionalOrder
+from subdiff.kernels import L1, L21SIGMA, FractionalOrder, weights
 from subdiff.problems import get_problem
 from subdiff.schemes import run_compact
 
@@ -60,6 +60,20 @@ def test_monomial_error_shifted_grid_convention():
     error, tau = monomial_error(order, 10)
     assert tau == pytest.approx(1.0 / (10 - 1 + order.sigma), rel=1e-15)
     assert error == pytest.approx(3.756950e-3, rel=1e-6)
+
+
+GAMMA_5P5_OVER_24 = 2.1809490743563967
+
+
+def test_monomial_error_against_the_closed_form():
+    """The monomial is ``t^(4+alpha)`` and its Caputo derivative at ``t = 1``
+    is ``Gamma(5+alpha)/24``, frozen here for ``alpha = 0.5``."""
+    order = FractionalOrder(0.5)
+    for formula in (L21SIGMA, L1):
+        error, tau = monomial_error(order, 10, formula)
+        u = (np.arange(11) * tau) ** 4.5
+        approx = weights(order, 9, tau, formula)[::-1] @ np.diff(u)
+        assert error == pytest.approx(abs(approx - GAMMA_5P5_OVER_24), rel=1e-15)
 
 
 def test_monomial_error_l1_grid_convention():

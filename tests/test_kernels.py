@@ -17,15 +17,12 @@ from subdiff.kernels import (
     L1,
     L21SIGMA,
     FractionalOrder,
-    WeightVector,
-    apply,
     audit_weight_family,
     coeff_a_array,
     coeff_b_array,
     weights,
 )
 from subdiff.harness import monomial_error
-from subdiff.problems import problem_caputo_monomial
 
 # Frozen oracle values for alpha = 0.5 (sigma = 0.75), computed once with
 # 40-digit arithmetic and pinned here.
@@ -55,10 +52,9 @@ def test_time_grid_uniform_nodes():
     order = FractionalOrder(0.5)
     error, tau = monomial_error(order, 4, formula=L1)
     assert tau == 0.25
-    case = problem_caputo_monomial(order)
     nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    approx = apply(weights(order, 3, 0.25, L1), case.u(nodes))
-    assert error == abs(approx - case.exact_value)
+    approx = weights(order, 3, 0.25, L1)[::-1] @ np.diff(nodes**4.5)
+    assert error == abs(approx - GAMMA_5P5_OVER_24)
 
 
 def test_time_grid_shifted_unit_collocation():
@@ -66,10 +62,9 @@ def test_time_grid_shifted_unit_collocation():
     order = FractionalOrder(0.5)
     error, tau = monomial_error(order, 10)
     assert (10 - 1 + order.sigma) * tau == pytest.approx(1.0, abs=1e-15)
-    case = problem_caputo_monomial(order)
     nodes = np.linspace(0.0, 10 * tau, 11)
-    approx = apply(weights(order, 9, tau), case.u(nodes))
-    assert error == pytest.approx(abs(approx - case.exact_value), rel=1e-12)
+    approx = weights(order, 9, tau)[::-1] @ np.diff(nodes**4.5)
+    assert error == pytest.approx(abs(approx - GAMMA_5P5_OVER_24), rel=1e-12)
 
 
 def test_coeff_values_against_frozen_oracle():
@@ -106,10 +101,10 @@ def test_coeff_arrays_match_scalars():
     b = coeff_b_array(order, 6)
     a_ref, b_ref = _coeff_scalars(order, 6)
     for l in range(7):
-        assert a[l] == pytest.approx(a_ref[l], rel=1e-15)
+        assert a[l] == pytest.approx(a_ref[l], rel=1e-15, abs=0)
     assert np.isnan(b[0])
     for l in range(1, 7):
-        assert b[l] == pytest.approx(b_ref[l], rel=1e-15)
+        assert b[l] == pytest.approx(b_ref[l], rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -127,41 +122,57 @@ def test_b_below_the_series_cutoff_keeps_its_digits(alpha):
     )
 
 
+def _unscaled_l21sigma(order, j):
+    """``c_0 .. c_j`` of target index ``j``: the lags of the layout followed
+    by the tail of index ``j``."""
+    lags, tails = kernels._assemble_l21sigma(
+        coeff_a_array(order, j), coeff_b_array(order, j), j
+    )
+    return np.append(lags, tails[-1])
+
+
 def test_weights_first_two_target_indices():
     order = FractionalOrder(0.5)
-    w0 = weights(order, 0, 0.1)
-    np.testing.assert_allclose(w0.coefficients, [A0_HALF], atol=1e-15)
-    w1 = weights(order, 1, 0.1)
+    tau = 0.1
+    scale = tau**-0.5 / math.gamma(1.5)
+    np.testing.assert_allclose(weights(order, 0, tau) / scale, [A0_HALF], atol=1e-15)
     np.testing.assert_allclose(
-        w1.coefficients, [C0_J1_HALF, C1_J1_HALF], atol=1e-15
+        weights(order, 1, tau) / scale, [C0_J1_HALF, C1_J1_HALF], atol=1e-15
     )
 
 
 def test_weights_scale():
+    """The weights are ``tau^(-alpha) / Gamma(2 - alpha)`` times the
+    unscaled ``c_m``."""
     order = FractionalOrder(0.4)
     tau = 0.05
-    vector = weights(order, 3, tau)
-    assert vector.scale == pytest.approx(
-        tau ** (-0.4) / math.gamma(1.6), rel=1e-15
+    np.testing.assert_allclose(
+        weights(order, 3, tau),
+        tau ** (-0.4) / math.gamma(1.6) * _unscaled_l21sigma(order, 3),
+        rtol=1e-15,
+        atol=0,
     )
 
 
 def test_weight_vector_is_read_only():
     vector = weights(FractionalOrder(0.5), 2, 0.1)
     with pytest.raises(ValueError):
-        vector.coefficients[0] = 0.0
+        vector[0] = 0.0
 
 
-def test_weight_vector_length_validation():
-    for coefficients in (np.ones(0), np.ones((2, 2))):
-        with pytest.raises(ValueError):
-            WeightVector(coefficients=coefficients, scale=1.0)
+def test_weights_hold_one_entry_per_lag():
+    """Target index ``j`` has the nonempty 1-D vector ``g_0 .. g_j``."""
+    for kind in (L21SIGMA, L1):
+        for j in (0, 1, 5):
+            assert weights(FractionalOrder(0.5), j, 0.1, kind).shape == (j + 1,)
 
 
-def test_apply_validates_series_length():
-    vector = weights(FractionalOrder(0.5), 3, 0.1)
+def test_derivative_rejects_a_series_of_the_wrong_length():
+    """``g[::-1] @ np.diff(u)`` needs the ``j + 2`` samples ``u^0 ..
+    u^{j+1}``: a shorter series raises instead of giving a number."""
+    g = weights(FractionalOrder(0.5), 3, 0.1)
     with pytest.raises(ValueError):
-        apply(vector, np.ones(3))
+        g[::-1] @ np.diff(np.ones(3))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -172,7 +183,7 @@ def test_quadratic_exactness_spot(alpha):
     tau = 0.07
     j = 7
     nodes = np.arange(j + 2) * tau
-    approx = apply(weights(order, j, tau), nodes**2)
+    approx = weights(order, j, tau)[::-1] @ np.diff(nodes**2)
     t_target = (j + order.sigma) * tau
     exact = 2.0 * t_target ** (2.0 - alpha) / math.gamma(3.0 - alpha)
     assert approx == pytest.approx(exact, rel=1e-13)
@@ -185,7 +196,7 @@ def test_l1_weights_exact_on_linear():
     tau = 0.05
     j = 9
     nodes = np.arange(j + 2) * tau
-    approx = apply(weights(order, j, tau, L1), nodes)
+    approx = weights(order, j, tau, L1)[::-1] @ np.diff(nodes)
     t_target = (j + 1) * tau
     exact = t_target ** (1.0 - 0.6) / math.gamma(2.0 - 0.6)
     assert approx == pytest.approx(exact, rel=1e-13)
@@ -253,13 +264,13 @@ def _per_index_margins(order, j):
     target index ``j``, checked entry by entry: the oracle of the family
     audit."""
     alpha, sigma = order.alpha, order.sigma
-    c = weights(order, j, 1.0).coefficients
+    c = _unscaled_l21sigma(order, j)
     kappa = coeff_b_array(order, j)[1:] / coeff_a_array(order, j)[1:] + 0.5
     margins = {
         "positivity": c,
         "monotone_decrease": c[:-1] - c[1:],
         "tail_lower_bound": c[-1] - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
-        "blend_gate": (2.0 * sigma - 1.0) * c[0] - sigma * c[1:2],
+        "blend_gate": (1.0 - alpha) * c[0] - sigma * c[1:2],
         "correction_ratio_lower": kappa - 0.5,
         "correction_ratio_upper": 1.0 / (2.0 - alpha) - kappa,
     }
@@ -343,6 +354,16 @@ def test_audit_passes_at_orders_next_to_one(kind, alpha):
     assert audit.passed, [(c.name, c.margin) for c in audit.checks if not c.passed]
 
 
+def test_blend_gate_holds_at_the_largest_order_below_one():
+    """There ``sigma = 1 - alpha/2`` rounds to 1/2: the gate's ``2*sigma - 1``
+    formed from ``sigma`` would read 0 and the margin ``-c_1/2``; formed as
+    ``1 - alpha`` it keeps its positive sign."""
+    order = FractionalOrder(float(np.nextafter(1.0, 0.0)))
+    assert order.sigma == 0.5
+    for j_max in (1, 2, 100):
+        assert audit_weight_family(order, j_max).check("blend_gate").margin > 0.0
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_streamed_audit_carries_values_across_block_edges(monkeypatch, block):
     """Blocks shorter than the blend gate's ``c_0, c_1`` and the shared
@@ -367,7 +388,7 @@ def test_blocks_are_slices_of_the_tables():
     order = FractionalOrder(0.3)
     n = _BLOCK + 2
     a_table, b_table = coeff_a_array(order, n), coeff_b_array(order, n)
-    coeffs = kernels._b_series_coefficients(1.0 - order.alpha)
+    coeffs = kernels._b_series_coefficients(order.alpha)
     for start, stop in ((0, 1), (0, 5), (1, 4), (3, 40), (_BLOCK - 1, n + 1)):
         block = kernels._Block(order, start, stop)
         assert np.array_equal(block.a(), a_table[start:stop])
@@ -384,9 +405,9 @@ def test_b_series_coefficients_are_built_once(monkeypatch, kind):
     calls = []
     build = kernels._b_series_coefficients
 
-    def counted(p):
-        calls.append(p)
-        return build(p)
+    def counted(alpha):
+        calls.append(alpha)
+        return build(alpha)
 
     monkeypatch.setattr(kernels, "_b_series_coefficients", counted)
     order = FractionalOrder(0.5)
@@ -417,22 +438,22 @@ def test_coeff_b_array_matches_the_all_term_series(alpha):
 
 @pytest.mark.parametrize("alpha", [1e-9, 0.5, 1.0 - 1e-12])
 def test_b_series_stops_early_at_large_lo(alpha):
-    coeffs = kernels._b_series_coefficients(1.0 - alpha)
+    coeffs = kernels._b_series_coefficients(alpha)
     assert kernels._b_series_length(coeffs, 1.0 / kernels._B_SERIES_CUTOFF) < 40
     # From the second block on, lo >= _BLOCK - 1 + sigma.
     assert kernels._b_series_length(coeffs, 1.0 / (_BLOCK - 1)) <= 6
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("alpha", [1e-16, 1e-300])
+@pytest.mark.parametrize("alpha", [1e-16, 1e-300, 5e-324])
 def test_b_series_of_an_order_whose_complement_rounds_to_one(alpha):
-    """``1 - alpha`` rounds to 1: every series coefficient is zero, the
-    shortest length comes back without a 0/0, and the table and the audit
-    stay quiet and equal to the all-term series and the whole-array audit."""
+    """``1 - alpha`` rounds to 1, but the series coefficients are formed
+    from ``alpha`` and keep it: ``c_2 = alpha (1-alpha) / 12``.  The table
+    and the audit stay quiet and equal to the all-term series and the
+    whole-array audit."""
     order = FractionalOrder(alpha)
-    coeffs = kernels._b_series_coefficients(1.0 - alpha)
-    assert not coeffs.any()
-    assert kernels._b_series_length(coeffs, 1.0 / kernels._B_SERIES_CUTOFF) == 2
+    coeffs = kernels._b_series_coefficients(alpha)
+    assert coeffs[2] == pytest.approx(alpha / 12.0, rel=1e-15, abs=0)
     n = 2 * _BLOCK
     lo = np.arange(0, n, dtype=float) + order.sigma
     series = lo >= kernels._B_SERIES_CUTOFF
@@ -442,6 +463,42 @@ def test_b_series_of_an_order_whose_complement_rounds_to_one(alpha):
         assert audit_weight_family(order, 3 * _BLOCK, kind) == audit_weight_family_whole(
             order, 3 * _BLOCK, kind
         )
+
+
+@pytest.mark.filterwarnings("error")
+def test_b_series_of_the_smallest_order_is_zero():
+    """At the smallest positive double ``alpha / 2`` underflows: every
+    series coefficient is zero, and the shortest length comes back without a
+    0/0."""
+    coeffs = kernels._b_series_coefficients(5e-324)
+    assert not coeffs.any()
+    assert kernels._b_series_length(coeffs, 1.0 / kernels._B_SERIES_CUTOFF) == 2
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1e-3, 0.1])
+def test_b_above_the_series_cutoff_keeps_its_digits(alpha):
+    """``b_l`` for ``lo >= 4`` (the series) against its closed form in
+    60-digit arithmetic, at the doubles ``lo`` the table uses.  The closed
+    form cancels about ``lo^3`` of its terms; 60 digits leave more than 30
+    here."""
+    mpmath = pytest.importorskip("mpmath")
+    order = FractionalOrder(alpha)
+    indices = np.array([5, 6, 10, 100, 1000, _BLOCK + 1, 10**5, 10**6, 3 * 10**6])
+    lo = indices - 1.0 + order.sigma
+    assert lo.min() >= kernels._B_SERIES_CUTOFF
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        expected = []
+        for value in lo:
+            low = mpmath.mpf(float(value))
+            high = low + 1
+            expected.append(float(
+                (high ** (2 - a) - low ** (2 - a)) / (2 - a)
+                - (high ** (1 - a) + low ** (1 - a)) / 2
+            ))
+    np.testing.assert_allclose(
+        coeff_b_array(order, int(indices[-1]))[indices], expected, rtol=1e-14, atol=0
+    )
 
 
 @pytest.mark.parametrize("kind", [L21SIGMA, L1])

@@ -13,38 +13,25 @@ import sympy as sp
 
 from oracles import caputo_reference
 from subdiff.kernels import FractionalOrder
+from subdiff.schemes import ProblemSpec
 from subdiff.problems import (
     PROBLEM_IDS,
     get_problem,
-    problem_caputo_monomial,
     problem_timecoeff_compact,
     problem_varcoeff_2nd,
 )
 
-GAMMA_5P5_OVER_24 = 2.1809490743563967
-
 
 def test_registry_ids():
     order = FractionalOrder(0.5)
-    assert set(PROBLEM_IDS) == {
-        "caputo-monomial",
-        "varcoeff-2nd",
-        "timecoeff-compact",
-    }
+    assert PROBLEM_IDS == ("varcoeff-2nd", "timecoeff-compact")
     for problem_id in PROBLEM_IDS:
         named = get_problem(problem_id, order)
         assert named.problem_id == problem_id
-        assert (named.spec is None) == (problem_id == "caputo-monomial")
-    with pytest.raises(KeyError):
-        get_problem("no-such-problem", order)
-
-
-def test_monomial_case_exact_value():
-    case = problem_caputo_monomial(FractionalOrder(0.5))
-    assert case.exact_value == pytest.approx(GAMMA_5P5_OVER_24, rel=1e-15)
-    assert case.exact_value == pytest.approx(math.gamma(5.5) / 24.0, rel=1e-15)
-    assert case.u(0.0) == 0.0
-    assert case.u(1.0) == 1.0
+        assert isinstance(named.spec, ProblemSpec)
+    for problem_id in ("no-such-problem", "caputo-monomial"):
+        with pytest.raises(KeyError):
+            get_problem(problem_id, order)
 
 
 @pytest.mark.parametrize("problem_id", ["varcoeff-2nd", "timecoeff-compact"])

@@ -11,7 +11,7 @@ import pytest
 from oracles import dense_l21sigma_march, dense_l21sigma_step
 
 from subdiff import schemes, tridiag
-from subdiff.grids import SolutionHistory, SpaceGrid, error_norms
+from subdiff.grids import SolutionHistory, SpaceGrid, convergence_order, error_norms
 from subdiff.kernels import (
     L1,
     L21SIGMA,
@@ -343,6 +343,31 @@ def test_grouped_second_order_matches_single_runs():
     _assert_merged_runs_match_single_runs(
         run_second_order, problem_varcoeff_2nd, (0.4, 0.99, 0.1, 0.5), (6, 10), 300
     )
+
+
+@pytest.mark.parametrize(
+    ("runner", "make_problem"),
+    [(run_second_order, problem_varcoeff_2nd), (run_compact, problem_timecoeff_compact)],
+)
+def test_marches_converge_at_the_extreme_orders(runner, make_problem):
+    """Orders next to 0 and 1, down to the largest double below 1, march
+    under ``h = tau`` refinement: the a priori bound holds on every run and
+    ``err_l2max`` falls at order 2 (4 for the compact scheme next to 0, where
+    the time error of its problem vanishes)."""
+    alphas = (1e-9, 1e-6, 1.0 - 1e-12, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0)))
+    orders = [FractionalOrder(alpha) for alpha in alphas]
+    problems = [make_problem(order) for order in orders]
+    levels = {alpha: [] for alpha in alphas}
+    for n in (40, 80, 160):
+        for problem, order, (history,) in zip(
+            problems, orders, runner(problems, orders, (n,), n)
+        ):
+            lhs, rhs = a_priori_bound(problem, order, history)
+            assert lhs <= rhs, (order.alpha, n, lhs, rhs)
+            levels[order.alpha].append((1.0 / n, error_norms(history, problem.exact).l2max))
+    for alpha, pairs in levels.items():
+        observed = convergence_order(pairs)
+        assert min(observed) >= 1.95, (alpha, observed)
 
 
 def _crank_nicolson_final_layer(problem, nx, nt):
@@ -965,8 +990,7 @@ def test_energy_probe_spike_hits_equality():
     series[-1] = spike_value
     probe = energy_inequality_probe(order, 0.1, series)
     j = series.size - 2
-    vector = weights(order, j, 0.1)
-    g_new = vector.scale * float(vector.coefficients[0])
+    g_new = float(weights(order, j, 0.1)[0])
     energy_scale = g_new * spike_value**2
     assert abs(probe.newest[j]) <= 1e-14 * energy_scale
     assert probe.previous[j] > 0.0
