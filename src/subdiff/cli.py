@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``caputo`` — discretize the Caputo derivative of the monomial test function
-  and report errors and observed orders against the closed form.
+  and report errors and observed orders against the closed form: a
+  one-order kernel study, with the observed orders of ``study``.
 * ``solve``  — run one of the registered diffusion problems with either
   scheme and report error norms against the exact solution.
 * ``study``  — reproduce one of the seven bundled refinement studies.
@@ -19,8 +20,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .grids import convergence_order, error_norms
-from .harness import emit, monomial_error, run_study, study_plan
+from .grids import error_norms
+from .harness import LevelSpec, StudyPlan, emit, run_study, study_plan
 from .kernels import L1, L21SIGMA, FractionalOrder, audit_weight_family
 from .problems import PROBLEM_IDS, get_problem
 from .schemes import SchemeCompatibilityError, run_compact, run_second_order
@@ -57,17 +58,21 @@ def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if any(finer <= coarser for coarser, finer in zip(steps, steps[1:])):
         parser.error(f"--m expects strictly increasing step counts, got {args.m!r}")
 
-    results = [monomial_error(order, m, formula=args.formula) for m in steps]
-    for index, (m, (err, tau)) in enumerate(zip(steps, results)):
-        line = f"m={m} tau={tau:.6e} error={err:.6e}"
-        if index:
-            coarse_err, coarse_tau = results[index - 1]
-            if coarse_err > 0.0 and err > 0.0:
-                co = convergence_order([(coarse_tau, coarse_err), (tau, err)])[0]
-                line += f" co={co:.4f}"
-            else:
-                # An exact (zero) error has no logarithm.
-                line += " co=undefined (zero error)"
+    plan = StudyPlan(
+        table_id="caputo",
+        problem_id=None,
+        scheme=args.formula,
+        alphas=(order.alpha,),
+        levels=tuple(LevelSpec(nx=None, nt=m) for m in steps),
+        norms=("l2max", "sup"),
+        co_step="tau",
+    )
+    for row in run_study(plan).rows:
+        line = f"m={row.nt} tau={row.tau:.6e} error={row.err_sup:.6e}"
+        if row.level > 1:
+            # The study leaves the order next to an exact (zero) error empty.
+            co = "undefined (zero error)" if row.co_sup is None else f"{row.co_sup:.4f}"
+            line += f" co={co}"
         print(line)
     return 0
 
@@ -118,7 +123,7 @@ def _cmd_study(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             failures.append(
                 f"a priori bound violated at alpha={row.alpha:g} level={row.level}"
             )
-    if plan.fast and plan.table_id == "T5":
+    if args.fast and plan.table_id == "T5":
         for row in report.rows:
             for co in (row.co_l2max, row.co_sup):
                 if co is not None and not 3.9 <= co <= 4.1:

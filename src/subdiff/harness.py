@@ -50,13 +50,12 @@ class LevelSpec:
 @dataclass(frozen=True)
 class StudyPlan:
     table_id: str
-    problem_id: str  # a registered id; "caputo-monomial" names T1's test function
-    scheme: str  # "kernel" | "second" | "compact"
+    problem_id: Optional[str]  # a registered id, or None for a kernel plan
+    scheme: str  # "l21sigma" | "l1" (kernel plans) | "second" | "compact"
     alphas: tuple[float, ...]
     levels: tuple[LevelSpec, ...]
     norms: tuple[str, ...]
     co_step: str  # "tau" | "h": which step the observed order is measured against
-    fast: bool = False
 
 
 @dataclass
@@ -86,8 +85,8 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
     if table == 1:
         return StudyPlan(
             table_id="T1",
-            problem_id="caputo-monomial",
-            scheme="kernel",
+            problem_id=None,
+            scheme=L21SIGMA,
             alphas=(0.9, 0.5, 0.1),
             levels=tuple(LevelSpec(nx=None, nt=10 * 2**k) for k in range(10)),
             norms=("l2max", "sup"),
@@ -133,7 +132,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             levels=tuple(LevelSpec(nx=n, nt=nt) for n in (4, 8, 16, 32)),
             norms=("l2max", "sup"),
             co_step="h",
-            fast=fast,
         )
     if table == 6:
         return StudyPlan(
@@ -192,9 +190,9 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[Rep
     start = time.perf_counter()
     # (h, tau, err_l2max, err_sup, apriori_ok) of each cell, alpha by alpha.
     outcomes: list[tuple] = []
-    if plan.scheme == "kernel":
+    if plan.problem_id is None:
         for order in orders:
-            error, tau = monomial_error(order, nt)
+            error, tau = monomial_error(order, nt, plan.scheme)
             outcomes += [(None, tau, error, error, None)] * len(levels)
     else:
         problems = [get_problem(plan.problem_id, order).spec for order in orders]

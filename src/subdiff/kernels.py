@@ -15,7 +15,9 @@ Both express the derivative approximation as
 
 where the weights are stored lag-ordered: ``g[m]`` multiplies the backward
 difference ``m`` intervals before the newest one, so the approximation is
-``g[::-1] @ np.diff(u)``.  In both families ``c_0 .. c_{j-1}`` are shared by
+``g[::-1] @ np.diff(u)``.  The ``l1`` weights are the ``a_l`` table of
+:class:`_Block` at shift 1; the ``l21sigma`` weights correct that table at
+shift ``sigma`` by ``b_l``.  In both families ``c_0 .. c_{j-1}`` are shared by
 every longer vector and only the tail ``c_j`` is index ``j``'s own:
 :func:`weights`, the family audit and the energy probe all read the
 ``l21sigma`` weights from :func:`_l21sigma_layout`.
@@ -68,6 +70,9 @@ class FractionalOrder:
 
 
 def _derivative_scale(order: FractionalOrder, tau: float) -> float:
+    """``tau^(-alpha) / Gamma(2 - alpha)``, for a finite step ``tau > 0``."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {tau}")
     return tau ** (-order.alpha) / math.gamma(2.0 - order.alpha)
 
 
@@ -248,32 +253,36 @@ def _b_quadrature(alpha: float, lo: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    """Indices ``start .. stop-1`` of the ``a``/``b`` tables and what ``a_l``
-    and ``b_l`` share there, computed once for both.
+    """Indices ``start .. stop-1`` of the ``a``/``b`` tables at collocation
+    offset ``shift`` and what ``a_l`` and ``b_l`` share there, computed once
+    for both.  ``b_l`` is defined at ``shift = sigma`` only.
 
-    ``lo = l - 1 + sigma`` of the indices ``l >= 1`` comes from one integer
+    ``lo = l - 1 + shift`` of the indices ``l >= 1`` comes from one integer
     range, which is exact below ``2**53``, so a block's values are the
     doubles of the whole table's.  The range runs one index further:
-    ``j_sigma[i] = j + sigma`` of the block's ``i``-th index ``j >= 1`` is the
+    ``j_sigma[i] = j + shift`` of the block's ``i``-th index ``j >= 1`` is the
     ``lo`` of index ``j + 1``, the same double.  ``u = 1/lo`` and ``lo_p =
     lo**(1-alpha)`` are the intermediates of both weights.
     """
 
-    def __init__(self, order: FractionalOrder, start: int, stop: int) -> None:
+    def __init__(
+        self, order: FractionalOrder, start: int, stop: int, shift: float
+    ) -> None:
         self.order = order
+        self.shift = shift
         self.first = 1 if start == 0 else 0  # index 0 has no ``lo``
         nodes = np.arange(start + self.first - 1, stop, dtype=float)
-        nodes += order.sigma
+        nodes += shift
         self.lo, self.j_sigma = nodes[:-1], nodes[1:]
         self.u = 1.0 / self.lo
         self.lo_p = self.lo ** (1.0 - order.alpha)
 
     def a(self) -> np.ndarray:
-        """``a_start .. a_{stop-1}``: ``a_0 = sigma**(1-alpha)`` and ``a_l =
+        """``a_start .. a_{stop-1}``: ``a_0 = shift**(1-alpha)`` and ``a_l =
         (lo + 1)**(1-alpha) - lo**(1-alpha)``."""
         p = 1.0 - self.order.alpha
         a = np.empty(self.first + self.lo.size)
-        a[: self.first] = self.order.sigma**p
+        a[: self.first] = self.shift**p
         _power_difference(p, self.u, self.lo_p, out=a[self.first :])
         return a
 
@@ -305,15 +314,22 @@ def _coeff_table(block_values, n: int) -> np.ndarray:
     return out
 
 
+def _a_table(order: FractionalOrder, n: int, shift: float) -> np.ndarray:
+    """``a_0 .. a_n`` at collocation offset ``shift``."""
+    return _coeff_table(lambda start, stop: _Block(order, start, stop, shift).a(), n)
+
+
 def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
-    """Vectorized ``a_0 .. a_n``."""
-    return _coeff_table(lambda start, stop: _Block(order, start, stop).a(), n)
+    """Vectorized ``a_0 .. a_n`` at ``shift = sigma``."""
+    return _a_table(order, n, order.sigma)
 
 
 def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
     """Vectorized ``b_1 .. b_n``; slot 0 is NaN because ``b_0`` is undefined."""
     coeffs = _b_series_coefficients(order.alpha)
-    return _coeff_table(lambda start, stop: _Block(order, start, stop).b(coeffs), n)
+    return _coeff_table(
+        lambda start, stop: _Block(order, start, stop, order.sigma).b(coeffs), n
+    )
 
 
 def _l21sigma_layout(
@@ -324,8 +340,8 @@ def _l21sigma_layout(
     ``lags[i]`` is ``c_s``, ``s = start + i``, of every target index ``j > s``:
     ``c_0 = a_0 + b_1`` and ``c_s = a_s + b_{s+1} - b_s``.  ``tails[i]`` is
     ``c_j = a_j - b_j`` of index ``j = start + i``, and ``c_0 = a_0`` of index
-    0.  A block ``c`` of ``l1`` weights is its own layout: ``lags = c[:-1]``
-    and ``tails = c``."""
+    0.  A block ``a`` of the ``l1`` table is its own layout: ``lags = a[:-1]``
+    and ``tails = a``."""
     lags = a[:-1] + b[1:]
     lags -= b[:-1]
     tails = a - b
@@ -346,22 +362,10 @@ def _assemble_l21sigma(
     return _l21sigma_layout(a[: j + 1], b[: j + 1], 0)
 
 
-def _l1_block(order: FractionalOrder, start: int, stop: int) -> np.ndarray:
-    """Lag-ordered piecewise-linear weights ``c_start .. c_{stop-1}``:
-    ``c_0 = 1`` and ``c_m = (m+1)^(1-alpha) - m^(1-alpha)``, evaluated without
-    cancellation."""
-    p = 1.0 - order.alpha
-    c = np.empty(stop - start)
-    first = 1 if start == 0 else 0
-    c[:first] = 1.0
-    m = np.arange(start + first, stop, dtype=float)
-    _power_difference(p, 1.0 / m, m**p, out=c[first:])
-    return c
-
-
 def _collocation_offset(order: FractionalOrder, kind: str) -> float:
     """Where a family collocates the derivative of target index ``j``, as
-    ``t_{j + offset}``: ``sigma`` for ``l21sigma`` and 1 for ``l1``."""
+    ``t_{j + offset}``: ``sigma`` for ``l21sigma`` and 1 for ``l1``, the
+    shift of the family's ``a`` table."""
     if kind == L21SIGMA:
         return order.sigma
     if kind == L1:
@@ -377,20 +381,16 @@ def weights(
     - u^j``.  From the samples ``u^0 .. u^{j+1}``, ``g[::-1] @ np.diff(u)`` is
     the derivative approximation: at ``t_{j+sigma}`` for ``l21sigma`` (the
     ``c_m`` are those of :func:`_l21sigma_layout`), at ``t_{j+1}`` for ``l1``
-    (see :func:`_l1_block`)."""
+    (``c_m = a_m`` at shift 1: ``c_0 = 1`` and ``c_m = (m+1)^(1-alpha) -
+    m^(1-alpha)``)."""
     if j < 0:
         raise ValueError(f"target index must be nonnegative, got {j}")
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    scale = _derivative_scale(order, tau)
+    c = _a_table(order, j, _collocation_offset(order, kind))
     if kind == L21SIGMA:
-        a, b = coeff_a_array(order, j), coeff_b_array(order, j)
-        lags, tails = _assemble_l21sigma(a, b, j)
+        lags, tails = _assemble_l21sigma(c, coeff_b_array(order, j), j)
         c = np.append(lags, tails[-1])
-    elif kind == L1:
-        c = _l1_block(order, 0, j + 1)
-    else:
-        raise ValueError(f"unknown weight family {kind!r}")
-    g = _derivative_scale(order, tau) * c
+    g = scale * c
     g.flags.writeable = False
     return g
 
@@ -469,24 +469,23 @@ def audit_weight_family(
     """
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
+    shift = _collocation_offset(order, kind)
+    corrected = kind == L21SIGMA
     alpha, sigma = order.alpha, order.sigma
     floor_scale = 0.5 * (1.0 - alpha)
-    if kind == L1:
-        worst = _RunningMinima(("positivity", "monotone_decrease"))
-    elif kind == L21SIGMA:
-        worst = _RunningMinima(
-            (
-                "positivity",
-                "monotone_decrease",
-                "tail_lower_bound",
-                "blend_gate",
-                "correction_ratio_lower",
-                "correction_ratio_upper",
-            )
+    names = ("positivity", "monotone_decrease")
+    if corrected:
+        names += (
+            "tail_lower_bound",
+            "blend_gate",
+            "correction_ratio_lower",
+            "correction_ratio_upper",
         )
+    worst = _RunningMinima(names)
+    if corrected:
         # Built once: they depend on the order alone.
         coeffs = _b_series_coefficients(alpha)
-        block = _Block(order, 0, min(3, j_max + 1))
+        block = _Block(order, 0, min(3, j_max + 1), shift)
         lags, tails = _l21sigma_layout(block.a(), block.b(coeffs), 0)
         # c_1 is the tail of index 1 and shared by every index j >= 2.
         c_1 = np.concatenate((tails[1:2], lags[1:2]))
@@ -495,26 +494,22 @@ def audit_weight_family(
         worst.add("blend_gate", (1.0 - alpha) * lags[:1] - sigma * c_1)
         # c_0 = a_0 of index 0
         worst.add("tail_lower_bound", tails[:1] - floor_scale * sigma ** (-alpha))
-    else:
-        raise ValueError(f"unknown weight family {kind!r}")
 
     for start in range(0, j_max + 1, _BLOCK):
         # c_{start-1} and the tail of index start + _BLOCK join the block.
         begin, end = max(start - 1, 0), min(start + _BLOCK + 1, j_max + 1)
-        if kind == L1:
-            c = _l1_block(order, begin, end)
-            lags, tails = c[:-1], c
-        else:
-            block = _Block(order, begin, end)
-            a, b = block.a(), block.b(coeffs)
+        block = _Block(order, begin, end, shift)
+        a = block.a()
+        if corrected:
+            b = block.b(coeffs)
             # index 0 is above; b_0 does not exist
             first, j_sigma = block.first, block.j_sigma
-            del block  # frees ``u`` and ``lo_p``, which ``a`` and ``b`` were made from
-            lags, tails = _l21sigma_layout(a, b, begin)
+        del block  # frees ``u`` and ``lo_p``, which ``a`` and ``b`` were made from
+        lags, tails = _l21sigma_layout(a, b, begin) if corrected else (a[:-1], a)
         worst.add("positivity", tails)
         worst.add("monotone_decrease", lags - tails[1:])
-        if kind == L21SIGMA:
-            # The lags of an l1 block, c[:-1], and their differences are
+        if corrected:
+            # The lags of an l1 block, a[:-1], and their differences are
             # among the tails and differences checked above; these are not.
             worst.add("positivity", lags)
             worst.add("monotone_decrease", lags[:-1] - lags[1:])
@@ -567,14 +562,12 @@ def energy_inequality_probe(
     inequalities :func:`audit_weight_family` checks, so negative margins
     beyond rounding indicate a broken weight family.
     """
-    if not tau > 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    scale = _derivative_scale(order, tau)
     v = np.asarray(series, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"series must hold at least two samples, got {v.shape}")
     count = v.size - 1
     sigma = order.sigma
-    scale = _derivative_scale(order, tau)
     lags, tails = _l21sigma_layout(
         coeff_a_array(order, count - 1), coeff_b_array(order, count - 1), 0
     )

@@ -29,10 +29,10 @@ from subdiff.kernels import (
     L21SIGMA,
     FractionalOrder,
     WeightAudit,
+    _Block,
     _assemble_l21sigma,
     _b_series_coefficients,
     _finish_check,
-    _l1_block,
     coeff_a_array,
     coeff_b_array,
     weights,
@@ -116,7 +116,7 @@ def audit_weight_family_whole(
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
     if kind == L1:
-        c = _l1_block(order, 0, j_max + 1)
+        c = _Block(order, 0, j_max + 1, 1.0).a()  # one block: the whole table
         return WeightAudit(
             checks=(
                 _finish_check("positivity", c),

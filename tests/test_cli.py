@@ -3,8 +3,9 @@
 import pytest
 
 from subdiff.cli import main
+from subdiff.grids import convergence_order
 from subdiff.harness import CSV_HEADER, monomial_error
-from subdiff.kernels import FractionalOrder
+from subdiff.kernels import L1, L21SIGMA, FractionalOrder
 
 
 def test_caputo_single_m(capsys):
@@ -17,6 +18,23 @@ def test_caputo_single_m(capsys):
     assert "co=" not in out
 
 
+def _assert_caputo_prints_the_library_numbers(lines, formula):
+    """Each line of ``caputo --alpha 0.5 --m 10,20,40`` holds the error of
+    :func:`monomial_error` and the observed order of it and the line before."""
+    order = FractionalOrder(0.5)
+    results = [monomial_error(order, m, formula) for m in (10, 20, 40)]
+    assert len(lines) == len(results)
+    for index, (line, (error, tau)) in enumerate(zip(lines, results)):
+        fields = dict(field.split("=") for field in line.split())
+        assert float(fields["error"]) == pytest.approx(error, rel=1e-6)
+        if index:
+            coarse_error, coarse_tau = results[index - 1]
+            (co,) = convergence_order([(coarse_tau, coarse_error), (tau, error)])
+            assert fields["co"] == f"{co:.4f}"
+        else:
+            assert "co" not in fields
+
+
 def test_caputo_multiple_m_reports_orders(capsys):
     assert main(["caputo", "--alpha", "0.5", "--m", "10,20,40"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -24,6 +42,7 @@ def test_caputo_multiple_m_reports_orders(capsys):
     assert "co=" not in lines[0]
     assert "co=2.33" in lines[1]
     assert "co=2.38" in lines[2]
+    _assert_caputo_prints_the_library_numbers(lines, L21SIGMA)
 
 
 def test_caputo_reports_undefined_order_for_zero_error(capsys):
@@ -37,8 +56,10 @@ def test_caputo_reports_undefined_order_for_zero_error(capsys):
 
 
 def test_caputo_l1_formula(capsys):
-    assert main(["caputo", "--alpha", "0.5", "--m", "10", "--formula", "l1"]) == 0
-    assert "error=" in capsys.readouterr().out
+    argv = ["caputo", "--alpha", "0.5", "--m", "10,20,40", "--formula", "l1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    _assert_caputo_prints_the_library_numbers(lines, L1)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from subdiff.schemes import run_compact
 
 def test_study_plan_schedules():
     t1 = study_plan(1)
+    assert t1.problem_id is None and t1.scheme == L21SIGMA
     assert [level.nt for level in t1.levels] == [10 * 2**k for k in range(10)]
     assert all(level.nx is None for level in t1.levels)
 
@@ -45,7 +46,6 @@ def test_study_plan_schedules():
 def test_study_plan_fast_only_affects_table5():
     assert study_plan(5).levels[0].nt == 20000
     assert study_plan(5, fast=True).levels[0].nt == 5000
-    assert study_plan(5, fast=True).fast
     assert study_plan(3, fast=True).levels == study_plan(3).levels
 
 
@@ -160,21 +160,25 @@ def test_levels_sharing_nt_march_together_in_plan_order():
 
 
 def test_kernel_plan_rows_fill_both_error_columns():
-    plan = StudyPlan(
-        table_id="T1",
-        problem_id="caputo-monomial",
-        scheme="kernel",
-        alphas=(0.5,),
-        levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
-        norms=("l2max", "sup"),
-        co_step="tau",
-    )
-    report = run_study(plan)
-    for row in report.rows:
-        assert row.h is None
-        assert row.err_l2max == row.err_sup
-        assert row.apriori_ok is None
-    assert report.rows[1].co_sup == pytest.approx(2.33, abs=0.01)
+    """A kernel plan names its weight family in ``scheme`` and measures the
+    monomial's error with it."""
+    for scheme, co in ((L21SIGMA, 2.33), (L1, 1.38)):
+        plan = StudyPlan(
+            table_id="T1",
+            problem_id=None,
+            scheme=scheme,
+            alphas=(0.5,),
+            levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
+            norms=("l2max", "sup"),
+            co_step="tau",
+        )
+        report = run_study(plan)
+        for row in report.rows:
+            assert row.h is None
+            assert row.err_l2max == row.err_sup
+            assert row.err_sup == monomial_error(FractionalOrder(0.5), row.nt, scheme)[0]
+            assert row.apriori_ok is None
+        assert report.rows[1].co_sup == pytest.approx(co, abs=0.01)
 
 
 def test_emit_csv_layout():
@@ -242,22 +246,23 @@ def test_single_level_plan_leaves_orders_empty():
 
 def test_study_leaves_the_order_of_a_zero_error_empty():
     """At alpha = 1e-17 the monomial's error is exactly zero on every
-    level, which has no logarithm: its order cells stay empty, and the
-    other alpha's orders are filled as before."""
+    level, in both weight families, which has no logarithm: its order cells
+    stay empty, and the other alpha's orders are filled as before."""
     levels = tuple(LevelSpec(nx=None, nt=nt) for nt in (10, 20, 40))
-    plan = StudyPlan(
-        table_id="T1",
-        problem_id="caputo-monomial",
-        scheme="kernel",
-        alphas=(1e-17, 0.5),
-        levels=levels,
-        norms=("l2max", "sup"),
-        co_step="tau",
-    )
-    report = run_study(plan)
-    rows = report.rows
-    assert [row.err_sup for row in rows[:3]] == [0.0, 0.0, 0.0]
-    assert all(row.co_l2max is None and row.co_sup is None for row in rows[:3])
-    errors = [(row.tau, row.err_sup) for row in rows[3:]]
-    assert [row.co_sup for row in rows[4:]] == convergence_order(errors)
-    assert ",,0.00000e+00,," in emit(report, "csv")
+    for scheme in (L21SIGMA, L1):
+        plan = StudyPlan(
+            table_id="T1",
+            problem_id=None,
+            scheme=scheme,
+            alphas=(1e-17, 0.5),
+            levels=levels,
+            norms=("l2max", "sup"),
+            co_step="tau",
+        )
+        report = run_study(plan)
+        rows = report.rows
+        assert [row.err_sup for row in rows[:3]] == [0.0, 0.0, 0.0]
+        assert all(row.co_l2max is None and row.co_sup is None for row in rows[:3])
+        errors = [(row.tau, row.err_sup) for row in rows[3:]]
+        assert [row.co_sup for row in rows[4:]] == convergence_order(errors)
+        assert ",,0.00000e+00,," in emit(report, "csv")

@@ -390,7 +390,7 @@ def test_blocks_are_slices_of_the_tables():
     a_table, b_table = coeff_a_array(order, n), coeff_b_array(order, n)
     coeffs = kernels._b_series_coefficients(order.alpha)
     for start, stop in ((0, 1), (0, 5), (1, 4), (3, 40), (_BLOCK - 1, n + 1)):
-        block = kernels._Block(order, start, stop)
+        block = kernels._Block(order, start, stop, order.sigma)
         assert np.array_equal(block.a(), a_table[start:stop])
         assert np.array_equal(block.b(coeffs), b_table[start:stop], equal_nan=True)
         # j + sigma of the block's indices j >= 1, for the tail bound
@@ -501,6 +501,46 @@ def test_b_above_the_series_cutoff_keeps_its_digits(alpha):
     )
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        1e-9,
+        0.1,
+        0.5,
+        0.9,
+        0.999999999999,
+        0.9999999999999,
+        0.999999999999999,
+        0.9999999999999999,
+    ],
+)
+def test_a_table_keeps_its_digits_at_both_shifts(alpha):
+    """``a_l`` at shift ``sigma`` (:func:`coeff_a_array`) and at shift 1 (the
+    ``l1`` weights, ``scale * a_l``) against the closed form in 60-digit
+    arithmetic at the stored ``sigma``, for indices up to 3*10^6.  The
+    closed form cancels about ``log10(l / (1-alpha))`` of its digits, at
+    most 22 here."""
+    mpmath = pytest.importorskip("mpmath")
+    order = FractionalOrder(alpha)
+    indices = np.array([0, 1, 2, 3, 5, 10, 100, _BLOCK, _BLOCK + 1, 10**5, 10**6])
+    indices = np.append(indices, 3 * 10**6)
+    n = int(indices[-1])
+    scale = kernels._derivative_scale(order, 1.0)
+    tables = (
+        (order.sigma, 1.0, coeff_a_array(order, n)),
+        (1.0, scale, weights(order, n, 1.0, L1)),
+    )
+    for shift, factor, table in tables:
+        with mpmath.workdps(60):
+            p, s = 1 - mpmath.mpf(alpha), mpmath.mpf(shift)
+            expected = [float(mpmath.mpf(factor) * s**p)]
+            expected += [
+                float(mpmath.mpf(factor) * ((l + s) ** p - (l - 1 + s) ** p))
+                for l in indices[1:].tolist()
+            ]
+        np.testing.assert_allclose(table[indices], expected, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("kind", [L21SIGMA, L1])
 def test_audit_memory_is_one_block(kind):
     """The streamed audit holds a few blocks, not arrays of ``j_max``
@@ -522,6 +562,14 @@ def test_audit_weight_family_j0():
 def test_weights_rejects_negative_index():
     with pytest.raises(ValueError):
         weights(FractionalOrder(0.5), -1, 0.1)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.inf, math.nan])
+def test_weights_rejects_a_step_that_is_not_positive_and_finite(tau):
+    """An infinite step would scale every weight to zero."""
+    for kind in (L21SIGMA, L1):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            weights(FractionalOrder(0.5), 3, tau, kind)
 
 
 def test_weights_rejects_unknown_family():

@@ -1019,9 +1019,9 @@ def test_energy_probe_validation():
 
 
 def test_provider_validation():
-    """The probe's step size must be positive."""
+    """The probe's step size must be positive and finite."""
     order = FractionalOrder(0.5)
-    for tau in (0.0, -1.0):
+    for tau in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="step size"):
             energy_inequality_probe(order, tau, [0.0, 1.0])
 
