@@ -207,8 +207,8 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[Rep
                     (
                         problem.length / level.nx,
                         problem.horizon / nt,
-                        summary.l2max if "l2max" in plan.norms else None,
-                        summary.sup if "sup" in plan.norms else None,
+                        summary.l2max,
+                        summary.sup,
                         bool(lhs <= rhs),
                     )
                 )
@@ -222,9 +222,9 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[Rep
             nt=nt,
             h=h,
             tau=tau,
-            err_l2max=err_l2max,
+            err_l2max=err_l2max if "l2max" in plan.norms else None,
             co_l2max=None,
-            err_sup=err_sup,
+            err_sup=err_sup if "sup" in plan.norms else None,
             co_sup=None,
             seconds=seconds,
             apriori_ok=apriori_ok,

@@ -560,7 +560,11 @@ def energy_inequality_probe(
     ``series`` holds ``v^0 .. v^{J+1}``; target indices ``0 .. J`` are probed.
     All margins are provably nonnegative whenever the weights satisfy the
     inequalities :func:`audit_weight_family` checks, so negative margins
-    beyond rounding indicate a broken weight family.
+    beyond rounding indicate a broken weight family.  The ``previous``
+    margin divides by the newest gap ``g_j - g_{j-1}``, which must be
+    positive in the stored doubles; below ``alpha`` of about ``1e-17``,
+    ``1 - alpha`` rounds to 1, ``c_0 == c_1``, and a ``ValueError`` naming
+    ``alpha`` is raised.
     """
     scale = _derivative_scale(order, tau)
     v = np.asarray(series, dtype=float)
@@ -587,6 +591,10 @@ def energy_inequality_probe(
         dv_sq = float(np.dot(g, diffs_sq[: j + 1]))
         g_new = float(g[-1])
         gap = g_new - float(g[-2]) if j >= 1 else g_new
+        if not gap > 0.0:
+            raise ValueError(
+                f"alpha={order.alpha!r} is too small: the newest weight gap is {gap!r}"
+            )
         newest[j] = v[j + 1] * dv - 0.5 * dv_sq - dv * dv / (2.0 * g_new)
         previous[j] = v[j] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
         blend_value = sigma * v[j + 1] + (1.0 - sigma) * v[j]

@@ -398,13 +398,11 @@ def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
     return pinned
 
 
-#: Each step sums the sources of its own window of this many steps directly;
-#: the older ones arrive in dyadic blocks of at least this many.  A block of
-#: exactly this many is one dense Toeplitz product with the window's ring of
-#: sources; a larger one goes through an FFT of twice its length.  Larger
-#: dense blocks would keep the Toeplitz matrices in memory (8 MB for a block
-#: of 1024) and hand OpenBLAS products large enough to start its second
-#: thread, for no gain in wall time on the study tables.
+#: The largest dyadic block of the history that is a dense Toeplitz product
+#: with the ring of the newest sources; a larger block goes through an FFT of
+#: twice its length.  Larger dense blocks would keep the Toeplitz matrices in
+#: memory (8 MB for a block of 1024) and hand OpenBLAS products large enough
+#: to start its second thread, for no gain in wall time on the study tables.
 _WINDOW = 64
 #: Working-set budget in bytes: the padded block one FFT pass transforms
 #: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
@@ -424,30 +422,31 @@ class _CausalConvolution:
     ``term(j)`` is called for ``j = 0, 1, 2, ...`` in turn, once rows ``0 ..
     j`` hold solved layers; it completes ``acc[j]`` in row ``j+1``.  It first
     takes the newest difference ``src[j-1]`` into a ring of the ``_WINDOW``
-    latest, row ``s % _WINDOW``, so that the sources of the current window,
-    ``[j - j % _WINDOW, j)``, are a prefix of the ring.  Source 0 enters
-    every target at once, when ``term(1)`` is called.  A pair ``1 <= s < t``
-    inside one window is summed by target ``t`` itself, in one batched
-    product of each order's lags with its window.  Any other pair is added
-    exactly once, at the highest bit where ``s`` and ``t`` differ: at ``j =
-    t`` with that bit and the ones below it cleared, ``term(j)`` adds the
-    ``L = j & -j >= _WINDOW`` sources ``[j-L, j)`` into the targets ``[j,
-    j+L)``.  A block is taken one order's slab at a time.  A block of ``L
-    = _WINDOW`` is the whole ring, the slab's product with that order's
-    Toeplitz matrix of lags ``1 .. 2L-1`` in one BLAS call; a larger one is
-    a circular convolution of length ``2L`` through ``numpy.fft`` (the
+    latest, row ``s % _WINDOW``.  Source 0 enters every target at once, when
+    ``term(1)`` is called.  Every other pair ``1 <= s < t`` is added exactly
+    once, at the highest bit where ``s`` and ``t`` differ: at ``j = t`` with
+    the bits below that one cleared, ``term(j)`` adds the ``L = j & -j``
+    sources ``[j-L, j)`` into the targets ``[j, j+L)``.  So each step ``j >=
+    2`` adds one block, and drops source 0 from it when ``j = L``.
+
+    A block of ``L <= _WINDOW`` sources is a run of ring rows, as ``L``
+    divides both ``j`` and ``_WINDOW``.  It is multiplied by each order's
+    ``L x L`` Toeplitz matrix of lags ``1 .. 2L-1``, the top right corner of
+    the one of the largest dense block, in one ``matmul`` batched over the
+    orders.  A larger block is taken one order's slab at a time, as a
+    circular convolution of length ``2L`` through ``numpy.fft`` (the
     pocketfft that ``scipy.fft`` wraps, bitwise the same sums, without
-    importing scipy) with the order's lag spectrum, its sources subtracted
-    from the layers straight into the padded block, over chunks of the
-    slab's columns of at most ``_CHUNK_BYTES``.  Each chunk takes fresh
-    arrays: reused per-size buffers through ``out=`` left a compact-history
-    pass no faster.  The matrices and spectra are cached per ``L``.  A
-    block always computes its full ``L`` target rows and drops those past
-    the last row only when adding them, so ``acc[t]`` does not depend on the
-    number of rows.  ``lags`` must reach lag ``2L-1`` of the largest block,
-    ``L <= len(values) - 2``, and ``tail`` must reach ``len(values) - 2``.
-    Cost ``O(n log^2 n + n * _WINDOW)`` per column for ``n`` rows, and memory
-    beyond the layers of ``_WINDOW`` rows and one chunk.
+    importing scipy) with the order's lag spectrum, cached per ``L``.  Its
+    sources are subtracted from the layers straight into the padded block,
+    over chunks of the slab's columns of at most ``_CHUNK_BYTES``.  Each
+    chunk takes fresh arrays: reused per-size buffers through ``out=`` left
+    a compact-history pass no faster.  A block always computes its full
+    ``L`` target rows and drops those past the last row only when adding
+    them, so ``acc[t]`` does not depend on the number of rows.  ``lags``
+    must reach lag ``2L-1`` of the largest block, ``L <= len(values) - 2``,
+    and ``tail`` must reach ``len(values) - 2``.  Cost ``O(n log^2 n + n *
+    _WINDOW)`` per column for ``n`` rows, and memory beyond the layers of
+    ``_WINDOW`` rows and one chunk.
     """
 
     def __init__(self, lags: np.ndarray, tail: np.ndarray, values: np.ndarray):
@@ -462,34 +461,31 @@ class _CausalConvolution:
         self._ring = np.zeros((min(_WINDOW, self._steps), values.shape[1]))
         #: The ring as ``(order, row, column)``.
         self._sources = self._ring.reshape(len(self._ring), orders, -1).transpose(1, 0, 2)
-        #: Lags ``_WINDOW-1 .. 1`` of each order: the last ``m`` of them
-        #: weigh the ``m`` sources before a target.
-        self._near = lags[:, None, _WINDOW - 1 : 0 : -1].copy()
-        self._product = np.empty((orders, 1, self._layers.shape[2]))
-        self._flat_product = self._product.reshape(-1)
-        self._blocks: dict[int, np.ndarray] = {}
+        #: Each order's Toeplitz matrix of lags ``1 .. 2n-1`` for the
+        #: largest dense block ``n`` the lags reach.
+        size = min(_WINDOW, lags.shape[1] // 2)
+        offsets = np.arange(size)
+        self._toeplitz = lags[:, size + offsets[:, None] - offsets[None, :]]
+        self._spectra: dict[int, np.ndarray] = {}
 
-    def _block(self, size: int) -> np.ndarray:
-        """Each order's ``size x size`` Toeplitz matrix of lags, or its
-        ``rfft`` over a period of ``2*size`` (lag 0 set to zero)."""
-        block = self._blocks.get(size)
-        if block is None:
-            if size == _WINDOW:
-                offsets = np.arange(size)
-                block = self.lags[:, size + offsets[:, None] - offsets[None, :]]
-            else:
-                period = np.zeros((self.lags.shape[0], 2 * size))
-                period[:, 1:] = self.lags[:, 1 : 2 * size]
-                block = np.fft.rfft(period, axis=1)
-            self._blocks[size] = block
-        return block
+    def _spectrum(self, size: int) -> np.ndarray:
+        """Each order's lags ``1 .. 2*size-1`` transformed by ``rfft`` over
+        a period of ``2*size`` (lag 0 set to zero)."""
+        spectrum = self._spectra.get(size)
+        if spectrum is None:
+            period = np.zeros((self.lags.shape[0], 2 * size))
+            period[:, 1:] = self.lags[:, 1 : 2 * size]
+            spectrum = self._spectra[size] = np.fft.rfft(period, axis=1)
+        return spectrum
 
     def term(self, j: int) -> None:
         """Complete ``acc[j]`` in layer ``j+1``; layers ``0 .. j`` must be
         solved."""
+        if not j:
+            return
         values = self._values
-        if j:
-            np.subtract(values[j], values[j - 1], self._ring[(j - 1) % _WINDOW])
+        newest = (j - 1) % _WINDOW
+        np.subtract(values[j], values[j - 1], self._ring[newest])
         if j == 1:
             # Nothing has reached the accumulator yet.
             np.multiply(
@@ -497,51 +493,39 @@ class _CausalConvolution:
                 self._sources[:, 0],
                 self._layers[2:],
             )
-        elif j and not j % _WINDOW:
-            self._add_block(j)
-        end = j % _WINDOW
-        near = min(end, j - 1)
-        if near > 0:
-            np.matmul(
-                self._near[:, :, -near:], self._sources[:, end - near : end], self._product
-            )
-            np.add(values[j + 1], self._flat_product, values[j + 1])
+            return
+        size = j & -j
+        targets = self._layers[j + 1 : j + 1 + min(size, self._steps - j)]
+        if size > _WINDOW:
+            self._add_transformed(j, size, targets)
+            return
+        block, first = self._toeplitz[:, :size, -size:], newest + 1 - size
+        if j == size:
+            # Source 0 came in with the tail.
+            block, first = block[:, :, 1:], 1
+        sums = np.matmul(block, self._sources[:, first : newest + 1])
+        np.add(targets, sums[:, : len(targets)].transpose(1, 0, 2), targets)
 
-    def _chunks(self, size: int) -> Iterator[tuple[slice, slice]]:
-        """The ``(order, columns)`` slices a block of ``size`` sources is
-        taken in, one order's slab at a time: a dense block takes the whole
-        slab, so that its product is one BLAS call, rounded alike whatever
-        the budget, and an FFT block takes columns that fit
-        ``_CHUNK_BYTES``."""
+    def _add_transformed(self, j: int, size: int, targets: np.ndarray) -> None:
+        """Add the block of the ``size > _WINDOW`` sources before ``j`` into
+        ``targets`` through FFTs of length ``2*size``, one order's slab at a
+        time, in chunks of columns that fit ``_CHUNK_BYTES``."""
+        first = j - size
+        spectra = self._spectrum(size)
         orders, width = self._layers.shape[1:]
-        columns = width if size == _WINDOW else max(1, _CHUNK_BYTES // (16 * size))
+        columns = max(1, _CHUNK_BYTES // (16 * size))
         for order in range(orders):
             for begin in range(0, width, columns):
-                yield slice(order, order + 1), slice(begin, begin + columns)
-
-    def _add_block(self, j: int) -> None:
-        size = j & -j
-        first = j - size
-        kept = min(size, self._steps - j)
-        targets = self._layers[j + 1 : j + 1 + kept]
-        block = self._block(size)
-        for slab, chunk in self._chunks(size):
-            if size == _WINDOW:
-                skip = 1 if first == 0 else 0
-                sums = np.matmul(
-                    block[slab, :, skip:], self._sources[slab, skip:, chunk]
-                ).transpose(1, 0, 2)
-            else:
+                slab, chunk = slice(order, order + 1), slice(begin, begin + columns)
                 sources = self._layers[first : j + 1, slab, chunk]
                 padded = np.zeros((2 * size,) + sources.shape[1:])
                 np.subtract(sources[1:], sources[:-1], padded[:size])
                 if first == 0:
                     padded[0] = 0.0
                 transform = np.fft.rfft(padded, axis=0)
-                transform *= block[slab].T[:, :, None]
+                transform *= spectra[slab].T[:, :, None]
                 sums = np.fft.irfft(transform, 2 * size, axis=0)
-                sums = sums[size:]
-            targets[:, slab, chunk] += sums[:kept]
+                targets[:, slab, chunk] += sums[size : size + len(targets)]
 
 
 def _march(
@@ -565,9 +549,9 @@ def _march(
     :func:`~subdiff.kernels._l21sigma_layout` (``c_0`` of ``j = 0`` is its
     first tail).  The lag tables and the tails carry each order's derivative
     scale ``tau^-alpha / Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nodes)``: the
-    history term is built by :class:`_CausalConvolution`, which sums each
-    step's own window of the last few differences directly and adds older
-    ones in dyadic blocks, in the layer array itself.
+    history term is built by :class:`_CausalConvolution`, where each step
+    adds one dyadic block of past differences into the sums of the steps
+    ahead, kept in the layer array itself.
 
     Nothing but the right-hand side depends on the solution, so the steps
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``:

@@ -161,21 +161,29 @@ def test_levels_sharing_nt_march_together_in_plan_order():
 
 def test_kernel_plan_rows_fill_both_error_columns():
     """A kernel plan names its weight family in ``scheme`` and measures the
-    monomial's error with it."""
-    for scheme, co in ((L21SIGMA, 2.33), (L1, 1.38)):
+    monomial's error with it; it fills the columns of ``norms`` only."""
+    for norms, scheme, co in (
+        (("l2max", "sup"), L21SIGMA, 2.33),
+        (("l2max", "sup"), L1, 1.38),
+        (("sup",), L21SIGMA, 2.33),
+        (("sup",), L1, 1.38),
+    ):
         plan = StudyPlan(
             table_id="T1",
             problem_id=None,
             scheme=scheme,
             alphas=(0.5,),
             levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
-            norms=("l2max", "sup"),
+            norms=norms,
             co_step="tau",
         )
         report = run_study(plan)
         for row in report.rows:
             assert row.h is None
-            assert row.err_l2max == row.err_sup
+            if "l2max" in norms:
+                assert row.err_l2max == row.err_sup
+            else:
+                assert row.err_l2max is None and row.co_l2max is None
             assert row.err_sup == monomial_error(FractionalOrder(0.5), row.nt, scheme)[0]
             assert row.apriori_ok is None
         assert report.rows[1].co_sup == pytest.approx(co, abs=0.01)

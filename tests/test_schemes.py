@@ -159,8 +159,8 @@ def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
 def test_every_layer_matches_the_dense_march(runner, make_problem, scheme):
     """Every layer of a run of two orders marched together is the paper's
     scheme marched densely with Alikhanov's closed-form weights.  At nt =
-    300 the history takes the dense block of 64 and the FFT blocks of 128
-    and 256, the last of them clipped at the final step."""
+    300 the history takes dense blocks of 1 to 64 steps and the FFT blocks
+    of 128 and 256, the last of them clipped at the final step."""
     orders = (FractionalOrder(0.3), FractionalOrder(0.8))
     problems = tuple(make_problem(order) for order in orders)
     nx, nt = 8, 300
@@ -197,7 +197,8 @@ def test_step_compact_matches_run_bitwise():
 )
 def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
     """At nt = 200 the block of L = 128 differences takes the FFT path and is
-    clipped at the last step; the full run must still replay the half run."""
+    clipped at the last step, as the dense block of L = 64 is in the half
+    run; the full run must still replay the half run."""
     order = FractionalOrder(0.5)
     _replays_prefix_bitwise(runner, make_problem(order), order, 10, 200)
 
@@ -264,12 +265,14 @@ def _assert_history_matches_direct_sum(orders, nt, columns, seed):
     np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 129, 300, 1000])
+@pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 128, 129, 257, 300, 1000])
 @pytest.mark.parametrize("columns", [1, 7, 40])
 def test_causal_convolution_matches_direct_sum(nt, columns):
-    """Window sums, dense and FFT blocks, clipped at ``nt``, add every pair
-    once; with 40 columns the block of L = 512 is transformed in two column
-    chunks."""
+    """Dense blocks (L <= 64) and FFT blocks, clipped at ``nt``, add every
+    pair once.  At nt = 128 the largest dense block (L = 64) ends on the
+    last row and no FFT block runs; at nt = 129 and 257 the FFT blocks of L
+    = 128 and 256 keep one row.  With 40 columns the block of L = 512 is
+    transformed in two column chunks."""
     _assert_history_matches_direct_sum(1, nt, columns, nt * 10 + columns)
 
 
@@ -277,9 +280,9 @@ def test_causal_convolution_matches_direct_sum(nt, columns):
 @pytest.mark.parametrize("columns", [7, 40])
 def test_causal_convolution_of_several_orders_matches_direct_sum(nt, columns):
     """Each order's slab takes its own lags and tail.  From nt = 300 on the
-    run holds dense blocks (L = 64) and FFT blocks (L = 128, 256); with 40
-    columns per slab the block of L = 512 takes each slab in two column
-    chunks."""
+    run holds dense blocks (L = 1 .. 64, every order in one product) and FFT
+    blocks (L = 128, 256, one slab at a time); with 40 columns per slab the
+    block of L = 512 takes each slab in two column chunks."""
     _assert_history_matches_direct_sum(3, nt, columns, nt * 10 + columns + 1)
 
 
@@ -646,9 +649,9 @@ def test_merged_runs_check_their_inputs(runner):
 
 
 def test_history_lives_in_the_layer_array():
-    """The history sums and the window's differences live in the layers
-    and a ring of 64 rows, so a march at nt = 4096 (FFT blocks up to
-    L = 2048) peaks at well under twice its layer array; full ``(nt,
+    """The history sums live in the layers, and the differences the dense
+    blocks read in a ring of 64 rows, so a march at nt = 4096 (FFT blocks up
+    to L = 2048) peaks at well under twice its layer array; full ``(nt,
     nodes)`` arrays for the sums and the differences would triple it."""
     orders = tuple(FractionalOrder(alpha) for alpha in (0.1, 0.5, 0.9))
     problems = tuple(problem_timecoeff_compact(order) for order in orders)
@@ -1016,6 +1019,14 @@ def test_energy_probe_random_series_nonnegative():
 def test_energy_probe_validation():
     with pytest.raises(ValueError):
         energy_inequality_probe(FractionalOrder(0.5), 0.1, [1.0])
+    # Below alpha = 1e-17, 1 - alpha rounds to 1, so c_0 == c_1 and the
+    # newest gap the previous margin divides by is zero.
+    series = np.sin(np.arange(50.0))
+    for alpha in (1e-17, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"alpha={alpha!r} is too small"):
+            energy_inequality_probe(FractionalOrder(alpha), 0.01, series)
+    probe = energy_inequality_probe(FractionalOrder(1e-16), 0.01, series)
+    assert np.isfinite(probe.previous).all()
 
 
 def test_provider_validation():
