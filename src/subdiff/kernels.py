@@ -575,33 +575,36 @@ def energy_inequality_probe(
     lags, tails = _l21sigma_layout(
         coeff_a_array(order, count - 1), coeff_b_array(order, count - 1), 0
     )
-    lags = scale * lags[::-1]  # lags[-1 - s] = scale * c_s
+    lags = scale * lags  # lags[s] = scale * c_s
     tails = scale * tails
-    newest = np.empty(count)
-    previous = np.empty(count)
-    blended = np.empty(count)
-    term_scale = np.empty(count)
     diffs = np.diff(v)
     diffs_sq = np.diff(v * v)
-    for j in range(count):
-        # g[s] weights v^{s+1} - v^s: scale * (c_j of index j, c_{j-1}, ...,
-        # c_0), so g[-1] multiplies the newest difference.
-        g = np.append(tails[j], lags[count - 1 - j :])
-        dv = float(np.dot(g, diffs[: j + 1]))
-        dv_sq = float(np.dot(g, diffs_sq[: j + 1]))
-        g_new = float(g[-1])
-        gap = g_new - float(g[-2]) if j >= 1 else g_new
-        if not gap > 0.0:
-            raise ValueError(
-                f"alpha={order.alpha!r} is too small: the newest weight gap is {gap!r}"
-            )
-        newest[j] = v[j + 1] * dv - 0.5 * dv_sq - dv * dv / (2.0 * g_new)
-        previous[j] = v[j] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
-        blend_value = sigma * v[j + 1] + (1.0 - sigma) * v[j]
-        blended[j] = blend_value * dv - 0.5 * dv_sq
-        term_scale[j] = max(
-            abs(v[j + 1] * dv), abs(v[j] * dv), abs(dv_sq), dv * dv / (2.0 * g_new)
+    # Index j weighs v^1 - v^0 by its tail and v^{s+1} - v^s by c_{j-s} for
+    # 1 <= s <= j.
+    dv = tails * diffs[0]
+    dv_sq = tails * diffs_sq[0]
+    if count > 1:
+        dv[1:] += np.convolve(diffs[1:], lags)[: count - 1]
+        dv_sq[1:] += np.convolve(diffs_sq[1:], lags)[: count - 1]
+    # The weight of the newest difference, c_0 (a_0 at j = 0), and its gap
+    # to the one before it (the tail c_1 at j = 1, the shared c_1 after).
+    g_new = np.full(count, tails[0])
+    g_new[1:] = lags[:1]
+    gap = g_new.copy()
+    gap[1:2] -= tails[1:2]
+    gap[2:] -= lags[1:2]
+    bad = ~(gap > 0.0)
+    if bad.any():
+        raise ValueError(
+            f"alpha={order.alpha!r} is too small: the newest weight gap is "
+            f"{float(gap[np.argmax(bad)])!r}"
         )
+    newest = v[1:] * dv - 0.5 * dv_sq - dv * dv / (2.0 * g_new)
+    previous = v[:-1] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
+    blended = (sigma * v[1:] + (1.0 - sigma) * v[:-1]) * dv - 0.5 * dv_sq
+    term_scale = np.maximum.reduce(
+        (np.abs(v[1:] * dv), np.abs(v[:-1] * dv), np.abs(dv_sq), dv * dv / (2.0 * g_new))
+    )
     return EnergyProbe(
         newest=newest, previous=previous, blended=blended, term_scale=term_scale
     )

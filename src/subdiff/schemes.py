@@ -10,12 +10,13 @@ Two schemes are provided: a second-order scheme (``O(h^2 + tau^2)``) for
 space-and-time-dependent coefficients, and a compact fourth-order scheme
 (``O(h^4 + tau^2)``) for time-only coefficients.  Both collocate the time
 operator at ``t_{j+sigma}`` and apply the spatial operator to the blend
-``sigma*y^{j+1} + (1-sigma)*y^j``, so they share one marching loop, one
-step formula and one sampler of the coefficients and the source.  They
-differ only in data (``_SCHEMES``): the mass operator ``M`` on the time term
-and the source (the identity for the second-order scheme, ``(1, 10, 1)/12``
-for the compact one), whether the coefficients must depend on time only,
-and the constant of the a priori bound.
+``sigma*y^{j+1} + (1-sigma)*y^j``: a step of either solves ``A y^{j+1} = B
+y^j - M conv + phi`` (``conv`` the history term) with tridiagonal ``A`` and
+``B`` from one builder, in one marching loop with one sampler.  They differ
+only in data (``_SCHEMES``): the mass operator ``M`` on the time term and
+the source (the identity for the second-order scheme, ``(1, 10, 1)/12`` for
+the compact one), whether the coefficients must depend on time only, and
+the constant of the a priori bound.
 
 The module also evaluates the a priori solution bound of a finished run.  The
 weight inequalities and the energy inequalities behind it are checked in
@@ -225,10 +226,11 @@ class _GridGroup:
         slab, as a ``(steps, rows)`` array."""
         return np.repeat(per_order, self.width, axis=1)[:, 1:-1]
 
-    def decouple(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
-        """Make the identity rows of a block of steps' systems and zero the
-        couplings into them."""
-        diag[:, self.edges] = 1.0
+    def decouple(self, rows: TridiagonalRows, identity: float) -> None:
+        """Make the identity rows of a block of steps' operator, with the
+        diagonal value ``identity``, and zero the couplings into them."""
+        sub, diag, sup = rows
+        diag[:, self.edges] = identity
         sub[:, self.edges] = 0.0
         sup[:, self.edges] = 0.0
         sub[:, self.firsts] = 0.0
@@ -310,74 +312,73 @@ def _assemble(
     times: np.ndarray,
     sigmas: np.ndarray,
     weights: np.ndarray,
-) -> tuple[TridiagonalRows, np.ndarray, Callable]:
+) -> tuple[tuple[TridiagonalRows, TridiagonalRows], np.ndarray, Callable]:
     """Assemble a block of steps of ``scheme``: in the slab of order ``o``,
     step ``i`` collocates at ``t = times[i, o]`` with the blend
     ``sigmas[o]`` and the scaled weight ``c_0 = weights[i, o]`` of
     ``y^{j+1} - y^j``.
 
     With the sampled ``a``, ``d`` and ``phi``, the mass operator ``M`` of
-    the scheme and the flux-form stiffness ``K_a y = -(a_{i+1/2} (y_{i+1} -
-    y_i) - a_{i-1/2} (y_i - y_{i-1})) / h^2``, a step solves
+    the scheme, the flux-form stiffness ``K_a y = -(a_{i+1/2} (y_{i+1} -
+    y_i) - a_{i-1/2} (y_i - y_{i-1})) / h^2`` and the history term ``conv =
+    sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` (scaled), a step solves
 
-        ((c_0 + sigma d) M + sigma K_a) y^{j+1}
-            = M (y_w y^j - conv) - (1 - sigma) K_a y^j + phi,
+        A y^{j+1} = B y^j - M conv + phi,
+        A = c_0 M - sigma Lambda       = (c_0 + sigma d) M + sigma K_a,
+        B = c_0 M + (1 - sigma) Lambda = (c_0 - (1 - sigma) d) M - (1 - sigma) K_a,
 
-    with ``y_w = c_0 - (1 - sigma) d`` and the history term ``conv =
-    sum_{s<j} c_{j-s} (y^{s+1} - y^s)`` (scaled).  Returns the rows of
-    every step with the identity rows made, the source at every row, and
-    the right-hand side ``rhs(i, y, out)`` of step ``i``, which reads
-    ``y^j`` from ``y`` (every node) and ``conv`` from ``out`` (the rows) and
-    writes over ``out``.
+    with ``Lambda = -K_a - d M``.  One builder forms the rows of ``A`` and
+    ``B`` of every step, with the identity rows ``(0, 1, 0)`` in ``A`` and
+    zero in ``B``.  Returns ``(A, B)``, the source at every row, and the
+    right-hand side ``rhs(i, y, out)`` of step ``i``, which reads ``y^j``
+    from ``y`` and ``conv`` from ``out`` (every node, the outer two zero),
+    writes over the rows of ``out`` and returns them.
     """
     kind = _SCHEMES[scheme]
     a, d, phi = _sample_block(kind, problems, group, times)
-    mass_off, mass_diag = kind.mass_off, kind.mass_diag
     h_sq = group.h_sq
     sigma = group.spread(sigmas[None, :])[0]
     c0 = group.spread(weights)
-    y_weight = c0 - (1.0 - sigma) * d
-    # The rows are formed in place: a block's memory goes back to the system
-    # before the next block, and touching fresh pages costs more than the
-    # arithmetic.
-    reaction = np.add(c0, sigma * d, c0)
     a_left, a_right = a[:, :-1], a[:, 1:]
-    diag = sigma * (a_left + a_right) / h_sq
-    diag += reaction * mass_diag
-    sub, sup = -sigma * a_left / h_sq, -sigma * a_right / h_sq
-    reaction *= mass_off
-    sub += reaction
-    sup += reaction
-    group.decouple(sub, diag, sup)
-    # Per-row weights that vanish on the identity rows, where y^j, conv and
-    # phi are zero.  They are arrays, which numpy multiplies by faster than
-    # by a Python float.
-    flux_weight = group.interior * (1.0 - sigma) / h_sq
-    off_weight, diag_weight = group.interior * mass_off, group.interior * mass_diag
-    # y_w y^j - conv at every node; the outer two stay zero.
-    w = np.zeros(h_sq.size + 2)
-    w_left, w_mid, w_right = w[:-2], w[1:-1], w[2:]
-    flux = np.empty(h_sq.size + 1)
-    flux_left, flux_right = flux[:-1], flux[1:]
+
+    def operator(m: np.ndarray, s: np.ndarray, identity: float) -> TridiagonalRows:
+        """The rows of ``diag(m) M + diag(s) K_a``; overwrites ``m``."""
+        diag = s * (a_left + a_right) / h_sq
+        diag += m * kind.mass_diag
+        sub, sup = -s * a_left / h_sq, -s * a_right / h_sq
+        m *= kind.mass_off
+        sub += m
+        sup += m
+        group.decouple((sub, diag, sup), identity)
+        return sub, diag, sup
+
+    b_sub, b_diag, b_sup = operator(c0 - (1.0 - sigma) * d, sigma - 1.0, 0.0)
+    # A's mass weight is formed in place: touching fresh pages costs more
+    # than the arithmetic.
+    left = operator(np.add(c0, sigma * d, c0), sigma, 1.0)
+    # Per-row weights of M that vanish on the identity rows.  They are
+    # arrays, which numpy multiplies by faster than by a Python float.
+    off_weight = group.interior * kind.mass_off
+    diag_weight = group.interior * kind.mass_diag
     scratch = np.empty(h_sq.size)
 
     # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
-    # ``out`` holds conv until the second call reads it.
-    def rhs(i: int, y: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(y[1:-1], y_weight[i], w_mid)
-        np.subtract(w_mid, out, w_mid)
-        np.multiply(w_mid, diag_weight, out)
-        np.add(w_left, w_right, scratch)
+    # The rows of ``out`` hold conv, then M conv, then the right-hand side.
+    def rhs(i: int, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rows = out[1:-1]
+        np.add(out[:-2], out[2:], scratch)
         np.multiply(scratch, off_weight, scratch)
-        np.add(out, scratch, out)
-        np.subtract(y[1:], y[:-1], flux)
-        np.multiply(flux, a[i], flux)
-        np.subtract(flux_right, flux_left, scratch)
-        np.multiply(scratch, flux_weight, scratch)
-        np.add(out, scratch, out)
-        np.add(out, phi[i], out)
+        np.multiply(rows, diag_weight, rows)
+        np.add(rows, scratch, rows)
+        np.multiply(b_diag[i], y[1:-1], scratch)
+        np.subtract(scratch, rows, rows)
+        np.multiply(b_sub[i], y[:-2], scratch)
+        np.add(rows, scratch, rows)
+        np.multiply(b_sup[i], y[2:], scratch)
+        np.add(rows, scratch, rows)
+        return np.add(rows, phi[i], rows)
 
-    return (sub, diag, sup), phi, rhs
+    return (left, (b_sub, b_diag, b_sup)), phi, rhs
 
 
 def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
@@ -557,11 +558,11 @@ def _march(
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``:
     :func:`_sample_block` samples each order's callbacks once per block, on
     an array of that order's collocation times, and checks ``k >= c1`` and
-    ``q >= 0`` against that problem's ``c1``; :func:`_assemble` forms the rows of every
-    step of the block and the right-hand side of the one step formula both
-    schemes share.  Each step then completes the history term in
-    ``values[j+1]``, writes its right-hand side from ``y^j`` and that term
-    into the rows of ``values[j+1]``, and ``dgtsv`` solves there in place.
+    ``q >= 0`` against that problem's ``c1``; :func:`_assemble` forms the
+    operators ``A`` and ``B`` of every step of the block, the one step
+    formula both schemes share.  Each step then completes the history term
+    ``conv`` in ``values[j+1]``, writes ``B y^j - M conv + phi`` over its
+    rows, and ``dgtsv`` solves ``A y^{j+1}`` for it there in place.
     The factored pivots land in the block's diagonal and are checked once
     per block, so a zero or denormal pivot raises
     :class:`~subdiff.tridiag.SingularSystemError` at the end of its block,
@@ -598,14 +599,13 @@ def _march(
                 _validate_initial_layer(initial[begin:end], problem.length)
             )
     history = _CausalConvolution(scales[:, None] * lags, scales[:, None] * tails, values)
-    rows = values[:, 1:-1]
     source_norm_sq = np.zeros(len(group.grids))
     block_steps = max(1, _CHUNK_BYTES // (8 * values.shape[1]))
 
     for first in range(0, nt, block_steps):
         steps = np.arange(first, min(first + block_steps, nt))
         c0 = np.where(steps[:, None] == 0, tails[:, 0], lags[:, 0])
-        (sub, diag, sup), phi, rhs = _assemble(
+        ((sub, diag, sup), right), phi, rhs = _assemble(
             scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
         )
         # Each grid's rows run from its first row to the next grid's; the
@@ -617,16 +617,15 @@ def _march(
         )
         for i, j in enumerate(steps.tolist()):
             history.term(j)
-            solution = rows[j + 1]
-            rhs(i, values[j], solution)
-            _solve_core(sub[i], diag[i], sup[i], solution)
+            right_side = rhs(i, values[j], values[j + 1])
+            _solve_core(sub[i], diag[i], sup[i], right_side)
         _check_pivots(diag)
         finite = np.isfinite(values[first + 1 : first + 1 + steps.size]).all(axis=1)
         if not finite.all():
             bad = first + 1 + int(np.argmin(finite))
             raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
         # Free the block's arrays before the next block is assembled.
-        del sub, diag, sup, phi, rhs
+        del sub, diag, sup, right, phi, rhs
 
     values[:, 0] = 0.0
     values[:, -1] = 0.0

@@ -9,11 +9,13 @@ audit on whole arrays.  The solver streams the audit in blocks and stops the
 series at the last term that can change a bit; the tests check that both
 give the same doubles as these.
 
-For the schemes: one step of either scheme, assembled densely from the
-paper's formula and solved with ``numpy.linalg.solve``, and a march of such
-steps whose weights are written out from Alikhanov's closed forms, not taken
-from :mod:`subdiff.kernels`.  The tests check the first layers of a marched
-run against the one step, and every layer against the dense march.
+For the schemes: the dense operators ``A`` and ``B`` of one step of either
+scheme, written from the paper's formula; one step, solved with
+``numpy.linalg.solve``; and a march of such steps whose weights are written
+out from Alikhanov's closed forms, not taken from :mod:`subdiff.kernels`.
+The tests check the solver's tridiagonal operators against the dense ones,
+the first layers of a marched run against the one step, and every layer
+against the dense march.
 
 The solver does not use any of them."""
 
@@ -211,41 +213,29 @@ def dense_l21sigma_march(
     return layers
 
 
-def dense_l21sigma_step(
+def dense_l21sigma_operators(
     problem: ProblemSpec,
     order: FractionalOrder,
     nx: int,
-    tau: float,
-    layers: np.ndarray,
+    t: float,
+    c0: float,
     scheme: str,
-    c: np.ndarray | None = None,
-) -> np.ndarray:
-    """Layer ``j+1`` of one L2-1sigma step on the grid of ``nx`` intervals,
-    from the layers ``y^0 .. y^j`` (rows of ``layers``, boundary nodes
-    included), assembled densely and solved with ``numpy.linalg.solve``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The dense operators of one L2-1sigma step collocated at ``t`` with the
+    scaled weight ``c0`` of ``y^{j+1} - y^j``, on the interior nodes of the
+    grid of ``nx`` intervals: ``(A, B, M, M f(t))`` with
 
-    With ``c_0 .. c_j`` the scaled weights ``c`` (by default those of
-    :func:`subdiff.kernels.weights`) and ``t = (j + sigma) tau``, the step
-    reads
-
-        M [c_0 (y^{j+1} - y^j) + sum_{s<j} c_{j-s} (y^{s+1} - y^s)]
-            = Lambda(sigma y^{j+1} + (1 - sigma) y^j) + M f(t).
+        A = c_0 M - sigma Lambda,    B = c_0 M + (1 - sigma) Lambda.
 
     ``scheme="second"``: ``M`` is the identity, ``Lambda y = (k_{i+1/2}
     (y_{i+1} - y_i) - k_{i-1/2} (y_i - y_{i-1})) / h^2 - q_i y_i`` with ``k``
     at the half-integer nodes, and ``q``, ``f`` at the interior nodes.
-    ``scheme="compact"``: ``M v = (v_{i-1} + 10 v_i + v_{i+1}) / 12`` over
-    every node (``f`` included), ``Lambda y = k(t) (y_{i+1} - 2 y_i +
-    y_{i-1}) / h^2 - q(t) M y``."""
-    j = len(layers) - 1
+    ``scheme="compact"``: ``M v = (v_{i-1} + 10 v_i + v_{i+1}) / 12`` (``f``
+    taken at every node), ``Lambda y = k(t) (y_{i+1} - 2 y_i + y_{i-1}) /
+    h^2 - q(t) M y``.  ``A``, ``B`` and ``M`` act on the interior nodes,
+    which is all of them for a layer that vanishes at both ends."""
     h = problem.length / nx
     x = np.linspace(0.0, problem.length, nx + 1)
-    t = (j + order.sigma) * tau
-    if c is None:
-        c = weights(order, j, tau)
-    # sum_{s<j} c_{j-s} (y^{s+1} - y^s)
-    memory = c[j:0:-1] @ np.diff(layers, axis=0)
-    y = layers[-1]
     n = nx - 1
     # Every operator maps the nodes 0 .. nx onto the interior rows 1 .. nx-1.
     rows = np.arange(n)
@@ -274,9 +264,45 @@ def dense_l21sigma_step(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     sigma = order.sigma
+    mass, operator = mass[:, 1:-1], operator[:, 1:-1]
+    left = c0 * mass - sigma * operator
+    right = c0 * mass + (1.0 - sigma) * operator
+    return left, right, mass, source
+
+
+def dense_l21sigma_step(
+    problem: ProblemSpec,
+    order: FractionalOrder,
+    nx: int,
+    tau: float,
+    layers: np.ndarray,
+    scheme: str,
+    c: np.ndarray | None = None,
+) -> np.ndarray:
+    """Layer ``j+1`` of one L2-1sigma step on the grid of ``nx`` intervals,
+    from the layers ``y^0 .. y^j`` (rows of ``layers``, boundary nodes
+    included, which vanish), assembled densely and solved with
+    ``numpy.linalg.solve``.
+
+    With ``c_0 .. c_j`` the scaled weights ``c`` (by default those of
+    :func:`subdiff.kernels.weights`), ``t = (j + sigma) tau`` and the
+    operators of :func:`dense_l21sigma_operators`, the step reads
+
+        M [c_0 (y^{j+1} - y^j) + sum_{s<j} c_{j-s} (y^{s+1} - y^s)]
+            = Lambda(sigma y^{j+1} + (1 - sigma) y^j) + M f(t),
+
+    that is ``A y^{j+1} = B y^j - M sum_{s<j} c_{j-s} (y^{s+1} - y^s) + M
+    f(t)``."""
+    j = len(layers) - 1
+    if c is None:
+        c = weights(order, j, tau)
+    left, right, mass, source = dense_l21sigma_operators(
+        problem, order, nx, (j + order.sigma) * tau, c[0], scheme
+    )
+    # sum_{s<j} c_{j-s} (y^{s+1} - y^s)
+    memory = c[j:0:-1] @ np.diff(layers, axis=0)
     inner = slice(1, -1)
-    lhs = c[0] * mass[:, inner] - sigma * operator[:, inner]
-    rhs = mass @ (c[0] * y - memory) + (1.0 - sigma) * (operator @ y) + source
     layer = np.zeros(nx + 1)
-    layer[inner] = np.linalg.solve(lhs, rhs)
+    rhs = right @ layers[-1, inner] - mass @ memory[inner] + source
+    layer[inner] = np.linalg.solve(left, rhs)
     return layer

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_l21sigma_march, dense_l21sigma_step
+from oracles import dense_l21sigma_march, dense_l21sigma_operators, dense_l21sigma_step
 
 from subdiff import schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, convergence_order, error_norms
@@ -167,6 +167,47 @@ def test_every_layer_matches_the_dense_march(runner, make_problem, scheme):
     for problem, order, row in zip(problems, orders, runner(problems, orders, (nx,), nt)):
         dense = dense_l21sigma_march(problem, order, nx, nt, scheme)
         np.testing.assert_allclose(row[0].values, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "make_problem, scheme",
+    [(problem_varcoeff_2nd, "second"), (_compact_problem_with_profile, "compact")],
+)
+def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
+    """The rows of ``A`` and ``B`` that ``_assemble`` forms for a block of
+    three steps of two orders on two grids are, on each grid's interior
+    rows, the diagonals of the dense ``c_0 M - sigma Lambda`` and ``c_0 M +
+    (1 - sigma) Lambda``.  The identity rows between the grids are ``(0, 1,
+    0)`` in ``A`` and zero in ``B``, and neither couples a grid to them."""
+    orders = (FractionalOrder(0.3), FractionalOrder(0.8))
+    problems = tuple(make_problem(order) for order in orders)
+    nxs, tau = (5, 8), 0.25
+    group = schemes._GridGroup(problems[0].length, nxs, len(orders))
+    sigmas = np.array([order.sigma for order in orders])
+    steps = np.arange(3)
+    times = (steps[:, None] + sigmas) * tau
+    c0 = np.array([[weights(order, j, tau)[0] for order in orders] for j in steps])
+    operators, _, _ = schemes._assemble(scheme, problems, group, times, sigmas, c0)
+    spans = iter(group.spans)
+    for o, (problem, order) in enumerate(zip(problems, orders)):
+        for nx, (begin, end) in zip(nxs, spans):
+            rows = slice(begin, end - 2)
+            for i in steps:
+                dense = dense_l21sigma_operators(
+                    problem, order, nx, times[i, o], c0[i, o], scheme
+                )[:2]
+                for (sub, diag, sup), matrix in zip(operators, dense):
+                    for ours, theirs in (
+                        (diag[i, rows], np.diag(matrix)),
+                        (sub[i, rows][1:], np.diag(matrix, -1)),
+                        (sup[i, rows][:-1], np.diag(matrix, 1)),
+                    ):
+                        np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0.0)
+                    assert sub[i, begin] == 0.0 and sup[i, end - 3] == 0.0
+    assert group.edges.size == 2 * (len(nxs) * len(orders) - 1)
+    for rows, identity in zip(operators, (1.0, 0.0)):
+        for part, value in zip(rows, (0.0, identity, 0.0)):
+            assert np.all(part[:, group.edges] == value)
 
 
 def _replays_prefix_bitwise(runner, problem, order, nx, nt):
