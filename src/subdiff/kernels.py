@@ -603,7 +603,7 @@ def energy_inequality_probe(
     previous = v[:-1] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap)
     blended = (sigma * v[1:] + (1.0 - sigma) * v[:-1]) * dv - 0.5 * dv_sq
     term_scale = np.maximum.reduce(
-        (np.abs(v[1:] * dv), np.abs(v[:-1] * dv), np.abs(dv_sq), dv * dv / (2.0 * g_new))
+        (abs(v[1:] * dv), abs(v[:-1] * dv), abs(dv_sq), dv * dv / (2.0 * g_new))
     )
     return EnergyProbe(
         newest=newest, previous=previous, blended=blended, term_scale=term_scale

@@ -4,10 +4,11 @@ For the Caputo derivative: the closed form of a power of ``t`` and an
 adaptive quadrature of the defining integral.  The tests check the discrete
 operators and the manufactured problems against them.
 
-For the weights: the full 40-term series of ``b_l`` and the weight-family
-audit on whole arrays.  The solver streams the audit in blocks and stops the
-series at the last term that can change a bit; the tests check that both
-give the same doubles as these.
+For the weights: the full 40-term series of ``b_l``, the weight-family
+audit on whole arrays, and the energy probe as one pair of dot products per
+index.  The solver streams the audit in blocks, stops the series at the last
+term that can change a bit and convolves the probe's sums; the tests check
+that they give the same doubles as these, or the probe's to rounding.
 
 For the schemes: the dense operators ``A`` and ``B`` of one step of either
 scheme, written from the paper's formula; one step, solved with
@@ -30,6 +31,7 @@ from subdiff.kernels import (
     L1,
     L21SIGMA,
     FractionalOrder,
+    EnergyProbe,
     WeightAudit,
     _Block,
     _assemble_l21sigma,
@@ -160,6 +162,31 @@ def audit_weight_family_whole(
             _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
         )
     )
+
+
+def energy_probe_per_index(order: FractionalOrder, tau: float, series) -> EnergyProbe:
+    """The margins of :func:`subdiff.kernels.energy_inequality_probe`, with
+    each index's discrete derivatives taken as dot products with its weights
+    from :func:`subdiff.kernels.weights`."""
+    v = np.asarray(series, dtype=float)
+    diffs, diffs_sq = np.diff(v), np.diff(v * v)
+    sigma = order.sigma
+    margins = []
+    for j in range(v.size - 1):
+        g = weights(order, j, tau)
+        dv = float(g[::-1] @ diffs[: j + 1])
+        dv_sq = float(g[::-1] @ diffs_sq[: j + 1])
+        gap = g[0] - g[1] if j >= 1 else g[0]
+        quotient = dv * dv / (2.0 * g[0])
+        margins.append(
+            (
+                v[j + 1] * dv - 0.5 * dv_sq - quotient,
+                v[j] * dv - 0.5 * dv_sq + dv * dv / (2.0 * gap),
+                (sigma * v[j + 1] + (1.0 - sigma) * v[j]) * dv - 0.5 * dv_sq,
+                max(abs(v[j + 1] * dv), abs(v[j] * dv), abs(dv_sq), quotient),
+            )
+        )
+    return EnergyProbe(*np.array(margins).T)
 
 
 def closed_form_l21sigma_weights(order: FractionalOrder, nt: int) -> list[np.ndarray]:

@@ -8,7 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_l21sigma_march, dense_l21sigma_operators, dense_l21sigma_step
+from oracles import (
+    dense_l21sigma_march,
+    dense_l21sigma_operators,
+    dense_l21sigma_step,
+    energy_probe_per_index,
+)
 
 from subdiff import schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, convergence_order, error_norms
@@ -1055,6 +1060,22 @@ def test_energy_probe_random_series_nonnegative():
             assert np.all(probe.newest >= -tol)
             assert np.all(probe.previous >= -tol)
             assert np.all(probe.blended >= -tol)
+
+
+def test_energy_probe_matches_the_per_index_sums():
+    """The probe's convolved sums give the margins of one pair of dot
+    products per index, to rounding: ``1e-12`` of the margin or of the
+    largest term, as the sign checks allow."""
+    rng = np.random.default_rng(7)
+    for alpha in (0.7, 1e-9, 1.0 - 1e-12):
+        order = FractionalOrder(alpha)
+        series = rng.standard_normal(120)
+        probe = energy_inequality_probe(order, 0.05, series)
+        reference = energy_probe_per_index(order, 0.05, series)
+        scale = np.maximum(1.0, reference.term_scale)
+        for name in ("newest", "previous", "blended", "term_scale"):
+            ours, theirs = getattr(probe, name), getattr(reference, name)
+            assert np.all(np.abs(ours - theirs) <= 1e-12 * (np.abs(theirs) + scale))
 
 
 def test_energy_probe_validation():
