@@ -336,16 +336,16 @@ def _assemble(
     """
     kind = _SCHEMES[scheme]
     a, d, phi = _sample_block(kind, problems, group, times)
-    h_sq = group.h_sq
     sigma = group.spread(sigmas[None, :])[0]
     c0 = group.spread(weights)
     a_left, a_right = a[:, :-1], a[:, 1:]
 
     def operator(m: np.ndarray, s: np.ndarray, identity: float) -> TridiagonalRows:
         """The rows of ``diag(m) M + diag(s) K_a``; overwrites ``m``."""
-        diag = s * (a_left + a_right) / h_sq
+        weight = s / group.h_sq
+        diag = weight * (a_left + a_right)
         diag += m * kind.mass_diag
-        sub, sup = -s * a_left / h_sq, -s * a_right / h_sq
+        sub, sup = -weight * a_left, -weight * a_right
         m *= kind.mass_off
         sub += m
         sup += m
@@ -360,7 +360,7 @@ def _assemble(
     # arrays, which numpy multiplies by faster than by a Python float.
     off_weight = group.interior * kind.mass_off
     diag_weight = group.interior * kind.mass_diag
-    scratch = np.empty(h_sq.size)
+    scratch = np.empty(group.h_sq.size)
 
     # Outputs go by position: ``out=`` costs numpy a keyword lookup per call.
     # The rows of ``out`` hold conv, then M conv, then the right-hand side.
