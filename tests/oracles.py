@@ -30,8 +30,8 @@ from subdiff.kernels import (
     _B_SERIES_TERMS,
     L1,
     L21SIGMA,
-    FractionalOrder,
     EnergyProbe,
+    FractionalOrder,
     WeightAudit,
     _Block,
     _assemble_l21sigma,

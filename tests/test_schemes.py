@@ -196,16 +196,16 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
     spans = iter(group.spans)
     for o, (problem, order) in enumerate(zip(problems, orders)):
         for nx, (begin, end) in zip(nxs, spans):
-            rows = slice(begin, end - 2)
+            interior = slice(begin, end - 2)
             for i in steps:
                 dense = dense_l21sigma_operators(
                     problem, order, nx, times[i, o], c0[i, o], scheme
                 )[:2]
                 for (sub, diag, sup), matrix in zip(operators, dense):
                     for ours, theirs in (
-                        (diag[i, rows], np.diag(matrix)),
-                        (sub[i, rows][1:], np.diag(matrix, -1)),
-                        (sup[i, rows][:-1], np.diag(matrix, 1)),
+                        (diag[i, interior], np.diag(matrix)),
+                        (sub[i, interior][1:], np.diag(matrix, -1)),
+                        (sup[i, interior][:-1], np.diag(matrix, 1)),
                     ):
                         np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0.0)
                     assert sub[i, begin] == 0.0 and sup[i, end - 3] == 0.0
