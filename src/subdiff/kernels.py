@@ -572,8 +572,8 @@ def energy_inequality_probe(
         raise ValueError(f"series must hold at least two samples, got {v.shape}")
     count = v.size - 1
     sigma = order.sigma
-    lags, tails = _l21sigma_layout(
-        coeff_a_array(order, count - 1), coeff_b_array(order, count - 1), 0
+    lags, tails = _assemble_l21sigma(
+        coeff_a_array(order, count - 1), coeff_b_array(order, count - 1), count - 1
     )
     lags = scale * lags  # lags[s] = scale * c_s
     tails = scale * tails

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -399,11 +399,11 @@ def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
     return pinned
 
 
-#: The largest dyadic block of the history that is a dense Toeplitz product
-#: with the ring of the newest sources; a larger block goes through an FFT of
-#: twice its length.  Larger dense blocks would keep the Toeplitz matrices in
-#: memory (8 MB for a block of 1024) and hand OpenBLAS products large enough
-#: to start its second thread, for no gain in wall time on the study tables.
+#: The largest dyadic block of the history that is a dense Toeplitz product;
+#: a larger block goes through an FFT of twice its length.  Larger dense
+#: blocks would keep the Toeplitz matrices in memory (8 MB for a block of
+#: 1024) and hand OpenBLAS products large enough to start its second thread,
+#: for no gain in wall time on the study tables.
 _WINDOW = 64
 #: Working-set budget in bytes: the padded block one FFT pass transforms
 #: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
@@ -421,47 +421,42 @@ class _CausalConvolution:
     The sums live in the layer array itself: ``acc[t]`` is kept in row
     ``t+1``, which nothing else touches until step ``t`` solves into it.
     ``term(j)`` is called for ``j = 0, 1, 2, ...`` in turn, once rows ``0 ..
-    j`` hold solved layers; it completes ``acc[j]`` in row ``j+1``.  It first
-    takes the newest difference ``src[j-1]`` into a ring of the ``_WINDOW``
-    latest, row ``s % _WINDOW``.  Source 0 enters every target at once, when
-    ``term(1)`` is called.  Every other pair ``1 <= s < t`` is added exactly
-    once, at the highest bit where ``s`` and ``t`` differ: at ``j = t`` with
-    the bits below that one cleared, ``term(j)`` adds the ``L = j & -j``
-    sources ``[j-L, j)`` into the targets ``[j, j+L)``.  So each step ``j >=
-    2`` adds one block, and drops source 0 from it when ``j = L``.
+    j`` hold solved layers; it completes ``acc[j]`` in row ``j+1``.  Source
+    0 enters every target at once, when ``term(1)`` is called.  Every other
+    pair ``1 <= s < t`` is added exactly once, at the highest bit where
+    ``s`` and ``t`` differ: at ``j = t`` with the bits below that one
+    cleared, ``term(j)`` adds the ``L = j & -j`` sources ``[max(j-L, 1),
+    j)`` into the targets ``[j, j+L)``.  So each step ``j >= 2`` adds one
+    block, short of source 0 when ``j = L``.
 
-    A block of ``L <= _WINDOW`` sources is a run of ring rows, as ``L``
-    divides both ``j`` and ``_WINDOW``.  It is multiplied by each order's
-    ``L x L`` Toeplitz matrix of lags ``1 .. 2L-1``, the top right corner of
-    the one of the largest dense block, in one ``matmul`` batched over the
-    orders.  A larger block is taken one order's slab at a time, as a
-    circular convolution of length ``2L`` through ``numpy.fft`` (the
-    pocketfft that ``scipy.fft`` wraps, bitwise the same sums, without
-    importing scipy) with the order's lag spectrum, cached per ``L``.  Its
-    sources are subtracted from the layers straight into the padded block,
-    over chunks of the slab's columns of at most ``_CHUNK_BYTES``.  Each
-    chunk takes fresh arrays: reused per-size buffers through ``out=`` left
-    a compact-history pass no faster.  A block always computes its full
-    ``L`` target rows and drops those past the last row only when adding
-    them, so ``acc[t]`` does not depend on the number of rows.  ``lags``
-    must reach lag ``2L-1`` of the largest block, ``L <= len(values) - 2``,
-    and ``tail`` must reach ``len(values) - 2``.  Cost ``O(n log^2 n + n *
-    _WINDOW)`` per column for ``n`` rows, and memory beyond the layers of
-    ``_WINDOW`` rows and one chunk.
+    Every block subtracts its sources from the layers.  A block of ``L <=
+    _WINDOW`` is multiplied by each order's ``L x L`` Toeplitz matrix of
+    lags ``1 .. 2L-1``, the top right corner of the one of the largest
+    dense block, in one ``matmul`` batched over the orders.  A larger block
+    is taken one order's slab at a time, as a circular convolution of length
+    ``2L`` through ``numpy.fft`` (the pocketfft that ``scipy.fft`` wraps,
+    bitwise the same sums, without importing scipy) with the order's lag
+    spectrum, cached per ``L``, over chunks of the slab's columns of at most
+    ``_CHUNK_BYTES``.  Each chunk takes fresh arrays: reused per-size
+    buffers through ``out=`` left a compact-history pass no faster.  A block
+    always computes its full ``L`` target rows and drops those past the last
+    row only when adding them, so ``acc[t]`` does not depend on the number
+    of rows.  ``lags`` must reach lag ``2L-1`` of the largest block, ``L <=
+    len(values) - 2``, and ``tail`` must reach ``len(values) - 2``.
+
+    Beyond the layers, the object holds only constants of the lags (the
+    Toeplitz corner and the spectra), so one rebuilt over the same layers
+    mid-run continues bit for bit.  Cost ``O(n log^2 n + n * _WINDOW)`` per
+    column for ``n`` rows, and memory beyond the layers of one block's
+    temporaries.
     """
 
     def __init__(self, lags: np.ndarray, tail: np.ndarray, values: np.ndarray):
         self.lags = lags
         self.tail = tail
-        self._values = values
-        orders = lags.shape[0]
         self._steps = values.shape[0] - 1
         #: The layers as ``(layer, order, column)``.
-        self._layers = values.reshape(values.shape[0], orders, -1)
-        # A run of fewer steps than a window needs fewer rows.
-        self._ring = np.zeros((min(_WINDOW, self._steps), values.shape[1]))
-        #: The ring as ``(order, row, column)``.
-        self._sources = self._ring.reshape(len(self._ring), orders, -1).transpose(1, 0, 2)
+        self._layers = values.reshape(values.shape[0], lags.shape[0], -1)
         #: Each order's Toeplitz matrix of lags ``1 .. 2n-1`` for the
         #: largest dense block ``n`` the lags reach.
         size = min(_WINDOW, lags.shape[1] // 2)
@@ -484,45 +479,44 @@ class _CausalConvolution:
         solved."""
         if not j:
             return
-        values = self._values
-        newest = (j - 1) % _WINDOW
-        np.subtract(values[j], values[j - 1], self._ring[newest])
+        layers = self._layers
         if j == 1:
             # Nothing has reached the accumulator yet.
             np.multiply(
                 self.tail[:, 1 : self._steps].T[:, :, None],
-                self._sources[:, 0],
-                self._layers[2:],
+                layers[1] - layers[0],
+                layers[2:],
             )
             return
         size = j & -j
-        targets = self._layers[j + 1 : j + 1 + min(size, self._steps - j)]
+        # The layers of the sources ``[max(j-L, 1), j)``: source 0 came in
+        # with the tail.
+        sources = layers[max(j - size, 1) : j + 1]
+        targets = layers[j + 1 : j + 1 + min(size, self._steps - j)]
         if size > _WINDOW:
-            self._add_transformed(j, size, targets)
+            self._add_transformed(sources, size, targets)
             return
-        block, first = self._toeplitz[:, :size, -size:], newest + 1 - size
-        if j == size:
-            # Source 0 came in with the tail.
-            block, first = block[:, :, 1:], 1
-        sums = np.matmul(block, self._sources[:, first : newest + 1])
+        sums = np.matmul(
+            self._toeplitz[:, :size, 1 - len(sources) :],
+            (sources[1:] - sources[:-1]).transpose(1, 0, 2),
+        )
         np.add(targets, sums[:, : len(targets)].transpose(1, 0, 2), targets)
 
-    def _add_transformed(self, j: int, size: int, targets: np.ndarray) -> None:
-        """Add the block of the ``size > _WINDOW`` sources before ``j`` into
-        ``targets`` through FFTs of length ``2*size``, one order's slab at a
-        time, in chunks of columns that fit ``_CHUNK_BYTES``."""
-        first = j - size
+    def _add_transformed(self, sources: np.ndarray, size: int, targets: np.ndarray) -> None:
+        """Add the differences of the layers ``sources``, the newest slots
+        of a block of ``size > _WINDOW``, into ``targets`` through FFTs of
+        length ``2*size``, one order's slab at a time, in chunks of columns
+        that fit ``_CHUNK_BYTES``."""
         spectra = self._spectrum(size)
-        orders, width = self._layers.shape[1:]
+        orders, width = sources.shape[1:]
         columns = max(1, _CHUNK_BYTES // (16 * size))
+        start = size + 1 - len(sources)
         for order in range(orders):
             for begin in range(0, width, columns):
                 slab, chunk = slice(order, order + 1), slice(begin, begin + columns)
-                sources = self._layers[first : j + 1, slab, chunk]
-                padded = np.zeros((2 * size,) + sources.shape[1:])
-                np.subtract(sources[1:], sources[:-1], padded[:size])
-                if first == 0:
-                    padded[0] = 0.0
+                rows = sources[:, slab, chunk]
+                padded = np.zeros((2 * size,) + rows.shape[1:])
+                np.subtract(rows[1:], rows[:-1], padded[start:size])
                 transform = np.fft.rfft(padded, axis=0)
                 transform *= spectra[slab].T[:, :, None]
                 sums = np.fft.irfft(transform, 2 * size, axis=0)

@@ -6,8 +6,10 @@ a march loads only scipy's LAPACK extension ``scipy.linalg._flapack``, for
 check runs in a fresh interpreter, since ``sys.modules`` of this one already
 holds whatever other tests imported.  This file does not
 import ``oracles``, which loads ``scipy.integrate``, so that it runs where
-scipy is not installed."""
+scipy is not installed.  It also holds the package to importing only names
+it uses, with the standard library's ``ast`` in place of a linter."""
 
+import ast
 import json
 import os
 import subprocess
@@ -89,3 +91,31 @@ def test_solve_loads_lapack_only():
     assert "scipy.linalg._flapack" in loaded
     assert "scipy.linalg" not in loaded
     assert not [m for m in loaded if m.startswith(("scipy.fft", "scipy.special"))]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads; a name in its ``__all__``
+    counts as read, and ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    unused = {
+        path.stem: names
+        for path in sorted((SRC / "subdiff").glob("*.py"))
+        if (names := _unused_imports(path))
+    }
+    assert unused == {}

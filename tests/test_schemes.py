@@ -344,6 +344,24 @@ def test_chunk_budget_does_not_change_the_history_sums(nt, columns, monkeypatch)
     np.testing.assert_array_equal(_history_terms(_CausalConvolution, *data), default)
 
 
+def test_causal_convolution_state_is_the_layer_array():
+    """The history holds nothing of a run but the layer array: rebuilt over
+    the same layers before a dense step (j = 2, 5, 64, 65, 129, 200), with
+    the FFT blocks of L = 128 and 256 on either side, it continues the run
+    bit for bit."""
+    lags, tail, layers = _random_history(3, 300, 7, 3007)
+    whole = _history_terms(_CausalConvolution, lags, tail, layers)
+    values = np.zeros_like(layers)
+    values[0] = layers[0]
+    history = _CausalConvolution(lags, tail, values)
+    for j in range(len(layers) - 1):
+        if j in (2, 5, 64, 65, 129, 200):
+            history = _CausalConvolution(lags, tail, values)
+        history.term(j)
+        np.testing.assert_array_equal(values[j + 1], whole[j], err_msg=f"j = {j}")
+        values[j + 1] = layers[j + 1]
+
+
 def test_compact_group_matches_direct_history(monkeypatch):
     orders = (FractionalOrder(0.6), FractionalOrder(0.2))
     problems = tuple(problem_timecoeff_compact(order) for order in orders)
@@ -695,10 +713,10 @@ def test_merged_runs_check_their_inputs(runner):
 
 
 def test_history_lives_in_the_layer_array():
-    """The history sums live in the layers, and the differences the dense
-    blocks read in a ring of 64 rows, so a march at nt = 4096 (FFT blocks up
-    to L = 2048) peaks at well under twice its layer array; full ``(nt,
-    nodes)`` arrays for the sums and the differences would triple it."""
+    """The history sums live in the layers, and every block reads its
+    differences from them, so a march at nt = 4096 (FFT blocks up to L =
+    2048) peaks at well under twice its layer array; full ``(nt, nodes)``
+    arrays for the sums and the differences would triple it."""
     orders = tuple(FractionalOrder(alpha) for alpha in (0.1, 0.5, 0.9))
     problems = tuple(problem_timecoeff_compact(order) for order in orders)
     tracemalloc.start()
