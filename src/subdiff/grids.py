@@ -3,6 +3,8 @@ convergence orders."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -17,6 +19,10 @@ __all__ = [
 ]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpaceGrid:
     """Uniform mesh of ``n`` subintervals on ``[0, length]``; node ``i`` sits
@@ -27,10 +33,12 @@ class SpaceGrid:
     h: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n):
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 subintervals, got {self.n}")
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
         object.__setattr__(self, "h", self.length / self.n)
 
     def nodes(self) -> np.ndarray:
@@ -99,7 +107,7 @@ _BLOCK_BYTES = 1 << 20
 
 def error_norms(
     history: SolutionHistory,
-    exact: Callable[[np.ndarray, float], np.ndarray],
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> ErrorSummary:
     """Measure ``max_n ||y^n - u(., t_n)||_L2`` and ``max |y - u|`` over the
     whole space-time mesh.  The exact solution is sampled on blocks of

@@ -54,8 +54,14 @@ class StudyPlan:
     scheme: str  # "l21sigma" | "l1" (kernel plans) | "second" | "compact"
     alphas: tuple[float, ...]
     levels: tuple[LevelSpec, ...]
-    norms: tuple[str, ...]
+    norms: tuple[str, ...]  # nonempty, of "l2max" | "sup"
     co_step: str  # "tau" | "h": which step the observed order is measured against
+
+    def __post_init__(self) -> None:
+        if self.co_step not in ("tau", "h"):
+            raise ValueError(f"co_step must be 'tau' or 'h', got {self.co_step!r}")
+        if not self.norms or not set(self.norms) <= {"l2max", "sup"}:
+            raise ValueError(f"norms must name 'l2max' or 'sup', got {self.norms!r}")
 
 
 @dataclass
@@ -180,59 +186,39 @@ def monomial_error(
     return abs(approx - math.gamma(5.0 + order.alpha) / 24.0), tau
 
 
-def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> list[ReportRow]:
+def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> dict:
     """Run every alpha of the plan on the levels that share ``nt``; a PDE
-    scheme marches all of these cells together.  The rows come alpha by
-    alpha, and each row's ``seconds`` is the group's wall time split evenly
-    over its cells."""
+    scheme marches all of these cells together.  Returns each cell's ``(h,
+    tau, err_l2max, err_sup, apriori_ok, seconds)`` keyed by ``(alpha
+    position, level index)``, with ``seconds`` the group's wall time split
+    evenly over its cells."""
     nt = levels[0][1].nt
     orders = [FractionalOrder(alpha) for alpha in plan.alphas]
     start = time.perf_counter()
-    # (h, tau, err_l2max, err_sup, apriori_ok) of each cell, alpha by alpha.
-    outcomes: list[tuple] = []
+    outcomes: dict[tuple[int, int], tuple] = {}
     if plan.problem_id is None:
-        for order in orders:
+        for a, order in enumerate(orders):
             error, tau = monomial_error(order, nt, plan.scheme)
-            outcomes += [(None, tau, error, error, None)] * len(levels)
+            for index, _ in levels:
+                outcomes[a, index] = (None, tau, error, error, None)
     else:
         problems = [get_problem(plan.problem_id, order).spec for order in orders]
         runner = {"second": run_second_order, "compact": run_compact}[plan.scheme]
         nxs = tuple(level.nx for _, level in levels)
         histories = runner(problems, orders, nxs, nt)
-        for problem, order, row in zip(problems, orders, histories):
-            for (_, level), history in zip(levels, row):
+        for a, (problem, order, row) in enumerate(zip(problems, orders, histories)):
+            for (index, level), history in zip(levels, row):
                 summary = error_norms(history, problem.exact)
                 lhs, rhs = a_priori_bound(problem, order, history)
-                outcomes.append(
-                    (
-                        problem.length / level.nx,
-                        problem.horizon / nt,
-                        summary.l2max,
-                        summary.sup,
-                        bool(lhs <= rhs),
-                    )
+                outcomes[a, index] = (
+                    problem.length / level.nx,
+                    problem.horizon / nt,
+                    summary.l2max,
+                    summary.sup,
+                    bool(lhs <= rhs),
                 )
     seconds = (time.perf_counter() - start) / len(outcomes)
-    cells = [(alpha, index, level) for alpha in plan.alphas for index, level in levels]
-    return [
-        ReportRow(
-            alpha=alpha,
-            level=index + 1,
-            nx=level.nx,
-            nt=nt,
-            h=h,
-            tau=tau,
-            err_l2max=err_l2max if "l2max" in plan.norms else None,
-            co_l2max=None,
-            err_sup=err_sup if "sup" in plan.norms else None,
-            co_sup=None,
-            seconds=seconds,
-            apriori_ok=apriori_ok,
-        )
-        for (alpha, index, level), (h, tau, err_l2max, err_sup, apriori_ok) in zip(
-            cells, outcomes
-        )
-    ]
+    return {cell: outcome + (seconds,) for cell, outcome in outcomes.items()}
 
 
 def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
@@ -264,15 +250,33 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
     """Execute every cell of the plan.  The cells that share ``nt``, over
     every alpha, form a group whose cells march together; the groups run one
     after another, and the report keeps plan order (alpha by alpha, level by
-    level)."""
+    level, a repeated alpha in a block of its own)."""
     groups: dict[int, list[tuple[int, LevelSpec]]] = {}
     for index, level in enumerate(plan.levels):
         groups.setdefault(level.nt, []).append((index, level))
-    results = [_run_group(plan, levels) for levels in groups.values()]
-    rows = sorted(
-        (row for group_rows in results for row in group_rows),
-        key=lambda row: (plan.alphas.index(row.alpha), row.level),
-    )
+    cells: dict[tuple[int, int], tuple] = {}
+    for levels in groups.values():
+        cells.update(_run_group(plan, levels))
+    rows = []
+    for a, alpha in enumerate(plan.alphas):
+        for index, level in enumerate(plan.levels):
+            h, tau, err_l2max, err_sup, apriori_ok, seconds = cells[a, index]
+            rows.append(
+                ReportRow(
+                    alpha=alpha,
+                    level=index + 1,
+                    nx=level.nx,
+                    nt=level.nt,
+                    h=h,
+                    tau=tau,
+                    err_l2max=err_l2max if "l2max" in plan.norms else None,
+                    co_l2max=None,
+                    err_sup=err_sup if "sup" in plan.norms else None,
+                    co_sup=None,
+                    seconds=seconds,
+                    apriori_ok=apriori_ok,
+                )
+            )
     return ConvergenceReport(table_id=plan.table_id, rows=_fill_orders(plan, rows))
 
 

@@ -26,13 +26,12 @@ weight inequalities and the energy inequalities behind it are checked in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grids import _BLOCK_BYTES, SolutionHistory, SpaceGrid
+from .grids import _BLOCK_BYTES, SolutionHistory, SpaceGrid, _is_int
 from .kernels import (
     FractionalOrder,
     _assemble_l21sigma,
@@ -256,10 +255,12 @@ _SCHEMES: dict[str, _Scheme] = {
 }
 
 
-def _mass_average(values: np.ndarray) -> np.ndarray:
-    """The compact mass operator at interior nodes:
-    ``(v_{i-1} + 10 v_i + v_{i+1}) / 12``."""
-    return (values[..., :-2] + 10.0 * values[..., 1:-1] + values[..., 2:]) / 12.0
+def _mass_average(kind: _Scheme, v: np.ndarray) -> np.ndarray:
+    """The mass operator ``M`` of ``kind`` at the interior nodes of ``v``
+    (its last axis); the identity returns the view ``v[..., 1:-1]``."""
+    if not kind.mass_off:
+        return v[..., 1:-1]
+    return kind.mass_off * (v[..., :-2] + v[..., 2:]) + kind.mass_diag * v[..., 1:-1]
 
 
 def _sample_block(
@@ -277,9 +278,9 @@ def _sample_block(
     scheme that needs time-only coefficients, or for a problem that gives
     no ``k``, ``q``, each order's ``k_time(t)`` and ``q_time(t)`` are spread
     over its slab; otherwise ``k`` is sampled at the half-integer nodes
-    ``x_{i-1/2}`` and ``q`` at the interior nodes.  ``phi`` is ``f`` at the
-    interior nodes, or, under a mass operator other than the identity, its
-    mass average, which reads ``f`` at the boundary nodes as well.
+    ``x_{i-1/2}`` and ``q`` at the interior nodes.  Under both schemes
+    ``f`` is sampled at every node of the slab, and ``phi`` is its
+    :func:`_mass_average` (zeroed on the identity rows).
     """
     steps, rows = times.shape[0], group.h_sq.size
     a = np.zeros((steps, rows + 1))
@@ -293,11 +294,8 @@ def _sample_block(
         else:
             k = _sample(problem.k, "k", group.midpoints[None, :], t)
             q = _sample(problem.q, "q", group.x_int[None, :], t)
-        if kind.mass_off:
-            slab = slice(o * group.width, (o + 1) * group.width - 2)
-            phi[:, slab] = _mass_average(_sample(problem.f, "f", group.x[None, :], t))
-        else:
-            phi[:, group.live[o]] = _sample(problem.f, "f", group.x_int[None, :], t)
+        slab = slice(o * group.width, (o + 1) * group.width - 2)
+        phi[:, slab] = _mass_average(kind, _sample(problem.f, "f", group.x[None, :], t))
         _coefficient_guard(problem, times[:, o], k.min(axis=1), q.min(axis=1))
         a[:, group.intervals[o]] = k
         d[:, group.live[o]] = q
@@ -566,9 +564,9 @@ def _march(
     the node vector is one slab of the grids of ``nxs`` per order, and every
     node but its first and last is a row of one block-diagonal system (see
     :class:`_GridGroup`), in which the grids' boundary nodes are identity
-    rows.  The two outer boundary nodes are not rows; they carry the
-    history term's zero boundary entries during the march and are reset to
-    zero after it.  Each history records the scheme and ``max_j h
+    rows.  The two outer boundary nodes are not rows; they keep the zeros
+    of the initial layer, which every history block subtracts and adds
+    column by column.  Each history records the scheme and ``max_j h
     ||phi^j||^2`` of the source as it enters the right-hand side.
     """
     if nt < 1:
@@ -621,8 +619,6 @@ def _march(
         # Free the block's arrays before the next block is assembled.
         del sub, diag, sup, right, phi, rhs
 
-    values[:, 0] = 0.0
-    values[:, -1] = 0.0
     times = np.arange(nt + 1) * tau
     histories = [
         SolutionHistory(grid, values[:, begin:end], times, float(norm_sq), scheme)
@@ -632,10 +628,6 @@ def _march(
         tuple(histories[begin : begin + len(nxs)])
         for begin in range(0, len(histories), len(nxs))
     )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _run(
@@ -708,12 +700,11 @@ def a_priori_bound(
     over all layers and ``rhs = ||y^0||^2 + const * max_j ||phi^j||^2`` with
     the source at the collocation times, as the run recorded it in
     ``history.source_norm_sq``.  The norms and the constant are those of the
-    scheme that produced the history, ``history.scheme``.  For the
-    second-order scheme the norms are plain interior L2 norms and
-    ``const = l^2 T^alpha Gamma(1-alpha) / (4 c1)``; for the compact scheme
-    the norms are taken after the mass operator and
-    ``const = l^2 T^alpha Gamma(1-alpha) / c1``.  Stability means
-    ``lhs <= rhs``.
+    scheme that produced the history, ``history.scheme``: L2 norms after its
+    mass operator ``M`` (the identity for the second-order scheme), and
+    ``const = l^2 T^alpha Gamma(1-alpha) / (d c1)`` with ``d = 4`` for the
+    second-order scheme and 1 for the compact one.  Stability means ``lhs <=
+    rhs``.
     """
     if len(history) < 2:
         raise ValueError("history must contain at least one computed step")
@@ -734,7 +725,7 @@ def a_priori_bound(
     sums = np.empty(len(history))
     for first in range(0, len(history), layers):
         block = values[first : first + layers]
-        transformed = _mass_average(block) if kind.mass_off else block[:, 1:-1]
+        transformed = _mass_average(kind, block)
         sums[first : first + layers] = np.sum(transformed * transformed, axis=1)
     layer_norms_sq = history.grid.h * sums
 

@@ -28,6 +28,25 @@ def test_space_grid_rejects_too_few_intervals(n):
         SpaceGrid(n=n, length=1.0)
 
 
+@pytest.mark.parametrize("n", [4.5, 4.0, True, "4"])
+def test_space_grid_rejects_a_non_integer_count(n):
+    """``n = 4.5`` would place the last of six nodes at 1.111 on a domain
+    of length 1."""
+    with pytest.raises(ValueError, match="n must be an int"):
+        SpaceGrid(n=n, length=1.0)
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0])
+def test_space_grid_rejects_a_length_that_is_not_positive_and_finite(length):
+    """``length = inf`` would give the nodes ``[nan, inf, ...]``."""
+    with pytest.raises(ValueError, match="domain length"):
+        SpaceGrid(n=4, length=length)
+
+
+def test_space_grid_accepts_numpy_integers():
+    assert SpaceGrid(n=np.int64(4), length=1.0).h == 0.25
+
+
 def test_l2_norm_hand_value():
     """h = 1/4, interior values (1, 2, 1): norm = sqrt(0.25 * 6).  The
     boundary values are left out of the L2 norm but not of the sup norm."""

@@ -1,5 +1,6 @@
 """Unit tests for study plans, the study runner, and report emission."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,34 @@ def test_study_plan_fast_only_affects_table5():
 def test_study_plan_rejects_unknown_table(table):
     with pytest.raises(ValueError):
         study_plan(table)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("co_step", "tua", "co_step"),
+        ("co_step", None, "co_step"),
+        ("norms", ("supp",), "norms"),
+        ("norms", ("sup", "l2"), "norms"),
+        ("norms", (), "norms"),
+    ],
+)
+def test_study_plan_rejects_a_misspelt_step_or_norm(field, value, message):
+    """A misspelt norm would leave every error and order column empty, and
+    a misspelt ``co_step`` would measure against ``h`` on a PDE plan or
+    fail inside ``convergence_order`` on a kernel plan."""
+    fields = dict(
+        table_id="T1",
+        problem_id=None,
+        scheme=L21SIGMA,
+        alphas=(0.5,),
+        levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
+        norms=("l2max", "sup"),
+        co_step="tau",
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        StudyPlan(**fields)
 
 
 def test_monomial_error_shifted_grid_convention():
@@ -157,6 +186,33 @@ def test_levels_sharing_nt_march_together_in_plan_order():
         assert row.err_l2max == pytest.approx(single.l2max, rel=1e-13)
         assert row.err_sup == pytest.approx(single.sup, rel=1e-13)
         assert row.apriori_ok
+
+
+@pytest.mark.parametrize(
+    "problem_id, scheme, nx",
+    [(None, L21SIGMA, None), ("timecoeff-compact", "compact", 8)],
+    ids=["kernel", "pde"],
+)
+def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
+    """A plan that lists an alpha twice reports two identical blocks, each
+    with its observed orders."""
+    plan = StudyPlan(
+        table_id="T0",
+        problem_id=problem_id,
+        scheme=scheme,
+        alphas=(0.5, 0.5),
+        levels=(LevelSpec(nx=nx, nt=10), LevelSpec(nx=nx, nt=20)),
+        norms=("l2max", "sup"),
+        co_step="tau",
+    )
+    rows = run_study(plan).rows
+    assert [(row.alpha, row.level) for row in rows] == [(0.5, 1), (0.5, 2)] * 2
+    first, second = (
+        [dataclasses.replace(row, seconds=0.0) for row in block]
+        for block in (rows[:2], rows[2:])
+    )
+    assert first == second
+    assert first[1].co_sup is not None and first[1].co_l2max is not None
 
 
 def test_kernel_plan_rows_fill_both_error_columns():

@@ -119,3 +119,43 @@ def test_every_import_is_used():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _private_names_and_reads(path: Path) -> tuple[list[str], set[str]]:
+    """The module-level functions, classes and assignments of ``path``
+    whose names start with a single underscore, and every name the module
+    reads: a name load, an attribute, or an imported name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [target.id for target in targets if isinstance(target, ast.Name)]
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return private, reads
+
+
+def test_every_private_helper_is_read():
+    """A helper, class or constant private to the package must be read
+    somewhere in it; one that nothing reads any more is dead code."""
+    private, reads = {}, set()
+    for path in sorted((SRC / "subdiff").glob("*.py")):
+        private[path.stem], module_reads = _private_names_and_reads(path)
+        reads |= module_reads
+    unread = {
+        module: unread_names
+        for module, names in private.items()
+        if (unread_names := [name for name in names if name not in reads])
+    }
+    assert sum(map(len, private.values())) > 0
+    assert unread == {}

@@ -182,8 +182,9 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
     """The rows of ``A`` and ``B`` that ``_assemble`` forms for a block of
     three steps of two orders on two grids are, on each grid's interior
     rows, the diagonals of the dense ``c_0 M - sigma Lambda`` and ``c_0 M +
-    (1 - sigma) Lambda``.  The identity rows between the grids are ``(0, 1,
-    0)`` in ``A`` and zero in ``B``, and neither couples a grid to them."""
+    (1 - sigma) Lambda``, and the source is the dense ``M f``.  The identity
+    rows between the grids are ``(0, 1, 0)`` in ``A`` and zero in ``B`` and
+    the source, and neither operator couples a grid to them."""
     orders = (FractionalOrder(0.3), FractionalOrder(0.8))
     problems = tuple(make_problem(order) for order in orders)
     nxs, tau = (5, 8), 0.25
@@ -192,15 +193,16 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
     steps = np.arange(3)
     times = (steps[:, None] + sigmas) * tau
     c0 = np.array([[weights(order, j, tau)[0] for order in orders] for j in steps])
-    operators, _, _ = schemes._assemble(scheme, problems, group, times, sigmas, c0)
+    operators, phi, _ = schemes._assemble(scheme, problems, group, times, sigmas, c0)
     spans = iter(group.spans)
     for o, (problem, order) in enumerate(zip(problems, orders)):
         for nx, (begin, end) in zip(nxs, spans):
             interior = slice(begin, end - 2)
             for i in steps:
-                dense = dense_l21sigma_operators(
+                *dense, _, source = dense_l21sigma_operators(
                     problem, order, nx, times[i, o], c0[i, o], scheme
-                )[:2]
+                )
+                np.testing.assert_allclose(phi[i, interior], source, rtol=1e-14, atol=0.0)
                 for (sub, diag, sup), matrix in zip(operators, dense):
                     for ours, theirs in (
                         (diag[i, interior], np.diag(matrix)),
@@ -213,6 +215,7 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
     for rows, identity in zip(operators, (1.0, 0.0)):
         for part, value in zip(rows, (0.0, identity, 0.0)):
             assert np.all(part[:, group.edges] == value)
+    assert np.all(phi[:, group.edges] == 0.0)
 
 
 def _replays_prefix_bitwise(runner, problem, order, nx, nt):
@@ -1190,12 +1193,10 @@ def _whole_history_bound(problem, order, history):
     """The a priori bound with the layer norms summed over the whole history
     at once."""
     alpha = order.alpha
-    values = history.values
+    transformed = schemes._mass_average(schemes._SCHEMES[history.scheme], history.values)
     if history.scheme == "compact":
-        transformed = schemes._mass_average(values)
         const = problem.length**2 * float(history.times[-1]) ** alpha * math.gamma(1.0 - alpha) / problem.c1
     else:
-        transformed = values[:, 1:-1]
         const = (
             problem.length**2 * float(history.times[-1]) ** alpha * math.gamma(1.0 - alpha) / (4.0 * problem.c1)
         )
