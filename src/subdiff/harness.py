@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import convergence_order, error_norms
-from .kernels import L21SIGMA, FractionalOrder, _collocation_offset, weights
+from .grids import _is_int, convergence_order, error_norms
+from .kernels import L1, L21SIGMA, FractionalOrder, _collocation_offset, weights
 from .problems import get_problem
 from .schemes import a_priori_bound, run_compact, run_second_order
 
@@ -58,10 +58,25 @@ class StudyPlan:
     co_step: str  # "tau" | "h": which step the observed order is measured against
 
     def __post_init__(self) -> None:
-        if self.co_step not in ("tau", "h"):
-            raise ValueError(f"co_step must be 'tau' or 'h', got {self.co_step!r}")
+        """Reject malformed geometry here, before any march, naming the field."""
+        if self.problem_id is None:
+            kind, steps, schemes = "a kernel", ("tau",), (L21SIGMA, L1)
+        else:
+            kind, steps, schemes = "a PDE", ("tau", "h"), ("second", "compact")
+        if self.co_step not in steps:
+            raise ValueError(f"co_step of {kind} plan must be in {steps}, got {self.co_step!r}")
         if not self.norms or not set(self.norms) <= {"l2max", "sup"}:
             raise ValueError(f"norms must name 'l2max' or 'sup', got {self.norms!r}")
+        if self.scheme not in schemes:
+            raise ValueError(f"scheme of {kind} plan must be in {schemes}, got {self.scheme!r}")
+        if not self.alphas or not self.levels:
+            raise ValueError(f"alphas and levels must be nonempty, got {self.alphas}, {self.levels}")
+        if self.problem_id is not None and not all(_is_int(level.nx) for level in self.levels):
+            raise ValueError(f"levels of a PDE plan need an int nx, got {self.levels!r}")
+        field = "nt" if self.co_step == "tau" else "nx"
+        counts = [getattr(level, field) for level in self.levels]
+        if any(finer <= coarser for coarser, finer in zip(counts, counts[1:])):
+            raise ValueError(f"levels must refine along co_step: {field} must increase, got {counts}")
 
 
 @dataclass
@@ -189,9 +204,10 @@ def monomial_error(
 def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> dict:
     """Run every alpha of the plan on the levels that share ``nt``; a PDE
     scheme marches all of these cells together.  Returns each cell's ``(h,
-    tau, err_l2max, err_sup, apriori_ok, seconds)`` keyed by ``(alpha
-    position, level index)``, with ``seconds`` the group's wall time split
-    evenly over its cells."""
+    tau, errors, apriori_ok, seconds)`` keyed by ``(alpha position, level
+    index)``: ``h`` and ``tau`` as the run used them, ``errors`` by norm of
+    the plan's ``norms``, and ``seconds`` the group's wall time split evenly
+    over its cells."""
     nt = levels[0][1].nt
     orders = [FractionalOrder(alpha) for alpha in plan.alphas]
     start = time.perf_counter()
@@ -200,57 +216,38 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> dict:
         for a, order in enumerate(orders):
             error, tau = monomial_error(order, nt, plan.scheme)
             for index, _ in levels:
-                outcomes[a, index] = (None, tau, error, error, None)
+                outcomes[a, index] = (None, tau, dict.fromkeys(plan.norms, error), None)
     else:
         problems = [get_problem(plan.problem_id, order).spec for order in orders]
-        runner = {"second": run_second_order, "compact": run_compact}[plan.scheme]
-        nxs = tuple(level.nx for _, level in levels)
-        histories = runner(problems, orders, nxs, nt)
+        runner = run_second_order if plan.scheme == "second" else run_compact
+        histories = runner(problems, orders, tuple(level.nx for _, level in levels), nt)
         for a, (problem, order, row) in enumerate(zip(problems, orders, histories)):
-            for (index, level), history in zip(levels, row):
+            for (index, _), history in zip(levels, row):
                 summary = error_norms(history, problem.exact)
                 lhs, rhs = a_priori_bound(problem, order, history)
-                outcomes[a, index] = (
-                    problem.length / level.nx,
-                    problem.horizon / nt,
-                    summary.l2max,
-                    summary.sup,
-                    bool(lhs <= rhs),
-                )
+                errors = {norm: getattr(summary, norm) for norm in plan.norms}
+                outcomes[a, index] = (history.grid.h, float(history.times[1]), errors, bool(lhs <= rhs))
     seconds = (time.perf_counter() - start) / len(outcomes)
     return {cell: outcome + (seconds,) for cell, outcome in outcomes.items()}
 
 
-def _fill_orders(plan: StudyPlan, rows: list[ReportRow]) -> list[ReportRow]:
-    """Attach observed orders within each alpha block (first level empty).
-    An order next to an exact (zero) error has no logarithm and stays
-    empty."""
-    per_alpha = len(plan.levels)
-    if per_alpha < 2:
-        return rows
-    for block_start in range(0, len(rows), per_alpha):
-        block = rows[block_start : block_start + per_alpha]
-        steps = [row.tau if plan.co_step == "tau" else row.h for row in block]
-        for field_err, field_co in (
-            ("err_l2max", "co_l2max"),
-            ("err_sup", "co_sup"),
-        ):
-            errors = [getattr(row, field_err) for row in block]
-            if any(e is None for e in errors):
-                continue
-            levels = list(zip(steps, errors))
-            for offset in range(1, len(block)):
-                if errors[offset - 1] > 0.0 and errors[offset] > 0.0:
-                    (value,) = convergence_order(levels[offset - 1 : offset + 1])
-                    setattr(block[offset], field_co, value)
-    return rows
+def _orders(steps: list[float], errors: list[Optional[float]]) -> list[Optional[float]]:
+    """Observed order of each level of one alpha block against the level
+    before it: none on the first level, and none next to a missing error or
+    an exact (zero) one, which has no logarithm."""
+    levels = list(zip(steps, errors))
+    return [None] + [
+        convergence_order(pair)[0] if all(e is not None and e > 0.0 for _, e in pair) else None
+        for pair in zip(levels, levels[1:])
+    ]
 
 
 def run_study(plan: StudyPlan) -> ConvergenceReport:
     """Execute every cell of the plan.  The cells that share ``nt``, over
     every alpha, form a group whose cells march together; the groups run one
-    after another, and the report keeps plan order (alpha by alpha, level by
-    level, a repeated alpha in a block of its own)."""
+    after another.  The report keeps plan order (alpha by alpha, level by
+    level, a repeated alpha in a block of its own), and each row is built
+    once, with its observed orders against ``plan.co_step``."""
     groups: dict[int, list[tuple[int, LevelSpec]]] = {}
     for index, level in enumerate(plan.levels):
         groups.setdefault(level.nt, []).append((index, level))
@@ -259,8 +256,11 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
         cells.update(_run_group(plan, levels))
     rows = []
     for a, alpha in enumerate(plan.alphas):
-        for index, level in enumerate(plan.levels):
-            h, tau, err_l2max, err_sup, apriori_ok, seconds = cells[a, index]
+        block = [cells[a, index] for index in range(len(plan.levels))]
+        steps = [h if plan.co_step == "h" else tau for h, tau, *_ in block]
+        errors = {norm: [cell[2].get(norm) for cell in block] for norm in ("l2max", "sup")}
+        orders = {norm: _orders(steps, column) for norm, column in errors.items()}
+        for index, (level, (h, tau, _, apriori_ok, seconds)) in enumerate(zip(plan.levels, block)):
             rows.append(
                 ReportRow(
                     alpha=alpha,
@@ -269,15 +269,15 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
                     nt=level.nt,
                     h=h,
                     tau=tau,
-                    err_l2max=err_l2max if "l2max" in plan.norms else None,
-                    co_l2max=None,
-                    err_sup=err_sup if "sup" in plan.norms else None,
-                    co_sup=None,
+                    err_l2max=errors["l2max"][index],
+                    co_l2max=orders["l2max"][index],
+                    err_sup=errors["sup"][index],
+                    co_sup=orders["sup"][index],
                     seconds=seconds,
                     apriori_ok=apriori_ok,
                 )
             )
-    return ConvergenceReport(table_id=plan.table_id, rows=_fill_orders(plan, rows))
+    return ConvergenceReport(table_id=plan.table_id, rows=rows)
 
 
 def _format_float(value: Optional[float], digits: int = 5) -> str:
@@ -291,20 +291,18 @@ def _format_order(value: Optional[float]) -> str:
 def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     """Render the report; CSV uses the fixed header
     ``alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup,seconds``, and
-    markdown the same columns with four-digit errors and the alpha of each
-    block on its first row only."""
+    markdown the same columns with four-digit errors and the alpha on the
+    first level of each block only, so a repeated alpha shows on both of
+    its blocks."""
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}")
     markdown = fmt == "markdown"
     error_digits = 4 if markdown else 5
     table: list[tuple[str, ...]] = []
-    previous_alpha: Optional[float] = None
     for row in report.rows:
-        repeated = markdown and row.alpha == previous_alpha
-        previous_alpha = row.alpha
         table.append(
             (
-                "" if repeated else f"{row.alpha:g}",
+                "" if markdown and row.level > 1 else f"{row.alpha:g}",
                 str(row.level),
                 _format_float(row.h),
                 _format_float(row.tau),

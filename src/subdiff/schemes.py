@@ -532,7 +532,10 @@ def _march(
     ``[0, horizon]``, for every order of ``orders`` with its problem of
     ``problems``, on every grid of ``nxs`` space subintervals at once;
     ``scheme`` names the scheme's data in ``_SCHEMES``.
-    Returns one history per order and grid, ``histories[o][g]``.
+    Returns one history per order and grid, ``histories[o][g]``.  It first
+    checks its arguments: one problem per order, all on one domain and
+    horizon, a nonempty tuple of int ``nxs``, an int ``nt >= 1``, and
+    time-only coefficients for the compact scheme.
 
     Step ``j -> j+1`` of order ``o`` collocates at ``t_{j+sigma} =
     (j+sigma)*tau`` with that order's ``sigma``.  Its weights ``c_0 .. c_j``
@@ -540,11 +543,12 @@ def _march(
     lag table per order serves the run; only ``c_0`` and the tail ``c_j`` on
     ``y^1 - y^0`` change with ``j``, and both come with the lags from
     :func:`~subdiff.kernels._l21sigma_layout` (``c_0`` of ``j = 0`` is its
-    first tail).  The lag tables and the tails carry each order's derivative
-    scale ``tau^-alpha / Gamma(2-alpha)``.  Cost ``O(nt log^2 nt * nodes)``: the
-    history term is built by :class:`_CausalConvolution`, where each step
-    adds one dyadic block of past differences into the sums of the steps
-    ahead, kept in the layer array itself.
+    first tail).  The lag tables and the tails are scaled in place by each
+    order's ``tau^-alpha / Gamma(2-alpha)``, so ``c_0`` is read scaled.
+    Cost ``O(nt log^2 nt * nodes)``: the history term is built by
+    :class:`_CausalConvolution`, where each step adds one dyadic block of
+    past differences into the sums of the steps ahead, kept in the layer
+    array itself.
 
     Nothing but the right-hand side depends on the solution, so the steps
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``:
@@ -569,8 +573,27 @@ def _march(
     column by column.  Each history records the scheme and ``max_j h
     ||phi^j||^2`` of the source as it enters the right-hand side.
     """
+    problems, orders = tuple(problems), tuple(orders)
+    if len(problems) != len(orders) or not orders:
+        raise ValueError(
+            f"need one problem per order, got {len(problems)} problems "
+            f"and {len(orders)} orders"
+        )
+    for name in ("length", "horizon"):
+        if len({getattr(problem, name) for problem in problems}) > 1:
+            raise ValueError(f"problems marched together must share the {name}")
+    if not isinstance(nxs, tuple) or not all(_is_int(n) for n in nxs):
+        raise ValueError(f"nxs must be a tuple of ints, got {nxs!r}")
+    if not nxs:
+        raise ValueError("nxs must name at least one grid")
+    if not _is_int(nt):
+        raise ValueError(f"nt must be an int, got {nt!r}")
     if nt < 1:
         raise ValueError(f"need at least one time step, got {nt}")
+    if _SCHEMES[scheme].time_only and any(p.k_time is None for p in problems):
+        raise SchemeCompatibilityError(
+            f"{scheme} scheme requires time-only coefficients (k_time and q_time)"
+        )
     group = _GridGroup(problems[0].length, nxs, len(orders))
     tau = problems[0].horizon / nt
     sigmas = np.array([order.sigma for order in orders])
@@ -582,6 +605,8 @@ def _march(
     for o, order in enumerate(orders):
         a, b = coeff_a_array(order, n_table), coeff_b_array(order, n_table)
         lags[o], tails[o] = _assemble_l21sigma(a, b, n_table)
+    lags *= scales[:, None]
+    tails *= scales[:, None]
 
     values = np.zeros((nt + 1, group.width * len(orders)))
     for o, problem in enumerate(problems):
@@ -590,7 +615,7 @@ def _march(
             values[0, o * group.width + begin : o * group.width + end] = (
                 _validate_initial_layer(initial[begin:end], problem.length)
             )
-    history = _CausalConvolution(scales[:, None] * lags, scales[:, None] * tails, values)
+    history = _CausalConvolution(lags, tails, values)
     source_norm_sq = np.zeros(len(group.grids))
     block_steps = max(1, _CHUNK_BYTES // (8 * values.shape[1]))
 
@@ -598,7 +623,7 @@ def _march(
         steps = np.arange(first, min(first + block_steps, nt))
         c0 = np.where(steps[:, None] == 0, tails[:, 0], lags[:, 0])
         ((sub, diag, sup), right), phi, rhs = _assemble(
-            scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, scales * c0
+            scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, c0
         )
         # Each grid's rows run from its first row to the next grid's; the
         # identity rows among them carry no source.
@@ -630,39 +655,6 @@ def _march(
     )
 
 
-def _run(
-    problems: Sequence[ProblemSpec],
-    orders: Sequence[FractionalOrder],
-    nxs: tuple[int, ...],
-    nt: int,
-    scheme: str,
-) -> tuple[tuple[SolutionHistory, ...], ...]:
-    """Check the arguments of a run and march it.  The problems must share
-    the domain and the horizon, and come one per order; ``nxs`` must be a
-    nonempty tuple of integers and ``nt`` an integer.  The compact scheme
-    needs time-only coefficients."""
-    problems, orders = tuple(problems), tuple(orders)
-    if len(problems) != len(orders) or not orders:
-        raise ValueError(
-            f"need one problem per order, got {len(problems)} problems "
-            f"and {len(orders)} orders"
-        )
-    for name in ("length", "horizon"):
-        if len({getattr(problem, name) for problem in problems}) > 1:
-            raise ValueError(f"problems marched together must share the {name}")
-    if not isinstance(nxs, tuple) or not all(_is_int(n) for n in nxs):
-        raise ValueError(f"nxs must be a tuple of ints, got {nxs!r}")
-    if not nxs:
-        raise ValueError("nxs must name at least one grid")
-    if not _is_int(nt):
-        raise ValueError(f"nt must be an int, got {nt!r}")
-    if _SCHEMES[scheme].time_only and any(p.k_time is None for p in problems):
-        raise SchemeCompatibilityError(
-            f"{scheme} scheme requires time-only coefficients (k_time and q_time)"
-        )
-    return _march(problems, orders, nxs, nt, scheme)
-
-
 def run_second_order(
     problems: Sequence[ProblemSpec],
     orders: Sequence[FractionalOrder],
@@ -674,7 +666,7 @@ def run_second_order(
     ``problems``, on every grid of ``nxs`` (a tuple of space subinterval
     counts).  All the cells march together; ``histories[o][g]`` is the run
     of order ``o`` on grid ``g``."""
-    return _run(problems, orders, nxs, nt, "second")
+    return _march(problems, orders, nxs, nt, "second")
 
 
 def run_compact(
@@ -685,7 +677,7 @@ def run_compact(
 ) -> tuple[tuple[SolutionHistory, ...], ...]:
     """Run the compact scheme with the arguments and the result of
     :func:`run_second_order`.  Requires time-only coefficients."""
-    return _run(problems, orders, nxs, nt, "compact")
+    return _march(problems, orders, nxs, nt, "compact")
 
 
 def a_priori_bound(

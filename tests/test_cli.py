@@ -4,7 +4,7 @@ import pytest
 
 from subdiff.cli import main
 from subdiff.grids import convergence_order
-from subdiff.harness import CSV_HEADER, monomial_error
+from subdiff.harness import CSV_HEADER, ConvergenceReport, ReportRow, monomial_error
 from subdiff.kernels import L1, L21SIGMA, FractionalOrder
 
 
@@ -194,6 +194,38 @@ def test_solve_rejects_kernel_case(capsys):
     )
     assert code == 2
     assert "unknown problem id 'caputo-monomial'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nx", ["1", "0"])
+def test_solve_rejects_too_few_intervals(nx, capsys):
+    code = main(
+        ["solve", "--problem", "varcoeff-2nd", "--alpha", "0.5", "--nx", nx, "--nt", "4"]
+    )
+    assert code == 2
+    assert f"need --nx >= 2 and --nt >= 1, got nx={nx} nt=4" in capsys.readouterr().err
+
+
+def test_study5_fast_fails_an_order_outside_the_window(monkeypatch, capsys):
+    """``study --table 5 --fast`` checks the fourth order in space: an
+    observed order outside [3.9, 4.1] fails the command (exit 1) after the
+    report is printed, and an order inside passes."""
+
+    def run_study(plan):
+        cell = dict(alpha=0.5, nx=8, nt=5000, h=0.125, tau=2e-4, err_l2max=1e-5,
+                    err_sup=1e-5, seconds=0.0, apriori_ok=True)
+        rows = [
+            ReportRow(level=1, co_l2max=None, co_sup=None, **cell),
+            ReportRow(level=2, co_l2max=4.0, co_sup=3.5, **cell),
+        ]
+        return ConvergenceReport(plan.table_id, rows)
+
+    monkeypatch.setattr("subdiff.cli.run_study", run_study)
+    assert main(["study", "--table", "5", "--fast"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(CSV_HEADER)
+    assert captured.err.splitlines() == [
+        "assertion failed: observed order 3.5000 outside [3.9, 4.1] at alpha=0.5 level=2"
+    ]
 
 
 def test_study_table1_emits_csv(capsys):

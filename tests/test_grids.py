@@ -166,3 +166,6 @@ def test_convergence_order_validation():
         convergence_order([(0.1, 1.0), (0.2, 0.5)])  # steps must decrease
     with pytest.raises(ValueError):
         convergence_order([(0.1, 1.0), (0.05, 0.0)])  # errors must be positive
+    for step in (0.0, -0.05):
+        with pytest.raises(ValueError, match="step sizes must be positive"):
+            convergence_order([(0.1, 1.0), (step, 0.5)])

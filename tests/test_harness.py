@@ -56,6 +56,23 @@ def test_study_plan_rejects_unknown_table(table):
         study_plan(table)
 
 
+_KERNEL_PLAN = dict(
+    table_id="T0",
+    problem_id=None,
+    scheme=L21SIGMA,
+    alphas=(0.5,),
+    levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
+    norms=("l2max", "sup"),
+    co_step="tau",
+)
+_PDE_PLAN = dict(
+    _KERNEL_PLAN,
+    problem_id="timecoeff-compact",
+    scheme="compact",
+    levels=(LevelSpec(nx=4, nt=10), LevelSpec(nx=8, nt=20)),
+)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -70,18 +87,57 @@ def test_study_plan_rejects_a_misspelt_step_or_norm(field, value, message):
     """A misspelt norm would leave every error and order column empty, and
     a misspelt ``co_step`` would measure against ``h`` on a PDE plan or
     fail inside ``convergence_order`` on a kernel plan."""
-    fields = dict(
-        table_id="T1",
-        problem_id=None,
-        scheme=L21SIGMA,
-        alphas=(0.5,),
-        levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
-        norms=("l2max", "sup"),
-        co_step="tau",
-    )
-    fields[field] = value
     with pytest.raises(ValueError, match=message):
-        StudyPlan(**fields)
+        StudyPlan(**dict(_KERNEL_PLAN, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "base, changes, message",
+    [
+        (_KERNEL_PLAN, dict(alphas=()), "alphas"),
+        (_PDE_PLAN, dict(alphas=()), "alphas"),
+        (_KERNEL_PLAN, dict(levels=()), "levels"),
+        (_KERNEL_PLAN, dict(co_step="h"), "co_step"),
+        (_KERNEL_PLAN, dict(scheme="second"), "scheme"),
+        (_KERNEL_PLAN, dict(scheme="compact"), "scheme"),
+        (_PDE_PLAN, dict(scheme=L21SIGMA), "scheme"),
+        (_PDE_PLAN, dict(scheme=L1), "scheme"),
+        (_KERNEL_PLAN, dict(levels=(LevelSpec(None, 20), LevelSpec(None, 10))), "levels"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8, 10), LevelSpec(8, 10))), "levels"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8, 10), LevelSpec(8, 20)), co_step="h"), "levels"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8, 20), LevelSpec(4, 20)), co_step="h"), "levels"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(None, 10), LevelSpec(None, 20))), "nx"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8.0, 10),)), "nx"),
+    ],
+    ids=[
+        "kernel-no-alphas",
+        "pde-no-alphas",
+        "no-levels",
+        "kernel-co-step-h",
+        "kernel-scheme-second",
+        "kernel-scheme-compact",
+        "pde-scheme-l21sigma",
+        "pde-scheme-l1",
+        "nt-decreasing",
+        "nt-repeated",
+        "nx-repeated",
+        "nx-decreasing",
+        "pde-level-without-nx",
+        "pde-level-float-nx",
+    ],
+)
+def test_study_plan_rejects_geometry_that_would_fail_in_the_run(base, changes, message):
+    """A plan like these would otherwise fail only inside ``run_study``,
+    with an error that does not name the plan's field: a
+    ``ZeroDivisionError`` for a kernel plan without alphas, a ``TypeError``
+    from ``convergence_order`` after every cell ran for a kernel plan
+    measured against ``h``, a ``KeyError`` for a PDE plan with a weight
+    family, and "step sizes must strictly decrease" after every march for
+    levels that do not refine.  A plan without levels would print an empty
+    report."""
+    with pytest.raises(ValueError, match=message) as caught:
+        StudyPlan(**dict(base, **changes))
+    assert type(caught.value) is ValueError
 
 
 def test_monomial_error_shifted_grid_convention():
@@ -195,7 +251,7 @@ def test_levels_sharing_nt_march_together_in_plan_order():
 )
 def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
     """A plan that lists an alpha twice reports two identical blocks, each
-    with its observed orders."""
+    with its observed orders and, in markdown, its alpha."""
     plan = StudyPlan(
         table_id="T0",
         problem_id=problem_id,
@@ -205,7 +261,8 @@ def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
         norms=("l2max", "sup"),
         co_step="tau",
     )
-    rows = run_study(plan).rows
+    report = run_study(plan)
+    rows = report.rows
     assert [(row.alpha, row.level) for row in rows] == [(0.5, 1), (0.5, 2)] * 2
     first, second = (
         [dataclasses.replace(row, seconds=0.0) for row in block]
@@ -213,6 +270,9 @@ def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
     )
     assert first == second
     assert first[1].co_sup is not None and first[1].co_l2max is not None
+    # In markdown each block shows its alpha on its first level.
+    lines = emit(report, "markdown").strip().splitlines()[4:]
+    assert [line.split("|")[1].strip() for line in lines] == ["0.5", "", "0.5", ""]
 
 
 def test_kernel_plan_rows_fill_both_error_columns():

@@ -159,3 +159,12 @@ def test_every_private_helper_is_read():
     }
     assert sum(map(len, private.values())) > 0
     assert unread == {}
+
+
+def test_sources_parse_under_the_oldest_supported_python():
+    """``pyproject.toml`` declares ``requires-python = ">=3.10"``, so every
+    module and test must parse with the Python 3.10 grammar."""
+    paths = sorted((SRC / "subdiff").glob("*.py")) + sorted((SRC.parent / "tests").glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -257,6 +257,9 @@ _L21SIGMA_CHECKS = (
 def test_audit_weights_names():
     audit = audit_weight_family(FractionalOrder(0.5), 5)
     assert tuple(check.name for check in audit.checks) == _L21SIGMA_CHECKS
+    assert audit.check("positivity").name == "positivity"
+    with pytest.raises(KeyError, match="missing"):
+        audit.check("missing")
 
 
 def _per_index_margins(order, j):
@@ -557,6 +560,18 @@ def test_audit_memory_is_one_block(kind):
 def test_audit_weight_family_j0():
     audit = audit_weight_family(FractionalOrder(0.4), 0)
     assert audit.passed
+
+
+@pytest.mark.parametrize("table", [coeff_a_array, coeff_b_array])
+def test_coeff_tables_reject_a_negative_index(table):
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        table(FractionalOrder(0.5), -1)
+
+
+@pytest.mark.parametrize("kind", [L21SIGMA, L1])
+def test_audit_rejects_a_negative_family_bound(kind):
+    with pytest.raises(ValueError, match="family bound must be nonnegative, got -1"):
+        audit_weight_family(FractionalOrder(0.5), -1, kind)
 
 
 def test_weights_rejects_negative_index():

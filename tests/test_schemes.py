@@ -964,6 +964,14 @@ def test_runs_reject_step_counts_that_are_not_int(runner, nt):
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
+@pytest.mark.parametrize("nt", [0, -3])
+def test_runs_need_at_least_one_step(runner, nt):
+    order = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match=f"need at least one time step, got {nt}"):
+        _one(runner, _constant_problem(1.0), order, 8, nt)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
 def test_non_finite_layer_is_rejected(runner):
     """A source that turns NaN from t = 0.5 on poisons layer 3 (t = 0.75) of a
     four-step run first; the run must fail naming that layer."""
@@ -1258,6 +1266,17 @@ def test_a_priori_bound_needs_a_recorded_source_norm():
     hand_built = SolutionHistory(run.grid, run.values, run.times)
     with pytest.raises(ValueError, match="source norm"):
         a_priori_bound(problem, order, hand_built)
+
+
+def test_a_priori_bound_needs_a_computed_step():
+    order = FractionalOrder(0.5)
+    problem = problem_varcoeff_2nd(order)
+    run = _one(run_second_order, problem, order, 8, 4)
+    initial_only = SolutionHistory(
+        run.grid, run.values[:1], run.times[:1], source_norm_sq=1.0, scheme="second"
+    )
+    with pytest.raises(ValueError, match="at least one computed step"):
+        a_priori_bound(problem, order, initial_only)
 
 
 def test_a_priori_bound_rejects_unknown_scheme():
