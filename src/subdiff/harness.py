@@ -71,8 +71,15 @@ class StudyPlan:
             raise ValueError(f"scheme of {kind} plan must be in {schemes}, got {self.scheme!r}")
         if not self.alphas or not self.levels:
             raise ValueError(f"alphas and levels must be nonempty, got {self.alphas}, {self.levels}")
-        if self.problem_id is not None and not all(_is_int(level.nx) for level in self.levels):
-            raise ValueError(f"levels of a PDE plan need an int nx, got {self.levels!r}")
+        if not all(0.0 < alpha < 1.0 for alpha in self.alphas):
+            raise ValueError(f"alphas must lie strictly inside (0, 1), got {self.alphas!r}")
+        if self.problem_id is not None and not all(
+            _is_int(level.nx) and level.nx >= 2 for level in self.levels
+        ):
+            raise ValueError(f"levels of a PDE plan need an int nx >= 2, got {self.levels!r}")
+        least_nt = 2 if self.problem_id is None else 1  # see ``monomial_error``
+        if not all(_is_int(level.nt) and level.nt >= least_nt for level in self.levels):
+            raise ValueError(f"levels of {kind} plan need an int nt >= {least_nt}, got {self.levels}")
         field = "nt" if self.co_step == "tau" else "nx"
         counts = [getattr(level, field) for level in self.levels]
         if any(finer <= coarser for coarser, finer in zip(counts, counts[1:])):

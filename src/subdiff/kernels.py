@@ -260,7 +260,7 @@ class _Block:
     ``lo = l - 1 + shift`` of the indices ``l >= 1`` comes from one integer
     range, which is exact below ``2**53``, so a block's values are the
     doubles of the whole table's.  The range runs one index further:
-    ``j_sigma[i] = j + shift`` of the block's ``i``-th index ``j >= 1`` is the
+    ``j_sigma[i] = j + shift`` of the block's ``i``-th index ``j`` is the
     ``lo`` of index ``j + 1``, the same double.  ``u = 1/lo`` and ``lo_p =
     lo**(1-alpha)`` are the intermediates of both weights.
     """
@@ -271,9 +271,9 @@ class _Block:
         self.order = order
         self.shift = shift
         self.first = 1 if start == 0 else 0  # index 0 has no ``lo``
-        nodes = np.arange(start + self.first - 1, stop, dtype=float)
+        nodes = np.arange(start - 1, stop, dtype=float)
         nodes += shift
-        self.lo, self.j_sigma = nodes[:-1], nodes[1:]
+        self.lo, self.j_sigma = nodes[self.first : -1], nodes[1:]
         self.u = 1.0 / self.lo
         self.lo_p = self.lo ** (1.0 - order.alpha)
 
@@ -287,10 +287,10 @@ class _Block:
         return a
 
     def b(self, coeffs: np.ndarray) -> np.ndarray:
-        """``b_start .. b_{stop-1}`` (``b_0`` is NaN), with the series
+        """``b_start .. b_{stop-1}``, with ``b_0 = 0`` and the series
         coefficients ``coeffs`` of :func:`_b_series_coefficients`."""
         b = np.empty(self.first + self.lo.size)
-        b[: self.first] = np.nan
+        b[: self.first] = 0.0
         rest = b[self.first :]
         # ``lo`` ascends, so the quadrature takes a prefix and the series the rest.
         split = int(np.searchsorted(self.lo, _B_SERIES_CUTOFF))
@@ -325,30 +325,23 @@ def coeff_a_array(order: FractionalOrder, n: int) -> np.ndarray:
 
 
 def coeff_b_array(order: FractionalOrder, n: int) -> np.ndarray:
-    """Vectorized ``b_1 .. b_n``; slot 0 is NaN because ``b_0`` is undefined."""
+    """Vectorized ``b_0 .. b_n``, with ``b_0 = 0`` (see :func:`_l21sigma_layout`)."""
     coeffs = _b_series_coefficients(order.alpha)
     return _coeff_table(
         lambda start, stop: _Block(order, start, stop, order.sigma).b(coeffs), n
     )
 
 
-def _l21sigma_layout(
-    a: np.ndarray, b: np.ndarray, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(lags, tails)`` of the entries ``start, start+1, ...`` of ``a``, ``b``.
-
-    ``lags[i]`` is ``c_s``, ``s = start + i``, of every target index ``j > s``:
-    ``c_0 = a_0 + b_1`` and ``c_s = a_s + b_{s+1} - b_s``.  ``tails[i]`` is
-    ``c_j = a_j - b_j`` of index ``j = start + i``, and ``c_0 = a_0`` of index
-    0.  A block ``a`` of the ``l1`` table is its own layout: ``lags = a[:-1]``
-    and ``tails = a``."""
+def _l21sigma_layout(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lags, tails)`` of the entries ``s, s+1, ...`` that the blocks ``a``,
+    ``b`` hold: ``lags[i] = c_{s+i} = a_{s+i} + b_{s+i+1} - b_{s+i}``, shared
+    by every target index past ``s + i``, and ``tails[i] = c_j = a_j - b_j``
+    of index ``j = s + i``.  With ``b_0 = 0`` these give the first-step ``c_0
+    = a_0`` and ``c_0 = a_0 + b_1`` bitwise, as ``x - 0.0 == x``; with ``b =
+    0`` they give the ``l1`` layout ``lags = a[:-1]``, ``tails = a``."""
     lags = a[:-1] + b[1:]
     lags -= b[:-1]
-    tails = a - b
-    if start == 0:  # b_0 does not exist
-        lags[:1] = a[0] + b[1:2]
-        tails[0] = a[0]
-    return lags, tails
+    return lags, a - b
 
 
 def _assemble_l21sigma(
@@ -359,7 +352,7 @@ def _assemble_l21sigma(
     first-step ``c_0`` and the tails ``c_1 .. c_j`` of the indices ``0 ..
     j`` (see :func:`_l21sigma_layout`).  The weights of index ``j`` are the
     lags followed by ``tails[j]``."""
-    return _l21sigma_layout(a[: j + 1], b[: j + 1], 0)
+    return _l21sigma_layout(a[: j + 1], b[: j + 1])
 
 
 def _collocation_offset(order: FractionalOrder, kind: str) -> float:
@@ -430,23 +423,6 @@ def _finish_check(name: str, margins: np.ndarray | float) -> AuditCheck:
     return AuditCheck(name=name, passed=margin > -AUDIT_TOLERANCE, margin=margin)
 
 
-class _RunningMinima:
-    """The worst margin of each check over the blocks seen so far.
-    ``np.minimum`` keeps a NaN, so each margin is the double a whole-array
-    check would give."""
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self.minima = dict.fromkeys(names, math.inf)
-
-    def add(self, name: str, margins: np.ndarray) -> None:
-        if margins.size:
-            self.minima[name] = np.minimum(self.minima[name], margins.min())
-
-    def audit(self) -> WeightAudit:
-        checks = (_finish_check(name, m) for name, m in self.minima.items())
-        return WeightAudit(checks=tuple(checks))
-
-
 def audit_weight_family(
     order: FractionalOrder, j_max: int, kind: str = L21SIGMA
 ) -> WeightAudit:
@@ -481,19 +457,22 @@ def audit_weight_family(
             "correction_ratio_lower",
             "correction_ratio_upper",
         )
-    worst = _RunningMinima(names)
+    worst = dict.fromkeys(names, math.inf)
+
+    def add(name: str, margins: np.ndarray) -> None:
+        # np.minimum keeps a NaN, so each margin is a whole-array check's double.
+        worst[name] = np.minimum(worst[name], margins.min(initial=math.inf))
+
     if corrected:
         # Built once: they depend on the order alone.
         coeffs = _b_series_coefficients(alpha)
         block = _Block(order, 0, min(3, j_max + 1), shift)
-        lags, tails = _l21sigma_layout(block.a(), block.b(coeffs), 0)
+        lags, tails = _l21sigma_layout(block.a(), block.b(coeffs))
         # c_1 is the tail of index 1 and shared by every index j >= 2.
         c_1 = np.concatenate((tails[1:2], lags[1:2]))
         # 2*sigma - 1 is formed as 1 - alpha: at the largest double below 1,
         # sigma rounds to 1/2 and 2*sigma - 1 to 0.
-        worst.add("blend_gate", (1.0 - alpha) * lags[:1] - sigma * c_1)
-        # c_0 = a_0 of index 0
-        worst.add("tail_lower_bound", tails[:1] - floor_scale * sigma ** (-alpha))
+        add("blend_gate", (1.0 - alpha) * lags[:1] - sigma * c_1)
 
     for start in range(0, j_max + 1, _BLOCK):
         # c_{start-1} and the tail of index start + _BLOCK join the block.
@@ -502,31 +481,31 @@ def audit_weight_family(
         a = block.a()
         if corrected:
             b = block.b(coeffs)
-            # index 0 is above; b_0 does not exist
+            # b_0 = 0 is no correction, so index 0 has no ratio
             first, j_sigma = block.first, block.j_sigma
         del block  # frees ``u`` and ``lo_p``, which ``a`` and ``b`` were made from
-        lags, tails = _l21sigma_layout(a, b, begin) if corrected else (a[:-1], a)
-        worst.add("positivity", tails)
-        worst.add("monotone_decrease", lags - tails[1:])
+        lags, tails = _l21sigma_layout(a, b) if corrected else (a[:-1], a)
+        add("positivity", tails)
+        add("monotone_decrease", lags - tails[1:])
         if corrected:
             # The lags of an l1 block, a[:-1], and their differences are
             # among the tails and differences checked above; these are not.
-            worst.add("positivity", lags)
-            worst.add("monotone_decrease", lags[:-1] - lags[1:])
+            add("positivity", lags)
+            add("monotone_decrease", lags[:-1] - lags[1:])
             floor = j_sigma ** (-alpha)
             floor *= floor_scale
-            worst.add("tail_lower_bound", np.subtract(tails[first:], floor, out=floor))
+            add("tail_lower_bound", np.subtract(tails, floor, out=floor))
             # Rounding is monotone, so kappa = b/a + 1/2 is worst against each
             # bound at the smallest or the largest ratio: the margins are the
             # doubles of the same checks on every entry.
             ratio = b[first:] / a[first:]
             kappa_low = ratio.min(initial=math.inf) + 0.5
             kappa_high = ratio.max(initial=-math.inf) + 0.5
-            worst.add("correction_ratio_lower", kappa_low - 0.5)
-            worst.add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa_high)
+            add("correction_ratio_lower", kappa_low - 0.5)
+            add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa_high)
             # Free this block's arrays before the next block is built.
             del a, b, lags, tails, j_sigma, floor, ratio
-    return worst.audit()
+    return WeightAudit(checks=tuple(_finish_check(name, m) for name, m in worst.items()))
 
 
 @dataclass(frozen=True)
@@ -557,7 +536,7 @@ def energy_inequality_probe(
     """Evaluate the energy-inequality margins of the ``l21sigma`` operator
     with step ``tau`` on one time series.
 
-    ``series`` holds ``v^0 .. v^{J+1}``; target indices ``0 .. J`` are probed.
+    ``series`` holds finite ``v^0 .. v^{J+1}``; target indices ``0 .. J`` are probed.
     All margins are provably nonnegative whenever the weights satisfy the
     inequalities :func:`audit_weight_family` checks, so negative margins
     beyond rounding indicate a broken weight family.  The ``previous``
@@ -570,6 +549,9 @@ def energy_inequality_probe(
     v = np.asarray(series, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"series must hold at least two samples, got {v.shape}")
+    nonfinite = np.flatnonzero(~np.isfinite(v))
+    if nonfinite.size:
+        raise ValueError(f"series must be finite, got {v[nonfinite[0]]} at sample {nonfinite[0]}")
     count = v.size - 1
     sigma = order.sigma
     lags, tails = _assemble_l21sigma(

@@ -108,6 +108,12 @@ def test_study_plan_rejects_a_misspelt_step_or_norm(field, value, message):
         (_PDE_PLAN, dict(levels=(LevelSpec(8, 20), LevelSpec(4, 20)), co_step="h"), "levels"),
         (_PDE_PLAN, dict(levels=(LevelSpec(None, 10), LevelSpec(None, 20))), "nx"),
         (_PDE_PLAN, dict(levels=(LevelSpec(8.0, 10),)), "nx"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8, 10), LevelSpec(1, 20))), "nx >= 2"),
+        (_PDE_PLAN, dict(levels=(LevelSpec(8, 0), LevelSpec(8, 10))), "nt >= 1"),
+        (_KERNEL_PLAN, dict(levels=(LevelSpec(None, 1), LevelSpec(None, 10))), "nt >= 2"),
+        (_KERNEL_PLAN, dict(alphas=(1.5,)), "alphas"),
+        (_PDE_PLAN, dict(alphas=(0.5, 0.0)), "alphas"),
+        (_PDE_PLAN, dict(alphas=(math.nan,)), "alphas"),
     ],
     ids=[
         "kernel-no-alphas",
@@ -124,6 +130,12 @@ def test_study_plan_rejects_a_misspelt_step_or_norm(field, value, message):
         "nx-decreasing",
         "pde-level-without-nx",
         "pde-level-float-nx",
+        "pde-later-level-nx-1",
+        "pde-nt-0",
+        "kernel-nt-1",
+        "kernel-alpha-above-1",
+        "pde-alpha-0",
+        "pde-alpha-nan",
     ],
 )
 def test_study_plan_rejects_geometry_that_would_fail_in_the_run(base, changes, message):
@@ -134,7 +146,10 @@ def test_study_plan_rejects_geometry_that_would_fail_in_the_run(base, changes, m
     measured against ``h``, a ``KeyError`` for a PDE plan with a weight
     family, and "step sizes must strictly decrease" after every march for
     levels that do not refine.  A plan without levels would print an empty
-    report."""
+    report.  A PDE level with ``nx < 2`` past the first ``nt`` group would
+    fail in ``SpaceGrid`` only after the groups before it marched, and an
+    order outside (0, 1), a kernel level with one step or a PDE level with
+    none would fail only inside the run."""
     with pytest.raises(ValueError, match=message) as caught:
         StudyPlan(**dict(base, **changes))
     assert type(caught.value) is ValueError

@@ -121,6 +121,43 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def _unread_parameters(path: Path) -> list[str]:
+    """``function:parameter`` for each parameter of a function or lambda in
+    ``path`` that its body never reads; ``self`` is exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {
+            name.id
+            for statement in body
+            for name in ast.walk(statement)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        where = getattr(node, "name", f"lambda@{node.lineno}")
+        unread += [
+            f"{where}:{param.arg}"
+            for param in params
+            if param is not None and param.arg != "self" and param.arg not in reads
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    """A parameter that no line of its function reads, like an argument left
+    behind by a refactor, is dead code that every caller still passes."""
+    unread = {
+        path.stem: names
+        for path in sorted((SRC / "subdiff").glob("*.py"))
+        if (names := _unread_parameters(path))
+    }
+    assert unread == {}
+
+
 def _private_names_and_reads(path: Path) -> tuple[list[str], set[str]]:
     """The module-level functions, classes and assignments of ``path``
     whose names start with a single underscore, and every name the module

@@ -102,7 +102,7 @@ def test_coeff_arrays_match_scalars():
     a_ref, b_ref = _coeff_scalars(order, 6)
     for l in range(7):
         assert a[l] == pytest.approx(a_ref[l], rel=1e-15, abs=0)
-    assert np.isnan(b[0])
+    assert b[0] == 0.0
     for l in range(1, 7):
         assert b[l] == pytest.approx(b_ref[l], rel=1e-15, abs=0)
 
@@ -395,9 +395,9 @@ def test_blocks_are_slices_of_the_tables():
     for start, stop in ((0, 1), (0, 5), (1, 4), (3, 40), (_BLOCK - 1, n + 1)):
         block = kernels._Block(order, start, stop, order.sigma)
         assert np.array_equal(block.a(), a_table[start:stop])
-        assert np.array_equal(block.b(coeffs), b_table[start:stop], equal_nan=True)
-        # j + sigma of the block's indices j >= 1, for the tail bound
-        j = np.arange(max(start, 1), stop, dtype=float) + order.sigma
+        assert np.array_equal(block.b(coeffs), b_table[start:stop])
+        # j + sigma of the block's indices j, for the tail bound
+        j = np.arange(start, stop, dtype=float) + order.sigma
         assert np.array_equal(block.j_sigma, j)
 
 
@@ -601,7 +601,7 @@ def test_layout_blocks_are_slices_of_the_whole_table(start):
     n = 2 * _BLOCK + 2
     a, b = coeff_a_array(order, n), coeff_b_array(order, n)
     stop = start + _BLOCK
-    lags, tails = kernels._l21sigma_layout(a[start:stop], b[start:stop], start)
+    lags, tails = kernels._l21sigma_layout(a[start:stop], b[start:stop])
     assert np.array_equal(lags, kernels._assemble_l21sigma(a, b, n)[0][start : stop - 1])
     expected_tails = a[start:stop] - b[start:stop]
     if start == 0:

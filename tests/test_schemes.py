@@ -1110,6 +1110,10 @@ def test_energy_probe_matches_the_per_index_sums():
 def test_energy_probe_validation():
     with pytest.raises(ValueError):
         energy_inequality_probe(FractionalOrder(0.5), 0.1, [1.0])
+    # A non-finite sample would give NaN margins that no sign check flags.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="series"):
+            energy_inequality_probe(FractionalOrder(0.5), 0.1, [0.0, 1.0, bad])
     # Below alpha = 1e-17, 1 - alpha rounds to 1, so c_0 == c_1 and the
     # newest gap the previous margin divides by is zero.
     series = np.sin(np.arange(50.0))
