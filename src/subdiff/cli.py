@@ -64,7 +64,6 @@ def _cmd_caputo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         scheme=args.formula,
         alphas=(order.alpha,),
         levels=tuple(LevelSpec(nx=None, nt=m) for m in steps),
-        norms=("l2max", "sup"),
         co_step="tau",
     )
     for row in run_study(plan).rows:

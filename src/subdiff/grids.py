@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -100,9 +100,15 @@ class ErrorSummary:
     sup: float
 
 
-#: The error norms sample the exact solution in blocks of layers of about
-#: this many bytes, so that no copy of a whole history is made.
+#: The error norms and the a priori bound read a history in blocks of layers
+#: of about this many bytes, so that no copy of a whole history is made.
 _BLOCK_BYTES = 1 << 20
+
+
+def _layer_blocks(history: SolutionHistory) -> Iterator[slice]:
+    """The history's layers in slices of about ``_BLOCK_BYTES``, two at least."""
+    layers = max(2, _BLOCK_BYTES // (8 * (history.grid.n + 1)))
+    return (slice(first, first + layers) for first in range(0, len(history), layers))
 
 
 def error_norms(
@@ -116,14 +122,11 @@ def error_norms(
     raised when it does not."""
     grid = history.grid
     x = grid.nodes()[None, :]
-    layers = max(2, _BLOCK_BYTES // (8 * x.size))
     l2_max, sup = [], []
-    for first in range(0, len(history), layers):
-        values = history.values[first : first + layers]
+    for block in _layer_blocks(history):
+        values = history.values[block]
         try:
-            exact_values = np.broadcast_to(
-                exact(x, history.times[first : first + layers, None]), values.shape
-            )
+            exact_values = np.broadcast_to(exact(x, history.times[block, None]), values.shape)
         except (TypeError, ValueError) as error:
             raise ValueError(
                 f"exact(x, t) must broadcast over an array of times t: {error}"

@@ -1,19 +1,18 @@
 """Refinement-study harness.
 
 A ``StudyPlan`` fixes the experiment geometry for one of the seven bundled
-study tables (which fractional orders, which grid levels, which norms, and
-whether the convergence order is measured against the time step or the mesh
-size).  ``run_study`` executes every (alpha, level) cell, marching all the
-cells that share a time grid together, whatever their alpha, and one time
-grid after another on the calling thread.  It attaches observed
-convergence orders and a priori stability verdicts, and ``emit``
-renders the report as CSV or markdown.
+study tables (which fractional orders, which grid levels, and whether the
+convergence order is measured against the time step or the mesh size).
+``run_study`` executes every (alpha, level) cell, marching all the cells
+that share a time grid together, whatever their alpha, and one time grid
+after another on the calling thread.  It attaches observed convergence
+orders and a priori stability verdicts, and ``emit`` renders the report as
+CSV or markdown.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +34,7 @@ __all__ = [
     "study_plan",
 ]
 
-CSV_HEADER = "alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup,seconds"
+CSV_HEADER = "alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup"
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class StudyPlan:
     scheme: str  # "l21sigma" | "l1" (kernel plans) | "second" | "compact"
     alphas: tuple[float, ...]
     levels: tuple[LevelSpec, ...]
-    norms: tuple[str, ...]  # nonempty, of "l2max" | "sup"
     co_step: str  # "tau" | "h": which step the observed order is measured against
 
     def __post_init__(self) -> None:
@@ -65,8 +63,6 @@ class StudyPlan:
             kind, steps, schemes = "a PDE", ("tau", "h"), ("second", "compact")
         if self.co_step not in steps:
             raise ValueError(f"co_step of {kind} plan must be in {steps}, got {self.co_step!r}")
-        if not self.norms or not set(self.norms) <= {"l2max", "sup"}:
-            raise ValueError(f"norms must name 'l2max' or 'sup', got {self.norms!r}")
         if self.scheme not in schemes:
             raise ValueError(f"scheme of {kind} plan must be in {schemes}, got {self.scheme!r}")
         if not self.alphas or not self.levels:
@@ -94,11 +90,10 @@ class ReportRow:
     nt: int
     h: Optional[float]
     tau: float
-    err_l2max: Optional[float]
+    err_l2max: float
     co_l2max: Optional[float]
-    err_sup: Optional[float]
+    err_sup: float
     co_sup: Optional[float]
-    seconds: float
     apriori_ok: Optional[bool]
 
 
@@ -117,7 +112,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme=L21SIGMA,
             alphas=(0.9, 0.5, 0.1),
             levels=tuple(LevelSpec(nx=None, nt=10 * 2**k) for k in range(10)),
-            norms=("l2max", "sup"),
             co_step="tau",
         )
     if table == 2:
@@ -127,7 +121,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="second",
             alphas=(0.10, 0.50, 0.90, 0.99),
             levels=tuple(LevelSpec(nx=n, nt=n) for n in (160, 320, 640)),
-            norms=("l2max", "sup"),
             co_step="h",
         )
     if table == 3:
@@ -137,7 +130,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="second",
             alphas=(0.10, 0.50, 0.90, 0.99),
             levels=tuple(LevelSpec(nx=1000, nt=m) for m in (10, 20, 40)),
-            norms=("l2max", "sup"),
             co_step="tau",
         )
     if table == 4:
@@ -147,7 +139,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="compact",
             alphas=(0.75, 0.85, 0.95),
             levels=tuple(LevelSpec(nx=100, nt=m) for m in (10, 20, 40, 80)),
-            norms=("l2max", "sup"),
             co_step="tau",
         )
     if table == 5:
@@ -158,7 +149,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="compact",
             alphas=(0.10, 0.50, 0.90),
             levels=tuple(LevelSpec(nx=n, nt=nt) for n in (4, 8, 16, 32)),
-            norms=("l2max", "sup"),
             co_step="h",
         )
     if table == 6:
@@ -168,7 +158,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="compact",
             alphas=(0.10, 0.50, 0.90),
             levels=tuple(LevelSpec(nx=n, nt=n * n) for n in (10, 20, 40, 80)),
-            norms=("l2max", "sup"),
             co_step="h",
         )
     if table == 7:
@@ -182,7 +171,6 @@ def study_plan(table: int, fast: bool = False) -> StudyPlan:
             scheme="compact",
             alphas=(0.70, 0.80, 0.90),
             levels=tuple(levels),
-            norms=("sup",),
             co_step="tau",
         )
     raise ValueError(f"table must be in 1..7, got {table}")
@@ -211,19 +199,17 @@ def monomial_error(
 def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> dict:
     """Run every alpha of the plan on the levels that share ``nt``; a PDE
     scheme marches all of these cells together.  Returns each cell's ``(h,
-    tau, errors, apriori_ok, seconds)`` keyed by ``(alpha position, level
-    index)``: ``h`` and ``tau`` as the run used them, ``errors`` by norm of
-    the plan's ``norms``, and ``seconds`` the group's wall time split evenly
-    over its cells."""
+    tau, errors, apriori_ok)`` keyed by ``(alpha position, level index)``:
+    ``h`` and ``tau`` as the run used them, and ``errors`` by norm, ``"l2max"``
+    and ``"sup"`` (a kernel cell's one error under both)."""
     nt = levels[0][1].nt
     orders = [FractionalOrder(alpha) for alpha in plan.alphas]
-    start = time.perf_counter()
     outcomes: dict[tuple[int, int], tuple] = {}
     if plan.problem_id is None:
         for a, order in enumerate(orders):
             error, tau = monomial_error(order, nt, plan.scheme)
             for index, _ in levels:
-                outcomes[a, index] = (None, tau, dict.fromkeys(plan.norms, error), None)
+                outcomes[a, index] = (None, tau, dict.fromkeys(("l2max", "sup"), error), None)
     else:
         problems = [get_problem(plan.problem_id, order).spec for order in orders]
         runner = run_second_order if plan.scheme == "second" else run_compact
@@ -232,19 +218,18 @@ def _run_group(plan: StudyPlan, levels: list[tuple[int, LevelSpec]]) -> dict:
             for (index, _), history in zip(levels, row):
                 summary = error_norms(history, problem.exact)
                 lhs, rhs = a_priori_bound(problem, order, history)
-                errors = {norm: getattr(summary, norm) for norm in plan.norms}
+                errors = {"l2max": summary.l2max, "sup": summary.sup}
                 outcomes[a, index] = (history.grid.h, float(history.times[1]), errors, bool(lhs <= rhs))
-    seconds = (time.perf_counter() - start) / len(outcomes)
-    return {cell: outcome + (seconds,) for cell, outcome in outcomes.items()}
+    return outcomes
 
 
-def _orders(steps: list[float], errors: list[Optional[float]]) -> list[Optional[float]]:
+def _orders(steps: list[float], errors: list[float]) -> list[Optional[float]]:
     """Observed order of each level of one alpha block against the level
-    before it: none on the first level, and none next to a missing error or
-    an exact (zero) one, which has no logarithm."""
+    before it: none on the first level, and none next to an exact (zero)
+    error, which has no logarithm."""
     levels = list(zip(steps, errors))
     return [None] + [
-        convergence_order(pair)[0] if all(e is not None and e > 0.0 for _, e in pair) else None
+        convergence_order(pair)[0] if all(e > 0.0 for _, e in pair) else None
         for pair in zip(levels, levels[1:])
     ]
 
@@ -254,7 +239,8 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
     every alpha, form a group whose cells march together; the groups run one
     after another.  The report keeps plan order (alpha by alpha, level by
     level, a repeated alpha in a block of its own), and each row is built
-    once, with its observed orders against ``plan.co_step``."""
+    once, with both error norms and their observed orders against
+    ``plan.co_step``."""
     groups: dict[int, list[tuple[int, LevelSpec]]] = {}
     for index, level in enumerate(plan.levels):
         groups.setdefault(level.nt, []).append((index, level))
@@ -265,9 +251,9 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
     for a, alpha in enumerate(plan.alphas):
         block = [cells[a, index] for index in range(len(plan.levels))]
         steps = [h if plan.co_step == "h" else tau for h, tau, *_ in block]
-        errors = {norm: [cell[2].get(norm) for cell in block] for norm in ("l2max", "sup")}
+        errors = {norm: [cell[2][norm] for cell in block] for norm in ("l2max", "sup")}
         orders = {norm: _orders(steps, column) for norm, column in errors.items()}
-        for index, (level, (h, tau, _, apriori_ok, seconds)) in enumerate(zip(plan.levels, block)):
+        for index, (level, (h, tau, _, apriori_ok)) in enumerate(zip(plan.levels, block)):
             rows.append(
                 ReportRow(
                     alpha=alpha,
@@ -280,7 +266,6 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
                     co_l2max=orders["l2max"][index],
                     err_sup=errors["sup"][index],
                     co_sup=orders["sup"][index],
-                    seconds=seconds,
                     apriori_ok=apriori_ok,
                 )
             )
@@ -297,7 +282,7 @@ def _format_order(value: Optional[float]) -> str:
 
 def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     """Render the report; CSV uses the fixed header
-    ``alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup,seconds``, and
+    ``alpha,level,h,tau,err_l2max,co_l2max,err_sup,co_sup``, and
     markdown the same columns with four-digit errors and the alpha on the
     first level of each block only, so a repeated alpha shows on both of
     its blocks."""
@@ -317,7 +302,6 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
                 _format_order(row.co_l2max),
                 _format_float(row.err_sup, error_digits),
                 _format_order(row.co_sup),
-                f"{row.seconds:.3f}",
             )
         )
     if not markdown:

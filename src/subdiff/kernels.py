@@ -36,6 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .grids import _is_int
+
 __all__ = [
     "L1",
     "L21SIGMA",
@@ -305,6 +307,8 @@ def _coeff_table(block_values, n: int) -> np.ndarray:
     """Indices ``0 .. n`` of ``block_values(start, stop)``, built block by
     block so that the series of ``b_l`` stops early on every block after the
     first."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     out = np.empty(n + 1)
@@ -376,6 +380,8 @@ def weights(
     ``c_m`` are those of :func:`_l21sigma_layout`), at ``t_{j+1}`` for ``l1``
     (``c_m = a_m`` at shift 1: ``c_0 = 1`` and ``c_m = (m+1)^(1-alpha) -
     m^(1-alpha)``)."""
+    if not _is_int(j):
+        raise ValueError(f"j must be an int, got {j!r}")
     if j < 0:
         raise ValueError(f"target index must be nonnegative, got {j}")
     scale = _derivative_scale(order, tau)
@@ -443,6 +449,8 @@ def audit_weight_family(
     each read with one more index on either side, and every margin is
     bitwise that of the same comparisons on whole arrays.
     """
+    if not _is_int(j_max):
+        raise ValueError(f"j_max must be an int, got {j_max!r}")
     if j_max < 0:
         raise ValueError(f"family bound must be nonnegative, got {j_max}")
     shift = _collocation_offset(order, kind)

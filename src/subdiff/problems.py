@@ -32,9 +32,6 @@ __all__ = [
     "problem_varcoeff_2nd",
 ]
 
-PROBLEM_IDS = ("varcoeff-2nd", "timecoeff-compact")
-
-
 @dataclass(frozen=True)
 class NamedProblem:
     """A registered problem: its id and its PDE spec."""
@@ -128,12 +125,13 @@ def problem_timecoeff_compact(order: FractionalOrder) -> ProblemSpec:
     )
 
 
+_BUILDERS = {"varcoeff-2nd": problem_varcoeff_2nd, "timecoeff-compact": problem_timecoeff_compact}
+
+PROBLEM_IDS = tuple(_BUILDERS)
+
+
 def get_problem(problem_id: str, order: FractionalOrder) -> NamedProblem:
     """Build the named problem for a concrete fractional order."""
-    if problem_id == "varcoeff-2nd":
-        return NamedProblem(problem_id, spec=problem_varcoeff_2nd(order))
-    if problem_id == "timecoeff-compact":
-        return NamedProblem(problem_id, spec=problem_timecoeff_compact(order))
-    raise KeyError(
-        f"unknown problem id {problem_id!r}; registered ids: {', '.join(PROBLEM_IDS)}"
-    )
+    if problem_id not in _BUILDERS:
+        raise KeyError(f"unknown problem id {problem_id!r}; registered ids: {', '.join(PROBLEM_IDS)}")
+    return NamedProblem(problem_id, spec=_BUILDERS[problem_id](order))

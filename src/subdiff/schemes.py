@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grids import _BLOCK_BYTES, SolutionHistory, SpaceGrid, _is_int
+from .grids import SolutionHistory, SpaceGrid, _is_int, _layer_blocks
 from .kernels import (
     FractionalOrder,
     _assemble_l21sigma,
@@ -708,17 +708,14 @@ def a_priori_bound(
     t_final = float(history.times[-1])
     alpha = order.alpha
 
-    values = history.values
     source_consts = problem.length**2 * t_final**alpha * math.gamma(1.0 - alpha) / (
         kind.bound_divisor * problem.c1
     )
     # Summed over blocks of layers, so that no copy of a whole history is made.
-    layers = max(2, _BLOCK_BYTES // (8 * values.shape[1]))
     sums = np.empty(len(history))
-    for first in range(0, len(history), layers):
-        block = values[first : first + layers]
-        transformed = _mass_average(kind, block)
-        sums[first : first + layers] = np.sum(transformed * transformed, axis=1)
+    for block in _layer_blocks(history):
+        transformed = _mass_average(kind, history.values[block])
+        sums[block] = np.sum(transformed * transformed, axis=1)
     layer_norms_sq = history.grid.h * sums
 
     lhs = float(layer_norms_sq.max())

@@ -255,8 +255,6 @@ def test_criterion_10_table7_regression(table_runs):
         co_tol=0.05,
         check_l2=False,
     )
-    # CPU seconds are reported but never asserted against reference hardware.
-    assert all(row.seconds >= 0.0 for row in report.rows)
     _finish("C10 table7-regression", violations, f"{seconds:.1f}s")
 
 

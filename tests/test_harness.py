@@ -1,6 +1,5 @@
 """Unit tests for study plans, the study runner, and report emission."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -41,7 +40,6 @@ def test_study_plan_schedules():
     t7 = study_plan(7)
     assert [level.nt for level in t7.levels] == [10, 30, 90, 270, 810, 2430]
     assert all(level.nx == math.ceil(math.sqrt(level.nt)) for level in t7.levels)
-    assert t7.norms == ("sup",)
 
 
 def test_study_plan_fast_only_affects_table5():
@@ -62,7 +60,6 @@ _KERNEL_PLAN = dict(
     scheme=L21SIGMA,
     alphas=(0.5,),
     levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
-    norms=("l2max", "sup"),
     co_step="tau",
 )
 _PDE_PLAN = dict(
@@ -78,15 +75,12 @@ _PDE_PLAN = dict(
     [
         ("co_step", "tua", "co_step"),
         ("co_step", None, "co_step"),
-        ("norms", ("supp",), "norms"),
-        ("norms", ("sup", "l2"), "norms"),
-        ("norms", (), "norms"),
     ],
 )
 def test_study_plan_rejects_a_misspelt_step_or_norm(field, value, message):
-    """A misspelt norm would leave every error and order column empty, and
-    a misspelt ``co_step`` would measure against ``h`` on a PDE plan or
-    fail inside ``convergence_order`` on a kernel plan."""
+    """A misspelt ``co_step`` would measure against ``h`` on a PDE plan or
+    fail inside ``convergence_order`` on a kernel plan.  (A plan names no
+    norms: every report carries both.)"""
     with pytest.raises(ValueError, match=message):
         StudyPlan(**dict(_KERNEL_PLAN, **{field: value}))
 
@@ -197,7 +191,6 @@ def _tiny_pde_plan() -> StudyPlan:
         scheme="second",
         alphas=(0.5,),
         levels=(LevelSpec(nx=12, nt=4), LevelSpec(nx=12, nt=8)),
-        norms=("l2max", "sup"),
         co_step="tau",
     )
 
@@ -209,22 +202,17 @@ def test_run_study_fills_orders_and_apriori():
     assert first.co_l2max is None and first.co_sup is None
     assert second.co_l2max is not None and 1.0 <= second.co_l2max <= 3.0
     assert all(row.apriori_ok for row in report.rows)
-    assert all(row.seconds >= 0.0 for row in report.rows)
     assert first.h == pytest.approx(1.0 / 12.0)
     assert first.tau == pytest.approx(0.25)
 
 
-def _strip_seconds(csv_text: str) -> str:
-    return "\n".join(
-        ",".join(line.split(",")[:-1]) for line in csv_text.strip().splitlines()
-    )
-
-
 def test_run_study_is_deterministic():
+    """Every column of a report is a number of the run, none a timing, so
+    two runs print the same text."""
     plan = _tiny_pde_plan()
-    first = emit(run_study(plan), "csv")
-    second = emit(run_study(plan), "csv")
-    assert _strip_seconds(first) == _strip_seconds(second)
+    first, second = run_study(plan), run_study(plan)
+    for fmt in ("csv", "markdown"):
+        assert emit(first, fmt) == emit(second, fmt)
 
 
 def test_levels_sharing_nt_march_together_in_plan_order():
@@ -240,7 +228,6 @@ def test_levels_sharing_nt_march_together_in_plan_order():
             LevelSpec(nx=8, nt=20),
             LevelSpec(nx=16, nt=40),
         ),
-        norms=("l2max", "sup"),
         co_step="h",
     )
     report = run_study(plan)
@@ -273,16 +260,12 @@ def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
         scheme=scheme,
         alphas=(0.5, 0.5),
         levels=(LevelSpec(nx=nx, nt=10), LevelSpec(nx=nx, nt=20)),
-        norms=("l2max", "sup"),
         co_step="tau",
     )
     report = run_study(plan)
     rows = report.rows
     assert [(row.alpha, row.level) for row in rows] == [(0.5, 1), (0.5, 2)] * 2
-    first, second = (
-        [dataclasses.replace(row, seconds=0.0) for row in block]
-        for block in (rows[:2], rows[2:])
-    )
+    first, second = rows[:2], rows[2:]
     assert first == second
     assert first[1].co_sup is not None and first[1].co_l2max is not None
     # In markdown each block shows its alpha on its first level.
@@ -292,32 +275,42 @@ def test_a_repeated_alpha_gets_a_block_of_its_own(problem_id, scheme, nx):
 
 def test_kernel_plan_rows_fill_both_error_columns():
     """A kernel plan names its weight family in ``scheme`` and measures the
-    monomial's error with it; it fills the columns of ``norms`` only."""
-    for norms, scheme, co in (
-        (("l2max", "sup"), L21SIGMA, 2.33),
-        (("l2max", "sup"), L1, 1.38),
-        (("sup",), L21SIGMA, 2.33),
-        (("sup",), L1, 1.38),
-    ):
+    monomial's error with it; its one error fills both error columns."""
+    for scheme, co in ((L21SIGMA, 2.33), (L1, 1.38)):
         plan = StudyPlan(
             table_id="T1",
             problem_id=None,
             scheme=scheme,
             alphas=(0.5,),
             levels=(LevelSpec(nx=None, nt=10), LevelSpec(nx=None, nt=20)),
-            norms=norms,
             co_step="tau",
         )
         report = run_study(plan)
         for row in report.rows:
             assert row.h is None
-            if "l2max" in norms:
-                assert row.err_l2max == row.err_sup
-            else:
-                assert row.err_l2max is None and row.co_l2max is None
+            assert row.err_l2max == row.err_sup
             assert row.err_sup == monomial_error(FractionalOrder(0.5), row.nt, scheme)[0]
             assert row.apriori_ok is None
+        assert report.rows[1].co_l2max == report.rows[1].co_sup
         assert report.rows[1].co_sup == pytest.approx(co, abs=0.01)
+
+
+def test_study7_reports_both_norms_and_their_orders():
+    """Study 7 fills the L2 columns as every other study does: both errors
+    on every row, the L2 one no larger than the maximum one, and both
+    observed orders on every level past the first."""
+    report = run_study(study_plan(7))
+    assert len(report.rows) == 3 * 6
+    for row in report.rows:
+        assert 0.0 < row.err_l2max <= row.err_sup
+        if row.level > 1:
+            assert row.co_l2max is not None and row.co_sup is not None
+        else:
+            assert row.co_l2max is None and row.co_sup is None
+    second = report.rows[1]
+    assert (second.alpha, second.level) == (0.7, 2)
+    assert second.err_l2max == pytest.approx(1.54838e-04, rel=1e-5)
+    assert second.co_l2max == pytest.approx(2.0572, abs=1e-4)
 
 
 def test_emit_csv_layout():
@@ -327,7 +320,7 @@ def test_emit_csv_layout():
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     first_row = lines[1].split(",")
-    assert len(first_row) == 9
+    assert len(first_row) == 8
     assert first_row[0] == "0.5"
     assert first_row[5] == ""  # first-level CO cell is empty
     float(first_row[4])  # error cells parse as floats
@@ -375,7 +368,6 @@ def test_single_level_plan_leaves_orders_empty():
         scheme="second",
         alphas=(0.5,),
         levels=(LevelSpec(nx=8, nt=4),),
-        norms=("l2max", "sup"),
         co_step="tau",
     )
     report = run_study(plan)
@@ -395,7 +387,6 @@ def test_study_leaves_the_order_of_a_zero_error_empty():
             scheme=scheme,
             alphas=(1e-17, 0.5),
             levels=levels,
-            norms=("l2max", "sup"),
             co_step="tau",
         )
         report = run_study(plan)
@@ -404,4 +395,4 @@ def test_study_leaves_the_order_of_a_zero_error_empty():
         assert all(row.co_l2max is None and row.co_sup is None for row in rows[:3])
         errors = [(row.tau, row.err_sup) for row in rows[3:]]
         assert [row.co_sup for row in rows[4:]] == convergence_order(errors)
-        assert ",,0.00000e+00,," in emit(report, "csv")
+        assert ",0.00000e+00,,0.00000e+00,\n" in emit(report, "csv")

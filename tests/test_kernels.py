@@ -574,6 +574,29 @@ def test_audit_rejects_a_negative_family_bound(kind):
         audit_weight_family(FractionalOrder(0.5), -1, kind)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda order: audit_weight_family(order, 10.5), "j_max"),
+        (lambda order: audit_weight_family(order, True, L1), "j_max"),
+        (lambda order: coeff_a_array(order, 3.0), "n"),
+        (lambda order: coeff_a_array(order, True), "n"),
+        (lambda order: coeff_b_array(order, 3.0), "n"),
+        (lambda order: weights(order, True, 0.1), "j"),
+        (lambda order: weights(order, 2.5, 0.1, L1), "j"),
+    ],
+    ids=[
+        "audit-float", "audit-bool", "a-float", "a-bool", "b-float", "weights-bool",
+        "weights-float",
+    ],
+)
+def test_kernel_tables_reject_an_index_that_is_not_an_int(call, name):
+    """A float index used to fail inside ``range`` or ``np.empty`` with a
+    message that named no argument, and a bool was taken for 0 or 1."""
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got"):
+        call(FractionalOrder(0.5))
+
+
 def test_weights_rejects_negative_index():
     with pytest.raises(ValueError):
         weights(FractionalOrder(0.5), -1, 0.1)

@@ -15,7 +15,7 @@ from oracles import (
     energy_probe_per_index,
 )
 
-from subdiff import schemes, tridiag
+from subdiff import grids, schemes, tridiag
 from subdiff.grids import SolutionHistory, SpaceGrid, convergence_order, error_norms
 from subdiff.kernels import (
     L1,
@@ -1237,7 +1237,7 @@ def test_a_priori_bound_does_not_depend_on_the_block_of_layers(
         for history in row
     ]
     if block_bytes is not None:
-        monkeypatch.setattr(schemes, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", block_bytes)
     for problem, order, history in runs:
         assert a_priori_bound(problem, order, history) == _whole_history_bound(
             problem, order, history
