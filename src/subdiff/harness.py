@@ -6,8 +6,8 @@ convergence order is measured against the time step or the mesh size).
 ``run_study`` executes every (alpha, level) cell, marching all the cells
 that share a time grid together, whatever their alpha, and one time grid
 after another on the calling thread.  It attaches observed convergence
-orders and a priori stability verdicts, and ``emit`` renders the report as
-CSV or markdown.
+orders, whether they keep the paper's rate, and a priori stability verdicts,
+and ``emit`` renders the report as CSV or markdown.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .grids import _is_int, convergence_order, error_norms
 from .kernels import L1, L21SIGMA, FractionalOrder, _collocation_offset, weights
 from .problems import get_problem
-from .schemes import a_priori_bound, run_compact, run_second_order
+from .schemes import _SCHEMES, a_priori_bound, run_compact, run_second_order
 
 __all__ = [
     "ConvergenceReport",
@@ -95,6 +95,7 @@ class ReportRow:
     err_sup: float
     co_sup: Optional[float]
     apriori_ok: Optional[bool]
+    order_ok: Optional[bool]  # orders in the paper's rate ± 0.1; None if kernel or no order
 
 
 @dataclass
@@ -105,6 +106,8 @@ class ConvergenceReport:
 
 def study_plan(table: int, fast: bool = False) -> StudyPlan:
     """The fixed experiment geometry of study table 1..7."""
+    if not _is_int(table):
+        raise ValueError(f"table must be an int, got {table!r}")
     if table == 1:
         return StudyPlan(
             table_id="T1",
@@ -240,13 +243,15 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
     after another.  The report keeps plan order (alpha by alpha, level by
     level, a repeated alpha in a block of its own), and each row is built
     once, with both error norms and their observed orders against
-    ``plan.co_step``."""
+    ``plan.co_step`` and, on a PDE row, their verdict against the paper's rate."""
     groups: dict[int, list[tuple[int, LevelSpec]]] = {}
     for index, level in enumerate(plan.levels):
         groups.setdefault(level.nt, []).append((index, level))
     cells: dict[tuple[int, int], tuple] = {}
     for levels in groups.values():
         cells.update(_run_group(plan, levels))
+    # The paper's rate: 2 in tau (L2-1σ's time order), the scheme's order in h.
+    rate = 2.0 if plan.co_step == "tau" else _SCHEMES[plan.scheme].space_order
     rows = []
     for a, alpha in enumerate(plan.alphas):
         block = [cells[a, index] for index in range(len(plan.levels))]
@@ -254,6 +259,8 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
         errors = {norm: [cell[2][norm] for cell in block] for norm in ("l2max", "sup")}
         orders = {norm: _orders(steps, column) for norm, column in errors.items()}
         for index, (level, (h, tau, _, apriori_ok)) in enumerate(zip(plan.levels, block)):
+            cos = [orders[norm][index] for norm in ("l2max", "sup")]
+            within = [rate - 0.1 <= co <= rate + 0.1 for co in cos if co is not None]
             rows.append(
                 ReportRow(
                     alpha=alpha,
@@ -263,10 +270,11 @@ def run_study(plan: StudyPlan) -> ConvergenceReport:
                     h=h,
                     tau=tau,
                     err_l2max=errors["l2max"][index],
-                    co_l2max=orders["l2max"][index],
+                    co_l2max=cos[0],
                     err_sup=errors["sup"][index],
-                    co_sup=orders["sup"][index],
+                    co_sup=cos[1],
                     apriori_ok=apriori_ok,
+                    order_ok=all(within) if within and plan.problem_id is not None else None,
                 )
             )
     return ConvergenceReport(table_id=plan.table_id, rows=rows)
@@ -294,7 +302,7 @@ def emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     for row in report.rows:
         table.append(
             (
-                "" if markdown and row.level > 1 else f"{row.alpha:g}",
+                "" if markdown and row.level > 1 else repr(float(row.alpha)),
                 str(row.level),
                 _format_float(row.h),
                 _format_float(row.tau),

@@ -238,20 +238,21 @@ class _GridGroup:
 
 class _Scheme(NamedTuple):
     """A scheme as data: its mass operator ``M`` on the time term and the
-    source, ``(mass_off, mass_diag)`` for ``(off-diagonal, diagonal)``,
-    whether it needs time-only coefficients, and the divisor of its a priori
-    constant ``l^2 T^alpha Gamma(1-alpha) / (bound_divisor * c1)``."""
+    source, ``(mass_off, mass_diag)`` for ``(off-diagonal, diagonal)``, whether
+    it needs time-only coefficients, the divisor of its a priori constant
+    ``l^2 T^alpha Gamma(1-alpha) / (bound_divisor * c1)``, and its order in ``h``."""
 
     mass_off: float
     mass_diag: float
     time_only: bool
     bound_divisor: float
+    space_order: float
 
 
 #: Each scheme by the name a run records in ``SolutionHistory.scheme``.
 _SCHEMES: dict[str, _Scheme] = {
-    "second": _Scheme(0.0, 1.0, False, 4.0),
-    "compact": _Scheme(1.0 / 12.0, 10.0 / 12.0, True, 1.0),
+    "second": _Scheme(0.0, 1.0, False, 4.0, 2.0),
+    "compact": _Scheme(1.0 / 12.0, 10.0 / 12.0, True, 1.0, 4.0),
 }
 
 

@@ -396,3 +396,21 @@ def test_criterion_12_oracle_cross_checks():
             )
 
     _finish("C12 oracle-cross-checks", violations)
+
+
+def test_criterion_13_paper_convergence_rates(table_runs):
+    """Every PDE study converges at the paper's rate: each observed order
+    past the first level lies within 0.1 of 2 against tau, and of the
+    scheme's order (2, or 4 for the compact scheme) against h.  The first
+    level and the kernel study 1 have no verdict."""
+    violations = []
+    for table in range(1, 8):
+        report, _ = table_runs(table)
+        for row in report.rows:
+            expected = None if table == 1 or row.level == 1 else True
+            if row.order_ok is not expected:
+                violations.append(
+                    f"table {table} alpha={row.alpha!r} level={row.level}: "
+                    f"order_ok={row.order_ok} (co {row.co_l2max}, {row.co_sup})"
+                )
+    _finish("C13 paper-convergence-rates", violations)

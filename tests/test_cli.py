@@ -205,26 +205,49 @@ def test_solve_rejects_too_few_intervals(nx, capsys):
     assert f"need --nx >= 2 and --nt >= 1, got nx={nx} nt=4" in capsys.readouterr().err
 
 
-def test_study5_fast_fails_an_order_outside_the_window(monkeypatch, capsys):
-    """``study --table 5 --fast`` checks the fourth order in space: an
-    observed order outside [3.9, 4.1] fails the command (exit 1) after the
-    report is printed, and an order inside passes."""
+def _fake_study(rows):
+    """A stand-in for ``run_study`` that reports ``rows``, each completed
+    with the same cell."""
+    cell = dict(nx=8, nt=5000, h=0.125, tau=2e-4, err_l2max=1e-5, err_sup=1e-5)
 
     def run_study(plan):
-        cell = dict(alpha=0.5, nx=8, nt=5000, h=0.125, tau=2e-4, err_l2max=1e-5,
-                    err_sup=1e-5, apriori_ok=True)
-        rows = [
-            ReportRow(level=1, co_l2max=None, co_sup=None, **cell),
-            ReportRow(level=2, co_l2max=4.0, co_sup=3.5, **cell),
-        ]
-        return ConvergenceReport(plan.table_id, rows)
+        return ConvergenceReport(plan.table_id, [ReportRow(**cell, **row) for row in rows])
 
-    monkeypatch.setattr("subdiff.cli.run_study", run_study)
-    assert main(["study", "--table", "5", "--fast"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.startswith(CSV_HEADER)
-    assert captured.err.splitlines() == [
-        "assertion failed: observed order 3.5000 outside [3.9, 4.1] at alpha=0.5 level=2"
+    return run_study
+
+
+def test_study5_fast_fails_an_order_outside_the_window(monkeypatch, capsys):
+    """A row whose observed order leaves the paper's rate (``order_ok`` is
+    False) fails the command (exit 1) after the report is printed, on
+    ``study --table 5 --fast`` as on any other study: ``--fast`` only
+    reduces ``nt``."""
+    first = dict(alpha=0.5, level=1, co_l2max=None, co_sup=None, apriori_ok=True, order_ok=None)
+    second = dict(first, level=2, co_l2max=4.0, co_sup=3.5, order_ok=False)
+    monkeypatch.setattr("subdiff.cli.run_study", _fake_study([first, second]))
+    for argv in (["5", "--fast"], ["5"], ["2"]):
+        assert main(["study", "--table", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(CSV_HEADER)
+        assert captured.err.splitlines() == [
+            "assertion failed: observed order more than 0.1 from the paper's rate "
+            "at alpha=0.5 level=2"
+        ]
+    monkeypatch.setattr("subdiff.cli.run_study", _fake_study([first, dict(second, order_ok=True)]))
+    assert main(["study", "--table", "5", "--fast"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_study_failure_lines_name_the_alpha_unrounded(monkeypatch, capsys):
+    """Each failed check prints its own line, and the alpha as itself:
+    ``:g`` would print 0.99999991 as 1, outside (0, 1)."""
+    row = dict(alpha=0.99999991, level=3, co_l2max=1.0, co_sup=1.0, apriori_ok=False,
+               order_ok=False)
+    monkeypatch.setattr("subdiff.cli.run_study", _fake_study([row]))
+    assert main(["study", "--table", "4"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "assertion failed: a priori bound violated at alpha=0.99999991 level=3",
+        "assertion failed: observed order more than 0.1 from the paper's rate "
+        "at alpha=0.99999991 level=3",
     ]
 
 

@@ -16,9 +16,10 @@ from subdiff.harness import (
     run_study,
     study_plan,
 )
+from subdiff import harness, problems
 from subdiff.kernels import L1, L21SIGMA, FractionalOrder, weights
 from subdiff.problems import get_problem
-from subdiff.schemes import run_compact
+from subdiff.schemes import ProblemSpec, run_compact
 
 
 def test_study_plan_schedules():
@@ -52,6 +53,15 @@ def test_study_plan_fast_only_affects_table5():
 def test_study_plan_rejects_unknown_table(table):
     with pytest.raises(ValueError):
         study_plan(table)
+
+
+@pytest.mark.parametrize("table", [True, 5.0, 1.0, "5"])
+def test_study_plan_rejects_a_table_that_is_not_an_int(table):
+    """``True == 1`` and ``5.0 == 5``, so without the check these would
+    return tables 1 and 5; a bool is rejected too, and a numpy int is not."""
+    with pytest.raises(ValueError, match="table must be an int"):
+        study_plan(table)
+    assert study_plan(np.int64(5)).table_id == "T5"
 
 
 _KERNEL_PLAN = dict(
@@ -396,3 +406,86 @@ def test_study_leaves_the_order_of_a_zero_error_empty():
         errors = [(row.tau, row.err_sup) for row in rows[3:]]
         assert [row.co_sup for row in rows[4:]] == convergence_order(errors)
         assert ",0.00000e+00,,0.00000e+00,\n" in emit(report, "csv")
+
+
+def test_emit_prints_every_alpha_unrounded():
+    """Two orders that agree to six digits print as themselves, not both as
+    ``1`` (outside (0, 1)), in both formats; a numpy float prints as a
+    number, not as ``np.float64(...)``."""
+    plan = StudyPlan(**dict(_KERNEL_PLAN, alphas=(0.9999999, 0.99999991, np.float64(0.5))))
+    report = run_study(plan)
+    csv = [line.split(",")[0] for line in emit(report, "csv").splitlines()[1:]]
+    assert csv == ["0.9999999"] * 2 + ["0.99999991"] * 2 + ["0.5"] * 2
+    markdown = [line.split("|")[1].strip() for line in emit(report, "markdown").splitlines()[4:]]
+    assert markdown == ["0.9999999", "", "0.99999991", "", "0.5", ""]
+
+
+def _zero_problem(order: FractionalOrder) -> ProblemSpec:
+    """``u = 0``: both schemes reproduce it exactly, so every error is zero
+    and no row has an observed order."""
+    del order
+    return ProblemSpec(
+        k_time=np.exp, q_time=np.cos, f=lambda x, t: 0.0 * x * t, u0=np.zeros_like,
+        length=1.0, horizon=1.0, c1=1.0, exact=lambda x, t: 0.0 * x * t,
+    )
+
+
+def _singular_problem(order: FractionalOrder) -> ProblemSpec:
+    """``u = t^alpha sin(pi x)``: its time derivative is unbounded at ``t =
+    0``, which breaks the smoothness that the paper's rate assumes."""
+    gamma = math.gamma(1.0 + order.alpha)
+    return ProblemSpec(
+        k_time=np.ones_like, q_time=np.zeros_like, u0=np.zeros_like,
+        f=lambda x, t: (gamma + np.pi**2 * t**order.alpha) * np.sin(np.pi * x),
+        length=1.0, horizon=1.0, c1=1.0,
+        exact=lambda x, t: t**order.alpha * np.sin(np.pi * x),
+    )
+
+
+def test_order_verdict_is_empty_without_an_order(monkeypatch):
+    """A kernel row, a first level and a row of zero errors have no verdict;
+    the other rows of a smooth PDE plan keep the paper's rate."""
+    monkeypatch.setitem(problems._BUILDERS, "zero", _zero_problem)
+    for plan in (study_plan(1), StudyPlan(**dict(_PDE_PLAN, problem_id="zero"))):
+        assert {row.order_ok for row in run_study(plan).rows} == {None}
+    rows = run_study(StudyPlan(**dict(_PDE_PLAN, levels=(LevelSpec(16, 10), LevelSpec(16, 20))))).rows
+    assert [row.order_ok for row in rows] == [None, True]
+
+
+@pytest.mark.parametrize(
+    "scheme, co_step, rate",
+    [("second", "tau", 2.0), ("second", "h", 2.0), ("compact", "tau", 2.0), ("compact", "h", 4.0)],
+)
+def test_order_verdict_holds_each_order_to_the_rate_of_its_plan(monkeypatch, scheme, co_step, rate):
+    """The rate is 2 against ``tau`` and the scheme's order against ``h``,
+    and the window ``rate ± 0.1`` is closed: an order on either bound
+    passes, the next double outside fails, and a missing order is skipped."""
+    orders = iter([
+        [None, rate - 0.1, rate + 0.1, None, 0.0],
+        [None, rate, rate, rate, rate],
+    ])
+    monkeypatch.setattr(harness, "_orders", lambda steps, errors: next(orders))
+    outside = [None, np.nextafter(rate - 0.1, 0.0), np.nextafter(rate + 0.1, 9.0), rate, rate]
+    levels = tuple(LevelSpec(nx=4 * 2**k, nt=10 * 2**k) for k in range(5))
+    plan = StudyPlan(**dict(_PDE_PLAN, scheme=scheme, co_step=co_step, levels=levels))
+    assert [row.order_ok for row in run_study(plan).rows] == [None, True, True, True, False]
+    orders = iter([outside, [None, None, None, None, None]])
+    assert [row.order_ok for row in run_study(plan).rows] == [None, False, False, True, True]
+
+
+def test_order_verdict_fails_data_that_break_the_papers_smoothness(monkeypatch):
+    """On ``u = t^alpha sin(pi x)`` the observed time order falls far from
+    2 (about 0.4-0.6 at alpha = 0.3, 0.9-1.7 at 0.5, and between -1.1 and
+    3.5 at 0.8), and every level past the first fails the verdict."""
+    monkeypatch.setitem(problems._BUILDERS, "singular", _singular_problem)
+    plan = StudyPlan(
+        table_id="singular",
+        problem_id="singular",
+        scheme="compact",
+        alphas=(0.3, 0.5, 0.8),
+        levels=tuple(LevelSpec(nx=64, nt=nt) for nt in (10, 20, 40, 80, 160)),
+        co_step="tau",
+    )
+    rows = run_study(plan).rows
+    assert [row.order_ok for row in rows] == [None, False, False, False, False] * 3
+    assert all(row.apriori_ok for row in rows)

@@ -1,14 +1,47 @@
 """The README's ``## Library`` example runs against the library as it is,
-and its comments hold."""
+and its comments hold; every ``subdiff`` command of its ``sh`` blocks runs
+and exits 0, and the report columns it lists are the ones ``study`` prints."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subdiff.cli import main
+from subdiff.harness import CSV_HEADER
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _commands() -> list[str]:
+    """Every ``subdiff`` command of the README's ``sh`` blocks, with its
+    ``\\`` continuations joined and its ``#`` comment stripped."""
+    text = README.read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        lines += block.replace("\\\n", " ").splitlines()
+    commands = [" ".join(line.split("#", 1)[0].split()) for line in lines]
+    return [command for command in commands if command.startswith("subdiff ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {command.split()[1] for command in _commands()} == {"caputo", "solve", "study", "audit"}
+
+
+@pytest.mark.parametrize("command", _commands())
+def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
+    """Run in a scratch directory, so its ``--out`` files land there."""
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_lists_the_report_columns():
+    text = README.read_text(encoding="utf-8")
+    (columns,) = re.findall(r"Every report has the columns `([^`]*)`", text)
+    assert columns == CSV_HEADER
 
 
 def _library_example() -> str:
