@@ -440,7 +440,8 @@ def audit_weight_family(
     also the tail lower bound ``c_j > (1-alpha)/2 * (j+sigma)^(-alpha)``, the
     blend gate ``(2*sigma-1)*c_0 - sigma*c_1 > 0`` (``2*sigma - 1 = 1 - alpha``), and the correction-ratio
     bounds ``1/2 < b_s/a_s + 1/2 < 1/(2-alpha)``.  Each check reports its
-    worst margin over the family.
+    worst margin over the family; that of the lower correction-ratio bound
+    is the smallest ``b_s/a_s`` itself.
 
     Of the vector for index ``j``, only the tail entry ``c_j`` depends on
     ``j``; the entries before it are shared by every longer vector (see
@@ -503,13 +504,14 @@ def audit_weight_family(
             floor = j_sigma ** (-alpha)
             floor *= floor_scale
             add("tail_lower_bound", np.subtract(tails, floor, out=floor))
-            # Rounding is monotone, so kappa = b/a + 1/2 is worst against each
-            # bound at the smallest or the largest ratio: the margins are the
-            # doubles of the same checks on every entry.
+            # Rounding is monotone, so kappa = b/a + 1/2 is worst against its
+            # upper bound at the largest ratio: the margin is the double of the
+            # same check on every entry.  The lower bound kappa > 1/2 is b/a > 0,
+            # whose margin is the smallest ratio itself: a round trip through
+            # kappa would flush every ratio below 2^-54 to zero.
             ratio = b[first:] / a[first:]
-            kappa_low = ratio.min(initial=math.inf) + 0.5
             kappa_high = ratio.max(initial=-math.inf) + 0.5
-            add("correction_ratio_lower", kappa_low - 0.5)
+            add("correction_ratio_lower", ratio)
             add("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa_high)
             # Free this block's arrays before the next block is built.
             del a, b, lags, tails, j_sigma, floor, ratio

@@ -53,8 +53,11 @@ __all__ = [
 SpaceTimeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: ``g(t)`` over an array of times ``t``.
 TimeFn = Callable[[np.ndarray], np.ndarray]
-#: ``(sub, diag, sup)`` of the systems of a block of steps, one row per step.
-TridiagonalRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``(diag, off)`` of the symmetric systems of a block of steps, one row per
+#: step: ``off[:, k]`` couples nodes ``k`` and ``k+1`` of the node vector, so
+#: row ``r`` (node ``r+1``) meets row ``r-1`` through ``off[:, r]`` and row
+#: ``r+1`` through ``off[:, r+1]``.
+TridiagonalRows = tuple[np.ndarray, np.ndarray]
 
 
 class SchemeCompatibilityError(ValueError):
@@ -179,9 +182,9 @@ class _GridGroup:
     node vector lands on the rows without a gather.  The boundary nodes inside
     the vector are identity rows (``edges``): diagonal 1, no couplings and a
     right-hand side of zero, so they keep their zero.  The couplings into
-    them, from each grid's first and last interior row (``firsts``,
-    ``lasts``), are zeroed too, and ``dgtsv`` eliminates each cell's block
-    exactly as it would alone.
+    them, from each grid's first and last interior row (``firsts`` and
+    ``lasts`` list those rows), are zeroed too, and ``dptsv`` eliminates
+    each cell's block exactly as it would alone.
 
     Once per block of steps :func:`_sample_block` spreads what it samples
     over the rows: ``live[o]`` lists the rows of the interior nodes of slab
@@ -227,13 +230,15 @@ class _GridGroup:
 
     def decouple(self, rows: TridiagonalRows, identity: float) -> None:
         """Make the identity rows of a block of steps' operator, with the
-        diagonal value ``identity``, and zero the couplings into them."""
-        sub, diag, sup = rows
+        diagonal value ``identity``, and zero the couplings into them: those
+        from each identity row and each grid's last row to the next row.
+        The coupling of the first row to the outer boundary node,
+        ``off[:, 0]``, must already be zero."""
+        diag, off = rows
         diag[:, self.edges] = identity
-        sub[:, self.edges] = 0.0
-        sup[:, self.edges] = 0.0
-        sub[:, self.firsts] = 0.0
-        sup[:, self.lasts] = 0.0
+        following = off[:, 1:]
+        following[:, self.edges] = 0.0
+        following[:, self.lasts] = 0.0
 
 
 class _Scheme(NamedTuple):
@@ -328,10 +333,13 @@ def _assemble(
 
     with ``Lambda = -K_a - d M``.  One builder forms the rows of ``A`` and
     ``B`` of every step, with the identity rows ``(0, 1, 0)`` in ``A`` and
-    zero in ``B``.  Returns ``(A, B)``, the source at every row, and the
-    right-hand side ``rhs(i, y, out)`` of step ``i``, which reads ``y^j``
-    from ``y`` and ``conv`` from ``out`` (every node, the outer two zero),
-    writes over the rows of ``out`` and returns them.
+    zero in ``B``.  Both are symmetric bit for bit: within a grid ``s/h^2``
+    and the mass weight are the same on every row, so one off-diagonal
+    serves both neighbours of a row.  Returns ``(A, B)`` as ``(diag,
+    off)`` pairs, the source at every row, and the right-hand side ``rhs(i,
+    y, out)`` of step ``i``, which reads ``y^j`` from ``y`` and ``conv`` from
+    ``out`` (every node, the outer two zero), writes over the rows of
+    ``out`` and returns them.
     """
     kind = _SCHEMES[scheme]
     a, d, phi = _sample_block(kind, problems, group, times)
@@ -344,14 +352,15 @@ def _assemble(
         weight = s / group.h_sq
         diag = weight * (a_left + a_right)
         diag += m * kind.mass_diag
-        sub, sup = -weight * a_left, -weight * a_right
+        off = np.zeros_like(a)
+        following = off[:, 1:]
+        np.multiply(-weight, a_right, following)
         m *= kind.mass_off
-        sub += m
-        sup += m
-        group.decouple((sub, diag, sup), identity)
-        return sub, diag, sup
+        following += m
+        group.decouple((diag, off), identity)
+        return diag, off
 
-    b_sub, b_diag, b_sup = operator(c0 - (1.0 - sigma) * d, sigma - 1.0, 0.0)
+    b_diag, b_off = operator(c0 - (1.0 - sigma) * d, sigma - 1.0, 0.0)
     # A's mass weight is formed in place: touching fresh pages costs more
     # than the arithmetic.
     left = operator(np.add(c0, sigma * d, c0), sigma, 1.0)
@@ -371,13 +380,13 @@ def _assemble(
         np.add(rows, scratch, rows)
         np.multiply(b_diag[i], y[1:-1], scratch)
         np.subtract(scratch, rows, rows)
-        np.multiply(b_sub[i], y[:-2], scratch)
+        np.multiply(b_off[i, :-1], y[:-2], scratch)
         np.add(rows, scratch, rows)
-        np.multiply(b_sup[i], y[2:], scratch)
+        np.multiply(b_off[i, 1:], y[2:], scratch)
         np.add(rows, scratch, rows)
         return np.add(rows, phi[i], rows)
 
-    return (left, (b_sub, b_diag, b_sup)), phi, rhs
+    return (left, (b_diag, b_off)), phi, rhs
 
 
 def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
@@ -398,12 +407,16 @@ def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
     return pinned
 
 
-#: The largest dyadic block of the history that is a dense Toeplitz product;
-#: a larger block goes through an FFT of twice its length.  Larger dense
-#: blocks would keep the Toeplitz matrices in memory (8 MB for a block of
-#: 1024) and hand OpenBLAS products large enough to start its second thread,
-#: for no gain in wall time on the study tables.
-_WINDOW = 64
+#: The side of the history's dense Toeplitz tiles.  A dyadic block of ``L <=
+#: _TILE`` sources is one product with the top right corner of the first tile.
+_TILE = 64
+#: The largest dyadic block of the history that is a dense Toeplitz product,
+#: taken tile by tile; a larger block goes through an FFT of twice its
+#: length.  Up to this size the tiles' products beat the FFT on the study
+#: tables, and their ``2 * _WINDOW / _TILE - 1`` tiles, which reach lag
+#: ``2 * _WINDOW - 1``, take 0.5 MB per order.  The tiles of a block of 1024
+#: would take twice that, for products no faster than its FFT.
+_WINDOW = 512
 #: Working-set budget in bytes: the padded block one FFT pass transforms
 #: (the columns are taken in chunks that fit it), and one ``(steps, nodes)``
 #: block of sampled data (the steps are taken in blocks that fit it).
@@ -428,25 +441,35 @@ class _CausalConvolution:
     j)`` into the targets ``[j, j+L)``.  So each step ``j >= 2`` adds one
     block, short of source 0 when ``j = L``.
 
-    Every block subtracts its sources from the layers.  A block of ``L <=
-    _WINDOW`` is multiplied by each order's ``L x L`` Toeplitz matrix of
-    lags ``1 .. 2L-1``, the top right corner of the one of the largest
-    dense block, in one ``matmul`` batched over the orders.  A larger block
+    Every block subtracts its sources from the layers.  Each order's dense
+    Toeplitz tiles ``T_m[r, c] = lags[_TILE*m + r - c]``, ``m = 1 ..
+    2*_WINDOW/_TILE - 1``, serve the blocks of ``L <= _WINDOW``, every
+    product batched over the orders.  A block of ``L <= _TILE`` is one
+    ``matmul`` by the top right ``L x L`` corner of ``T_1``.  A block of
+    ``_TILE < L <= _WINDOW`` is taken as ``L/_TILE`` chunks ``q`` of
+    ``_TILE`` sources and panels ``p`` of ``_TILE`` targets: panel ``p``
+    adds, chunk by chunk in turn, its product with ``T_{L/_TILE + p - q}``
+    over all the columns.  A larger block
     is taken one order's slab at a time, as a circular convolution of length
     ``2L`` through ``numpy.fft`` (the pocketfft that ``scipy.fft`` wraps,
     bitwise the same sums, without importing scipy) with the order's lag
     spectrum, cached per ``L``, over chunks of the slab's columns of at most
     ``_CHUNK_BYTES``.  Each chunk takes fresh arrays: reused per-size
-    buffers through ``out=`` left a compact-history pass no faster.  A block
-    always computes its full ``L`` target rows and drops those past the last
-    row only when adding them, so ``acc[t]`` does not depend on the number
-    of rows.  ``lags`` must reach lag ``2L-1`` of the largest block, ``L <=
-    len(values) - 2``, and ``tail`` must reach ``len(values) - 2``.
+    buffers through ``out=`` left a compact-history pass no faster.  A
+    product rounds alike whatever the shape it is part of only when its own
+    shape is fixed: so an FFT block and a dense block of ``L <= _TILE``
+    always compute their full ``L`` target rows, a tiled block every panel
+    that starts before the last row, each of them whole, and the rows past
+    the last are dropped only when adding them.  Then ``acc[t]`` does not
+    depend on the number of rows.  ``lags`` must reach lag ``2L-1`` of the
+    largest block, ``L <= len(values) - 2``, and ``tail`` must reach
+    ``len(values) - 2``.
 
     Beyond the layers, the object holds only constants of the lags (the
-    Toeplitz corner and the spectra), so one rebuilt over the same layers
-    mid-run continues bit for bit.  Cost ``O(n log^2 n + n * _WINDOW)`` per
-    column for ``n`` rows, and memory beyond the layers of one block's
+    tiles and the spectra), so one rebuilt over the same layers mid-run
+    continues bit for bit.  Cost ``O(n log^2 n + n * _WINDOW)`` per column
+    for ``n`` rows, and memory beyond the layers of the tiles, ``(2 *
+    _WINDOW / _TILE - 1) * _TILE^2`` doubles per order, and one block's
     temporaries.
     """
 
@@ -456,11 +479,14 @@ class _CausalConvolution:
         self._steps = values.shape[0] - 1
         #: The layers as ``(layer, order, column)``.
         self._layers = values.reshape(values.shape[0], lags.shape[0], -1)
-        #: Each order's Toeplitz matrix of lags ``1 .. 2n-1`` for the
-        #: largest dense block ``n`` the lags reach.
-        size = min(_WINDOW, lags.shape[1] // 2)
+        #: Each order's tiles ``T_m``, ``m = 1, 2, ...``, at ``[:, m-1]``:
+        #: as many as the lags reach, of side ``_TILE``, or of side ``n``
+        #: when the lags stop short of ``2*_TILE`` and reach ``2n-1``.
+        size = max(1, min(_TILE, lags.shape[1] // 2))
+        count = min(2 * _WINDOW // _TILE - 1, lags.shape[1] // size - 1)
         offsets = np.arange(size)
-        self._toeplitz = lags[:, size + offsets[:, None] - offsets[None, :]]
+        tiles = np.arange(1, count + 1)[:, None, None]
+        self._tiles = lags[:, size * tiles + offsets[:, None] - offsets]
         self._spectra: dict[int, np.ndarray] = {}
 
     def _spectrum(self, size: int) -> np.ndarray:
@@ -495,11 +521,38 @@ class _CausalConvolution:
         if size > _WINDOW:
             self._add_transformed(sources, size, targets)
             return
+        if size > _TILE:
+            self._add_tiled(j, size, targets)
+            return
         sums = np.matmul(
-            self._toeplitz[:, :size, 1 - len(sources) :],
+            self._tiles[:, 0, :size, 1 - len(sources) :],
             (sources[1:] - sources[:-1]).transpose(1, 0, 2),
         )
         np.add(targets, sums[:, : len(targets)].transpose(1, 0, 2), targets)
+
+    def _add_tiled(self, j: int, size: int, targets: np.ndarray) -> None:
+        """Add the block of ``_TILE < size <= _WINDOW`` sources that step
+        ``j`` adds into ``targets``, through the tiles: chunk by chunk of
+        ``_TILE`` sources, the chunk's product with each panel's tile is
+        added into the panel's rows."""
+        layers = self._layers
+        chunks = size // _TILE
+        differences = np.empty((_TILE,) + layers.shape[1:])
+        product = np.empty((layers.shape[1], _TILE, layers.shape[2]))
+        for q in range(chunks):
+            begin = j - size + q * _TILE
+            np.subtract(
+                layers[begin + 1 : begin + 1 + _TILE], layers[begin : begin + _TILE], differences
+            )
+            if not begin:
+                # Source 0 came in with the tail.
+                differences[0] = 0.0
+            for first in range(0, len(targets), _TILE):
+                # Panel p takes tile m = chunks + p - q, at [:, m - 1].
+                tile = self._tiles[:, chunks + first // _TILE - q - 1]
+                np.matmul(tile, differences.transpose(1, 0, 2), product)
+                rows = targets[first : first + _TILE]
+                np.add(rows, product[:, : len(rows)].transpose(1, 0, 2), rows)
 
     def _add_transformed(self, sources: np.ndarray, size: int, targets: np.ndarray) -> None:
         """Add the differences of the layers ``sources``, the newest slots
@@ -559,9 +612,9 @@ def _march(
     operators ``A`` and ``B`` of every step of the block, the one step
     formula both schemes share.  Each step then completes the history term
     ``conv`` in ``values[j+1]``, writes ``B y^j - M conv + phi`` over its
-    rows, and ``dgtsv`` solves ``A y^{j+1}`` for it there in place.
+    rows, and ``dptsv`` solves ``A y^{j+1}`` for it there in place.
     The factored pivots land in the block's diagonal and are checked once
-    per block, so a zero or denormal pivot raises
+    per block, so a pivot that is not positive, or is denormal, raises
     :class:`~subdiff.tridiag.SingularSystemError` at the end of its block,
     and so does the first layer that holds a non-finite value.
 
@@ -623,7 +676,7 @@ def _march(
     for first in range(0, nt, block_steps):
         steps = np.arange(first, min(first + block_steps, nt))
         c0 = np.where(steps[:, None] == 0, tails[:, 0], lags[:, 0])
-        ((sub, diag, sup), right), phi, rhs = _assemble(
+        ((diag, off), right), phi, rhs = _assemble(
             scheme, problems, group, (steps[:, None] + sigmas) * tau, sigmas, c0
         )
         # Each grid's rows run from its first row to the next grid's; the
@@ -636,14 +689,14 @@ def _march(
         for i, j in enumerate(steps.tolist()):
             history.term(j)
             right_side = rhs(i, values[j], values[j + 1])
-            _solve_core(sub[i], diag[i], sup[i], right_side)
+            _solve_core(off[i, 1:-1], diag[i], right_side)
         _check_pivots(diag)
         finite = np.isfinite(values[first + 1 : first + 1 + steps.size]).all(axis=1)
         if not finite.all():
             bad = first + 1 + int(np.argmin(finite))
             raise ValueError(f"layer {bad} (t={bad * tau!r}) holds non-finite values")
         # Free the block's arrays before the next block is assembled.
-        del sub, diag, sup, right, phi, rhs
+        del diag, off, right, phi, rhs
 
     times = np.arange(nt + 1) * tau
     histories = [

@@ -148,7 +148,8 @@ def audit_weight_family_whole(
     gate = (1.0 - alpha) * shared[:1] - sigma * np.concatenate(
         (tail[:1], shared[1:2])
     )
-    kappa = b[1:] / a[1:] + 0.5
+    ratio = b[1:] / a[1:]
+    kappa = ratio + 0.5
     return WeightAudit(
         checks=(
             _finish_check("positivity", np.concatenate(([a[0]], shared, tail))),
@@ -158,7 +159,7 @@ def audit_weight_family_whole(
             ),
             _finish_check("tail_lower_bound", tail_margins),
             _finish_check("blend_gate", gate),
-            _finish_check("correction_ratio_lower", kappa - 0.5),
+            _finish_check("correction_ratio_lower", ratio),
             _finish_check("correction_ratio_upper", 1.0 / (2.0 - alpha) - kappa),
         )
     )

@@ -321,27 +321,21 @@ def test_criterion_11_a_priori_stability(table_runs):
 def test_criterion_12_oracle_cross_checks():
     violations = []
 
-    # (a) tridiagonal solutions vs dense elimination on 10^3 dominant systems
+    # (a) tridiagonal solutions vs dense elimination on 10^3 symmetric systems
+    # with a positive dominant diagonal, as the schemes assemble
     rng = np.random.default_rng(3)
     for index in range(1000):
         n = int(rng.integers(1, 60))
-        sub = rng.uniform(-1.0, 1.0, n)
-        sup = rng.uniform(-1.0, 1.0, n)
-        sub[0] = 0.0
-        sup[-1] = 0.0
-        signs = rng.choice([-1.0, 1.0], n)
-        diag = signs * (np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 1.5, n))
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        magnitude = np.abs(off)
+        diag = rng.uniform(0.5, 1.5, n)
+        diag[1:] += magnitude
+        diag[:-1] += magnitude
         rhs = rng.standard_normal(n)
-        dense = np.zeros((n, n))
-        for i in range(n):
-            dense[i, i] = diag[i]
-            if i > 0:
-                dense[i, i - 1] = sub[i]
-            if i < n - 1:
-                dense[i, i + 1] = sup[i]
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         expected = np.linalg.solve(dense, rhs)
         pivots = diag.copy()
-        solution = _solve_core(sub.copy(), pivots, sup.copy(), rhs.copy())
+        solution = _solve_core(off.copy(), pivots, rhs.copy())
         _check_pivots(pivots)
         gap = np.abs(solution - expected).max()
         if gap > 1e-10 * max(1.0, np.abs(expected).max()):

@@ -2,7 +2,7 @@
 
 The kernel layer (weights, audits, the Caputo study) needs numpy alone, and
 a march loads only scipy's LAPACK extension ``scipy.linalg._flapack``, for
-``dgtsv``, at its first solve, without the ``scipy.linalg`` package.  Every
+``dptsv``, at its first solve, without the ``scipy.linalg`` package.  Every
 check runs in a fresh interpreter, since ``sys.modules`` of this one already
 holds whatever other tests imported.  This file does not
 import ``oracles``, which loads ``scipy.integrate``, so that it runs where

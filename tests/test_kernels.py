@@ -268,13 +268,14 @@ def _per_index_margins(order, j):
     audit."""
     alpha, sigma = order.alpha, order.sigma
     c = _unscaled_l21sigma(order, j)
-    kappa = coeff_b_array(order, j)[1:] / coeff_a_array(order, j)[1:] + 0.5
+    ratio = coeff_b_array(order, j)[1:] / coeff_a_array(order, j)[1:]
+    kappa = ratio + 0.5
     margins = {
         "positivity": c,
         "monotone_decrease": c[:-1] - c[1:],
         "tail_lower_bound": c[-1] - 0.5 * (1.0 - alpha) * (j + sigma) ** (-alpha),
         "blend_gate": (1.0 - alpha) * c[0] - sigma * c[1:2],
-        "correction_ratio_lower": kappa - 0.5,
+        "correction_ratio_lower": ratio,
         "correction_ratio_upper": 1.0 / (2.0 - alpha) - kappa,
     }
     return {
@@ -365,6 +366,18 @@ def test_blend_gate_holds_at_the_largest_order_below_one():
     assert order.sigma == 0.5
     for j_max in (1, 2, 100):
         assert audit_weight_family(order, j_max).check("blend_gate").margin > 0.0
+
+
+def test_correction_ratio_margin_is_the_smallest_ratio():
+    """At ``alpha = 1e-9`` the ratios ``b_s/a_s``, about ``alpha / (12 s)``,
+    fall below ``2^-54`` from ``s`` of about 1.5e6 on.  The lower bound's
+    margin is the smallest ratio, positive, where ``(b_s/a_s + 1/2) - 1/2``
+    would read 0."""
+    alpha, j_max = 1e-9, 3_000_000
+    audit = audit_weight_family(FractionalOrder(alpha), j_max)
+    margin = audit.check("correction_ratio_lower").margin
+    assert 0.0 < margin < 2.0**-54
+    assert margin == pytest.approx(alpha / (12.0 * j_max), rel=1e-3)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])

@@ -164,7 +164,7 @@ def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
 def test_every_layer_matches_the_dense_march(runner, make_problem, scheme):
     """Every layer of a run of two orders marched together is the paper's
     scheme marched densely with Alikhanov's closed-form weights.  At nt =
-    300 the history takes dense blocks of 1 to 64 steps and the FFT blocks
+    300 the history takes dense blocks of 1 to 64 steps and the tiled blocks
     of 128 and 256, the last of them clipped at the final step."""
     orders = (FractionalOrder(0.3), FractionalOrder(0.8))
     problems = tuple(make_problem(order) for order in orders)
@@ -184,7 +184,8 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
     rows, the diagonals of the dense ``c_0 M - sigma Lambda`` and ``c_0 M +
     (1 - sigma) Lambda``, and the source is the dense ``M f``.  The identity
     rows between the grids are ``(0, 1, 0)`` in ``A`` and zero in ``B`` and
-    the source, and neither operator couples a grid to them."""
+    the source, and neither operator couples a grid to them, nor the first
+    and last rows to the outer boundary nodes."""
     orders = (FractionalOrder(0.3), FractionalOrder(0.8))
     problems = tuple(make_problem(order) for order in orders)
     nxs, tau = (5, 8), 0.25
@@ -203,18 +204,20 @@ def test_assembled_operators_match_the_dense_operators(make_problem, scheme):
                     problem, order, nx, times[i, o], c0[i, o], scheme
                 )
                 np.testing.assert_allclose(phi[i, interior], source, rtol=1e-14, atol=0.0)
-                for (sub, diag, sup), matrix in zip(operators, dense):
+                for (diag, off), matrix in zip(operators, dense):
+                    couplings = off[i, begin + 1 : end - 2]
                     for ours, theirs in (
                         (diag[i, interior], np.diag(matrix)),
-                        (sub[i, interior][1:], np.diag(matrix, -1)),
-                        (sup[i, interior][:-1], np.diag(matrix, 1)),
+                        (couplings, np.diag(matrix, -1)),
+                        (couplings, np.diag(matrix, 1)),
                     ):
                         np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0.0)
-                    assert sub[i, begin] == 0.0 and sup[i, end - 3] == 0.0
+                    assert off[i, begin] == 0.0 and off[i, end - 2] == 0.0
     assert group.edges.size == 2 * (len(nxs) * len(orders) - 1)
-    for rows, identity in zip(operators, (1.0, 0.0)):
-        for part, value in zip(rows, (0.0, identity, 0.0)):
-            assert np.all(part[:, group.edges] == value)
+    for (diag, off), identity in zip(operators, (1.0, 0.0)):
+        assert np.all(diag[:, group.edges] == identity)
+        assert np.all(off[:, group.edges] == 0.0) and np.all(off[:, group.edges + 1] == 0.0)
+        assert np.all(off[:, [0, -1]] == 0.0)
     assert np.all(phi[:, group.edges] == 0.0)
 
 
@@ -245,11 +248,25 @@ def test_step_compact_matches_run_bitwise():
     [(run_second_order, problem_varcoeff_2nd), (run_compact, problem_timecoeff_compact)],
 )
 def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
-    """At nt = 200 the block of L = 128 differences takes the FFT path and is
+    """At nt = 200 the block of L = 128 differences, two tiles wide, is
     clipped at the last step, as the dense block of L = 64 is in the half
     run; the full run must still replay the half run."""
     order = FractionalOrder(0.5)
     _replays_prefix_bitwise(runner, make_problem(order), order, 10, 200)
+
+
+@pytest.mark.parametrize("nt", [300, 600, 1100])
+@pytest.mark.parametrize(
+    "runner, make_problem",
+    [(run_second_order, problem_varcoeff_2nd), (run_compact, problem_timecoeff_compact)],
+)
+def test_clipped_blocks_replay_prefix_bitwise(runner, make_problem, nt):
+    """The half run clips a block mid-panel that the full run computes
+    whole: at nt = 300 the tiled block of L = 256 keeps 44 rows, at nt = 600
+    that of L = 512 keeps 88, and at nt = 1100 the FFT block of L = 1024
+    keeps 76."""
+    order = FractionalOrder(0.5)
+    _replays_prefix_bitwise(runner, make_problem(order), order, 10, nt)
 
 
 class _DirectHistory:
@@ -314,14 +331,16 @@ def _assert_history_matches_direct_sum(orders, nt, columns, seed):
     np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 128, 129, 257, 300, 1000])
+@pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 128, 129, 257, 300, 513, 600, 1000, 1025])
 @pytest.mark.parametrize("columns", [1, 7, 40])
 def test_causal_convolution_matches_direct_sum(nt, columns):
-    """Dense blocks (L <= 64) and FFT blocks, clipped at ``nt``, add every
-    pair once.  At nt = 128 the largest dense block (L = 64) ends on the
-    last row and no FFT block runs; at nt = 129 and 257 the FFT blocks of L
-    = 128 and 256 keep one row.  With 40 columns the block of L = 512 is
-    transformed in two column chunks."""
+    """Dense blocks (L <= 64), tiled blocks (L = 128 .. 512) and FFT blocks,
+    clipped at ``nt``, add every pair once.  At nt = 128 the largest dense
+    block of one product (L = 64) ends on the last row and no tiled block
+    runs; at nt = 129, 257 and 513 the tiled blocks of L = 128, 256 and 512
+    keep one row of one panel, and at nt = 600 that of L = 512 keeps 87 rows
+    of two panels.  At nt = 1025 the FFT block of L = 1024 keeps one row,
+    and with 40 columns it is transformed in three column chunks."""
     _assert_history_matches_direct_sum(1, nt, columns, nt * 10 + columns)
 
 
@@ -329,40 +348,124 @@ def test_causal_convolution_matches_direct_sum(nt, columns):
 @pytest.mark.parametrize("columns", [7, 40])
 def test_causal_convolution_of_several_orders_matches_direct_sum(nt, columns):
     """Each order's slab takes its own lags and tail.  From nt = 300 on the
-    run holds dense blocks (L = 1 .. 64, every order in one product) and FFT
-    blocks (L = 128, 256, one slab at a time); with 40 columns per slab the
-    block of L = 512 takes each slab in two column chunks."""
+    run holds dense blocks (L = 1 .. 64) and tiled blocks (L = 128, 256 and,
+    at nt = 1000, 512), every order in one product."""
     _assert_history_matches_direct_sum(3, nt, columns, nt * 10 + columns + 1)
 
 
-@pytest.mark.parametrize("nt", [300, 1000])
+@pytest.mark.parametrize("nt", [300, 1000, 1025, 2100])
 @pytest.mark.parametrize("columns", [7, 40])
 def test_chunk_budget_does_not_change_the_history_sums(nt, columns, monkeypatch):
     """Every column of a slab is summed alike whatever chunk it falls in:
     a budget of one column per FFT chunk gives the sums of the default
-    budget bit for bit."""
+    budget bit for bit.  The tiled blocks (nt = 300, 1000) take all the
+    columns whatever the budget; the FFT blocks of L = 1024 (nt = 1025) and
+    2048 (nt = 2100) take 40 columns in three and five chunks by default."""
     data = _random_history(3, nt, columns, nt * 10 + columns + 1)
     default = _history_terms(_CausalConvolution, *data)
     monkeypatch.setattr(schemes, "_CHUNK_BYTES", 1)
     np.testing.assert_array_equal(_history_terms(_CausalConvolution, *data), default)
 
 
+@pytest.mark.parametrize("nt", [300, 600, 1100])
+def test_causal_convolution_terms_do_not_depend_on_the_step_count(nt):
+    """The history of ``nt`` steps gives the first ``nt`` terms of that of
+    ``2 nt`` bit for bit, though it clips the block of L = 256, 512 or 1024
+    mid-panel (see the prefix replays of the runs).  With two orders of 321
+    columns, a product clipped to the rows kept rounds differently from the
+    whole one."""
+    lags, tail, layers = _random_history(2, 2 * nt, 321, nt)
+    shorter = _history_terms(_CausalConvolution, lags, tail, layers[: nt + 1])
+    longer = _history_terms(_CausalConvolution, lags, tail, layers)
+    np.testing.assert_array_equal(shorter, longer[:nt])
+
+
 def test_causal_convolution_state_is_the_layer_array():
     """The history holds nothing of a run but the layer array: rebuilt over
     the same layers before a dense step (j = 2, 5, 64, 65, 129, 200), with
-    the FFT blocks of L = 128 and 256 on either side, it continues the run
-    bit for bit."""
-    lags, tail, layers = _random_history(3, 300, 7, 3007)
-    whole = _history_terms(_CausalConvolution, lags, tail, layers)
-    values = np.zeros_like(layers)
-    values[0] = layers[0]
-    history = _CausalConvolution(lags, tail, values)
-    for j in range(len(layers) - 1):
-        if j in (2, 5, 64, 65, 129, 200):
-            history = _CausalConvolution(lags, tail, values)
-        history.term(j)
-        np.testing.assert_array_equal(values[j + 1], whole[j], err_msg=f"j = {j}")
-        values[j + 1] = layers[j + 1]
+    the tiled blocks of L = 128 and 256 on either side, it continues the run
+    bit for bit; so it does rebuilt around the FFT block of L = 1024 (j =
+    1024, 1025), whose spectrum it then transforms again."""
+    for nt, rebuilds in ((300, (2, 5, 64, 65, 129, 200)), (1100, (1024, 1025))):
+        lags, tail, layers = _random_history(3, nt, 7, nt * 10 + 7)
+        whole = _history_terms(_CausalConvolution, lags, tail, layers)
+        values = np.zeros_like(layers)
+        values[0] = layers[0]
+        history = _CausalConvolution(lags, tail, values)
+        for j in range(len(layers) - 1):
+            if j in rebuilds:
+                history = _CausalConvolution(lags, tail, values)
+            history.term(j)
+            np.testing.assert_array_equal(values[j + 1], whole[j], err_msg=f"j = {j}")
+            values[j + 1] = layers[j + 1]
+
+
+@pytest.mark.parametrize(
+    "runner, make_problem, nt, lengths",
+    [
+        (run_second_order, problem_varcoeff_2nd, 640, set()),
+        (run_compact, problem_timecoeff_compact, 5000, {2048, 4096, 8192}),
+    ],
+)
+def test_history_requests_ffts_only_past_the_tiles(runner, make_problem, nt, lengths, monkeypatch):
+    """Every block of L <= 512 is a dense product: a march of nt = 640 (the
+    largest study step count below 1024) requests no FFT.  At nt = 5000 the
+    FFTs are those of the blocks of L = 1024, 2048 and 4096, of twice their
+    length."""
+    requested = []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def forward(a, *args, axis=-1, **kwargs):
+        requested.append(np.shape(a)[axis])
+        return rfft(a, *args, axis=axis, **kwargs)
+
+    def inverse(a, n=None, *args, **kwargs):
+        requested.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    monkeypatch.setattr(np.fft, "irfft", inverse)
+    order = FractionalOrder(0.5)
+    _one(runner, make_problem(order), order, 4, nt)
+    assert set(requested) == lengths
+    assert all(length >= 2048 for length in requested)
+
+
+@pytest.mark.parametrize(
+    "make_problem, scheme",
+    [(problem_varcoeff_2nd, "second"), (_compact_problem_with_profile, "compact")],
+)
+def test_assembled_operators_are_symmetric_bitwise(make_problem, scheme):
+    """Row by row, ``A`` and ``B`` couple row ``r`` to row ``r-1`` with
+    ``-(s/h^2) a_{r-1/2} + m_r M_off`` and row ``r-1`` to row ``r`` with
+    ``-(s/h^2) a_{r-1/2} + m_{r-1} M_off``, where ``m`` is the mass weight;
+    ``s/h^2`` and ``m`` are the same on every row of a grid (``m`` is
+    multiplied by zero under the second-order scheme), so the two are equal
+    bit for bit, on three orders over three grids marched together.  The
+    one off-diagonal that ``_assemble`` keeps is that coupling, and is zero
+    between rows of different grids, so ``dptsv`` solves the very systems
+    the row formulas make."""
+    orders = tuple(FractionalOrder(alpha) for alpha in (0.3, 0.8, 0.5))
+    problems = tuple(make_problem(order) for order in orders)
+    group = schemes._GridGroup(problems[0].length, (5, 8, 3), len(orders))
+    sigmas = np.array([order.sigma for order in orders])
+    steps = np.arange(3)
+    times = (steps[:, None] + sigmas) * 0.25
+    c0 = np.array([[weights(order, j, 0.25)[0] for order in orders] for j in steps])
+    operators, _, _ = schemes._assemble(scheme, problems, group, times, sigmas, c0)
+    kind = schemes._SCHEMES[scheme]
+    a, d, _ = schemes._sample_block(kind, problems, group, times)
+    sigma, weight_0 = group.spread(sigmas[None, :])[0], group.spread(c0)
+    blends = ((weight_0 + sigma * d, sigma), (weight_0 - (1.0 - sigma) * d, sigma - 1.0))
+    coupled = (group.interior[:-1] * group.interior[1:]).astype(bool)
+    assert coupled.sum() == sum(nx - 2 for nx in (5, 8, 3)) * len(orders)
+    for (_, off), (mass_weight, s) in zip(operators, blends):
+        stiffness = -(s / group.h_sq)
+        to_previous = stiffness * a[:, :-1] + mass_weight * kind.mass_off
+        to_next = stiffness * a[:, 1:] + mass_weight * kind.mass_off
+        assert np.array_equal(to_previous[:, 1:][:, coupled], to_next[:, :-1][:, coupled])
+        assert np.array_equal(off[:, 1:-1][:, coupled], to_next[:, :-1][:, coupled])
+        assert np.all(off[:, 1:-1][:, ~coupled] == 0.0)
 
 
 def test_compact_group_matches_direct_history(monkeypatch):
@@ -855,9 +958,9 @@ def _smallest_pivot_and_diagonal(monkeypatch, runner, *args):
     smallest = {"pivot": np.inf, "diag": np.inf}
     solve = schemes._solve_core
 
-    def spy(sub, diag, sup, rhs):
+    def spy(off, diag, rhs):
         smallest["diag"] = min(smallest["diag"], float(np.abs(diag).min()))
-        solution = solve(sub, diag, sup, rhs)
+        solution = solve(off, diag, rhs)
         smallest["pivot"] = min(smallest["pivot"], float(np.abs(diag).min()))
         return solution
 
@@ -876,7 +979,7 @@ def _smallest_pivot_and_diagonal(monkeypatch, runner, *args):
     ],
 )
 def test_pivot_check_reads_the_factored_pivots_of_a_run(runner, nx, steps, monkeypatch):
-    """A pivot floor above the smallest pivot of the U factor but below
+    """A pivot floor above the smallest pivot of the D factor but below
     every diagonal entry (the identity rows' 1 included) trips only a check
     of the factored pivots, which the march runs once per block."""
     args = ((_wide_cell_problem(),), (FractionalOrder(0.5),), _as_tuple(nx), 6)
