@@ -407,8 +407,8 @@ def _validate_initial_layer(values: np.ndarray, length: float) -> np.ndarray:
     return pinned
 
 
-#: The side of the history's dense Toeplitz tiles.  A dyadic block of ``L <=
-#: _TILE`` sources is one product with the top right corner of the first tile.
+#: The side of the history's dense Toeplitz tiles.  A dyadic block of ``L <
+#: _TILE`` sources takes the top right ``L x L`` corner of the first tile.
 _TILE = 64
 #: The largest dyadic block of the history that is a dense Toeplitz product,
 #: taken tile by tile; a larger block goes through an FFT of twice its
@@ -441,24 +441,23 @@ class _CausalConvolution:
     j)`` into the targets ``[j, j+L)``.  So each step ``j >= 2`` adds one
     block, short of source 0 when ``j = L``.
 
-    Every block subtracts its sources from the layers.  Each order's dense
-    Toeplitz tiles ``T_m[r, c] = lags[_TILE*m + r - c]``, ``m = 1 ..
-    2*_WINDOW/_TILE - 1``, serve the blocks of ``L <= _WINDOW``, every
-    product batched over the orders.  A block of ``L <= _TILE`` is one
-    ``matmul`` by the top right ``L x L`` corner of ``T_1``.  A block of
-    ``_TILE < L <= _WINDOW`` is taken as ``L/_TILE`` chunks ``q`` of
-    ``_TILE`` sources and panels ``p`` of ``_TILE`` targets: panel ``p``
-    adds, chunk by chunk in turn, its product with ``T_{L/_TILE + p - q}``
-    over all the columns.  A larger block
-    is taken one order's slab at a time, as a circular convolution of length
-    ``2L`` through ``numpy.fft`` (the pocketfft that ``scipy.fft`` wraps,
-    bitwise the same sums, without importing scipy) with the order's lag
-    spectrum, cached per ``L``, over chunks of the slab's columns of at most
-    ``_CHUNK_BYTES``.  Each chunk takes fresh arrays: reused per-size
-    buffers through ``out=`` left a compact-history pass no faster.  A
-    product rounds alike whatever the shape it is part of only when its own
-    shape is fixed: so an FFT block and a dense block of ``L <= _TILE``
-    always compute their full ``L`` target rows, a tiled block every panel
+    There are two kinds of block, and each subtracts its sources from the
+    layers.  Each order's dense Toeplitz tiles ``T_m[r, c] = lags[_TILE*m +
+    r - c]``, ``m = 1 .. 2*_WINDOW/_TILE - 1``, serve the blocks of ``L <=
+    _WINDOW``, every product batched over the orders.  Such a block takes
+    the top right ``s x s`` corners of the tiles, ``s = min(L, _TILE)``, as
+    ``L/s`` chunks ``q`` of ``s`` sources and panels ``p`` of ``s`` targets:
+    panel ``p`` adds, chunk by chunk in turn, its product with ``T_{L/s + p
+    - q}`` over all the columns (so a block of ``L <= _TILE`` is one product
+    with a corner of ``T_1``).  A larger block is taken one order's slab at
+    a time, as a circular convolution of length ``2L`` through ``numpy.fft``
+    (the pocketfft that ``scipy.fft`` wraps, bitwise the same sums, without
+    importing scipy) with the order's lag spectrum, cached per ``L``, over
+    chunks of the slab's columns of at most ``_CHUNK_BYTES``.  Each chunk
+    takes fresh arrays: reused per-size buffers through ``out=`` left a
+    compact-history pass no faster.  A product rounds alike whatever the
+    shape it is part of only when its own shape is fixed: so an FFT block
+    always computes its full ``L`` target rows, a tiled block every panel
     that starts before the last row, each of them whole, and the rows past
     the last are dropped only when adding them.  Then ``acc[t]`` does not
     depend on the number of rows.  ``lags`` must reach lag ``2L-1`` of the
@@ -514,52 +513,44 @@ class _CausalConvolution:
             )
             return
         size = j & -j
-        # The layers of the sources ``[max(j-L, 1), j)``: source 0 came in
-        # with the tail.
-        sources = layers[max(j - size, 1) : j + 1]
         targets = layers[j + 1 : j + 1 + min(size, self._steps - j)]
-        if size > _WINDOW:
-            self._add_transformed(sources, size, targets)
-            return
-        if size > _TILE:
+        if size <= _WINDOW:
             self._add_tiled(j, size, targets)
-            return
-        sums = np.matmul(
-            self._tiles[:, 0, :size, 1 - len(sources) :],
-            (sources[1:] - sources[:-1]).transpose(1, 0, 2),
-        )
-        np.add(targets, sums[:, : len(targets)].transpose(1, 0, 2), targets)
+        else:
+            self._add_transformed(j, size, targets)
 
     def _add_tiled(self, j: int, size: int, targets: np.ndarray) -> None:
-        """Add the block of ``_TILE < size <= _WINDOW`` sources that step
-        ``j`` adds into ``targets``, through the tiles: chunk by chunk of
-        ``_TILE`` sources, the chunk's product with each panel's tile is
-        added into the panel's rows."""
+        """Add the block of ``size <= _WINDOW`` sources that step ``j`` adds
+        into ``targets``, chunk by chunk, through the tiles' corners of side
+        ``min(size, _TILE)``."""
         layers = self._layers
-        chunks = size // _TILE
-        differences = np.empty((_TILE,) + layers.shape[1:])
-        product = np.empty((layers.shape[1], _TILE, layers.shape[2]))
+        side = min(size, _TILE)
+        chunks = size // side
+        differences = np.empty((side,) + layers.shape[1:])
+        product = np.empty((layers.shape[1], side, layers.shape[2]))
         for q in range(chunks):
-            begin = j - size + q * _TILE
+            begin = j - size + q * side
             np.subtract(
-                layers[begin + 1 : begin + 1 + _TILE], layers[begin : begin + _TILE], differences
+                layers[begin + 1 : begin + 1 + side], layers[begin : begin + side], differences
             )
             if not begin:
                 # Source 0 came in with the tail.
                 differences[0] = 0.0
-            for first in range(0, len(targets), _TILE):
+            for first in range(0, len(targets), side):
                 # Panel p takes tile m = chunks + p - q, at [:, m - 1].
-                tile = self._tiles[:, chunks + first // _TILE - q - 1]
+                tile = self._tiles[:, chunks + first // side - q - 1, :side, -side:]
                 np.matmul(tile, differences.transpose(1, 0, 2), product)
-                rows = targets[first : first + _TILE]
+                rows = targets[first : first + side]
                 np.add(rows, product[:, : len(rows)].transpose(1, 0, 2), rows)
 
-    def _add_transformed(self, sources: np.ndarray, size: int, targets: np.ndarray) -> None:
-        """Add the differences of the layers ``sources``, the newest slots
-        of a block of ``size > _WINDOW``, into ``targets`` through FFTs of
-        length ``2*size``, one order's slab at a time, in chunks of columns
-        that fit ``_CHUNK_BYTES``."""
+    def _add_transformed(self, j: int, size: int, targets: np.ndarray) -> None:
+        """Add the block of ``size > _WINDOW`` sources that step ``j`` adds
+        into ``targets``, the differences of the layers ``[max(j-size, 1),
+        j]`` (source 0 came in with the tail), through FFTs of length
+        ``2*size``, one order's slab at a time, in chunks of columns that fit
+        ``_CHUNK_BYTES``."""
         spectra = self._spectrum(size)
+        sources = self._layers[max(j - size, 1) : j + 1]
         orders, width = sources.shape[1:]
         columns = max(1, _CHUNK_BYTES // (16 * size))
         start = size + 1 - len(sources)
@@ -602,7 +593,7 @@ def _march(
     Cost ``O(nt log^2 nt * nodes)``: the history term is built by
     :class:`_CausalConvolution`, where each step adds one dyadic block of
     past differences into the sums of the steps ahead, kept in the layer
-    array itself.
+    array itself: Toeplitz tiles up to ``_WINDOW`` steps, an FFT above.
 
     Nothing but the right-hand side depends on the solution, so the steps
     are taken in blocks of ``_CHUNK_BYTES // (8 * nodes)``:
@@ -664,7 +655,11 @@ def _march(
 
     values = np.zeros((nt + 1, group.width * len(orders)))
     for o, problem in enumerate(problems):
-        initial = np.asarray(problem.u0(group.x), dtype=float)
+        try:
+            initial = np.asarray(problem.u0(group.x), dtype=float)
+            initial = np.broadcast_to(initial, group.x.shape)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"u0(x) must broadcast over the nodes x: {error}") from error
         for begin, end in group.spans[: len(nxs)]:
             values[0, o * group.width + begin : o * group.width + end] = (
                 _validate_initial_layer(initial[begin:end], problem.length)

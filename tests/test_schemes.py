@@ -164,8 +164,9 @@ def test_first_steps_match_the_dense_step_formula(runner, make_problem, scheme):
 def test_every_layer_matches_the_dense_march(runner, make_problem, scheme):
     """Every layer of a run of two orders marched together is the paper's
     scheme marched densely with Alikhanov's closed-form weights.  At nt =
-    300 the history takes dense blocks of 1 to 64 steps and the tiled blocks
-    of 128 and 256, the last of them clipped at the final step."""
+    300 the history takes tiled blocks of 2 to 256 steps, the blocks of up
+    to 64 as one tile corner each, the last block clipped at the final
+    step."""
     orders = (FractionalOrder(0.3), FractionalOrder(0.8))
     problems = tuple(make_problem(order) for order in orders)
     nx, nt = 8, 300
@@ -249,8 +250,8 @@ def test_step_compact_matches_run_bitwise():
 )
 def test_fft_blocks_replay_prefix_bitwise(runner, make_problem):
     """At nt = 200 the block of L = 128 differences, two tiles wide, is
-    clipped at the last step, as the dense block of L = 64 is in the half
-    run; the full run must still replay the half run."""
+    clipped at the last step, as the block of L = 64, one tile wide, is in
+    the half run; the full run must still replay the half run."""
     order = FractionalOrder(0.5)
     _replays_prefix_bitwise(runner, make_problem(order), order, 10, 200)
 
@@ -334,13 +335,13 @@ def _assert_history_matches_direct_sum(orders, nt, columns, seed):
 @pytest.mark.parametrize("nt", [1, 2, 3, 64, 65, 128, 129, 257, 300, 513, 600, 1000, 1025])
 @pytest.mark.parametrize("columns", [1, 7, 40])
 def test_causal_convolution_matches_direct_sum(nt, columns):
-    """Dense blocks (L <= 64), tiled blocks (L = 128 .. 512) and FFT blocks,
-    clipped at ``nt``, add every pair once.  At nt = 128 the largest dense
-    block of one product (L = 64) ends on the last row and no tiled block
-    runs; at nt = 129, 257 and 513 the tiled blocks of L = 128, 256 and 512
-    keep one row of one panel, and at nt = 600 that of L = 512 keeps 87 rows
-    of two panels.  At nt = 1025 the FFT block of L = 1024 keeps one row,
-    and with 40 columns it is transformed in three column chunks."""
+    """Tiled blocks (L <= 512) and FFT blocks, clipped at ``nt``, add every
+    pair once.  At nt = 128 the largest block of one tile (L = 64) ends on
+    the last row and no block of several tiles runs; at nt = 129, 257 and
+    513 the tiled blocks of L = 128, 256 and 512 keep one row of one panel,
+    and at nt = 600 that of L = 512 keeps 87 rows of two panels.  At nt =
+    1025 the FFT block of L = 1024 keeps one row, and with 40 columns it is
+    transformed in three column chunks."""
     _assert_history_matches_direct_sum(1, nt, columns, nt * 10 + columns)
 
 
@@ -348,8 +349,9 @@ def test_causal_convolution_matches_direct_sum(nt, columns):
 @pytest.mark.parametrize("columns", [7, 40])
 def test_causal_convolution_of_several_orders_matches_direct_sum(nt, columns):
     """Each order's slab takes its own lags and tail.  From nt = 300 on the
-    run holds dense blocks (L = 1 .. 64) and tiled blocks (L = 128, 256 and,
-    at nt = 1000, 512), every order in one product."""
+    run holds tiled blocks of one tile corner (L = 2 .. 64) and of several
+    tiles (L = 128, 256 and, at nt = 1000, 512), every order in one
+    product."""
     _assert_history_matches_direct_sum(3, nt, columns, nt * 10 + columns + 1)
 
 
@@ -382,10 +384,11 @@ def test_causal_convolution_terms_do_not_depend_on_the_step_count(nt):
 
 def test_causal_convolution_state_is_the_layer_array():
     """The history holds nothing of a run but the layer array: rebuilt over
-    the same layers before a dense step (j = 2, 5, 64, 65, 129, 200), with
-    the tiled blocks of L = 128 and 256 on either side, it continues the run
-    bit for bit; so it does rebuilt around the FFT block of L = 1024 (j =
-    1024, 1025), whose spectrum it then transforms again."""
+    the same layers before a step that adds a block of one tile corner (j =
+    2, 5, 64, 65, 129, 200), with the blocks of L = 128 and 256, several
+    tiles wide, on either side, it continues the run bit for bit; so it
+    does rebuilt around the FFT block of L = 1024 (j = 1024, 1025), whose
+    spectrum it then transforms again."""
     for nt, rebuilds in ((300, (2, 5, 64, 65, 129, 200)), (1100, (1024, 1025))):
         lags, tail, layers = _random_history(3, nt, 7, nt * 10 + 7)
         whole = _history_terms(_CausalConvolution, lags, tail, layers)
@@ -398,6 +401,52 @@ def test_causal_convolution_state_is_the_layer_array():
             history.term(j)
             np.testing.assert_array_equal(values[j + 1], whole[j], err_msg=f"j = {j}")
             values[j + 1] = layers[j + 1]
+
+
+def test_history_products_have_a_fixed_square_shape(monkeypatch):
+    """Every block of L <= 512 is taken through tiles of side ``s = min(L,
+    64)``: each product of a history of three orders to nt = 600 is ``(3,
+    s, s) @ (3, s, columns)``, the block of ``j = L`` included, whose first
+    difference is zeroed rather than cut, and there is one product per
+    chunk of ``s`` sources and panel of ``s`` targets that starts before the
+    last row."""
+    nt, columns = 600, 5
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    _history_terms(_CausalConvolution, *_random_history(3, nt, columns, nt))
+    expected = []
+    for j in range(2, nt):
+        size = j & -j
+        side = min(size, schemes._TILE)
+        panels = -(-min(size, nt - j) // side)
+        expected += [((3, side, side), (3, side, columns))] * (size // side * panels)
+    assert shapes == expected
+
+
+@pytest.mark.parametrize("nt", [5000, 20000])
+def test_history_fft_work_is_n_log_n_per_column(nt, monkeypatch):
+    """The FFTs of a history, the lag spectra included, transform ``O(nt
+    log nt)`` entries per column: the transformed length times the columns
+    of every ``rfft`` call (the size of its input), summed and divided by
+    the columns of the layer array, stays below ``nt log2(nt)``."""
+    columns = 5
+    transformed = []
+    rfft = np.fft.rfft
+
+    def forward(a, *args, **kwargs):
+        transformed.append(np.size(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", forward)
+    _history_terms(_CausalConvolution, *_random_history(1, nt, columns, nt))
+    assert transformed
+    assert sum(transformed) / columns < nt * math.log2(nt)
 
 
 @pytest.mark.parametrize(
@@ -1025,20 +1074,27 @@ def test_callbacks_that_do_not_broadcast_are_rejected(runner, name, style):
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
 def test_constant_callbacks_are_broadcast(runner):
-    """A callback that returns a plain number serves every node and time."""
+    """A callback that returns a plain number serves every node and time,
+    the initial profile ``u0`` included."""
     order = FractionalOrder(0.5)
     constant = dataclasses.replace(
         _constant_problem(1.0),
         k=lambda x, t: 1.0,
         q=lambda x, t: 0.0,
-        f=lambda x, t: 0.0,
+        f=lambda x, t: 1.0,
+        u0=lambda x: 0.0,
         k_time=lambda t: 1.0,
         q_time=lambda t: 0.0,
     )
+    spread = dataclasses.replace(
+        _constant_problem(1.0, lambda x, t: np.ones_like(np.asarray(x, dtype=float))),
+        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
     ours = _one(runner, constant, order, 8, 6)
-    theirs = _one(runner, _constant_problem(1.0), order, 8, 6)
+    theirs = _one(runner, spread, order, 8, 6)
     assert np.array_equal(ours.values, theirs.values)
-    assert ours.source_norm_sq == theirs.source_norm_sq == 0.0
+    assert ours.values[-1].any()
+    assert ours.source_norm_sq == theirs.source_norm_sq > 0.0
 
 
 @pytest.mark.parametrize("runner", [run_second_order, run_compact])
@@ -1145,6 +1201,16 @@ def test_non_finite_initial_profile_is_rejected_by_name(runner, value):
         u0=lambda x: np.where(np.isclose(x, 0.5), value, np.sin(np.pi * x)),
     )
     with pytest.raises(ValueError, match=r"initial profile u0 must be finite"):
+        _one(runner, problem, order, 8, 4)
+
+
+@pytest.mark.parametrize("runner", [run_second_order, run_compact])
+def test_misshapen_initial_profile_is_rejected_by_name(runner):
+    """A ``u0`` whose values do not broadcast over the nodes would otherwise
+    fail inside numpy with a message that does not name it."""
+    order = FractionalOrder(0.5)
+    problem = dataclasses.replace(_constant_problem(1.0), u0=lambda x: np.zeros(3))
+    with pytest.raises(ValueError, match=r"u0\(x\) must broadcast over the nodes x"):
         _one(runner, problem, order, 8, 4)
 
 
